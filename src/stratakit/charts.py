@@ -21,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .space import BudgetExceeded
+
 MATRIX_ENTRY_BUDGET = int(os.environ.get("STRATAKIT_MATRIX_BUDGET", 10**8))
 
 
 class ChartError(ValueError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
     pass
 
 
@@ -161,6 +159,9 @@ def brute_rank1_count(a: int, b: int, q: int, ad_symmetric_block: int = 0,
             det = (M[:, a1] * M[:, a4] - M[:, a2] * M[:, a3]) % q
             ok &= det == 0
         count += int(ok.sum())
+        # free this chunk before the next one allocates: otherwise two digit
+        # matrices are alive at once and the peak memory depends on heap layout
+        del codes, M, ok
     return count
 
 

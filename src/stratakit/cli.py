@@ -20,9 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import charts, latcalc, report, strata, weyl
-from .space import subspace_from_json
+from .space import BudgetExceeded, subspace_from_json
 
 
 def _strata_config(args) -> strata.StrataConfig:
@@ -39,7 +40,22 @@ def _strata_config(args) -> strata.StrataConfig:
     return strata.StrataConfig(**kwargs)
 
 
-def _finish(args, rep: dict) -> int:
+def _run(args, body, config=None, seeded=True) -> int:
+    """Time ``body()``, report its part and return the exit code.
+
+    The part holds ``counts`` and ``checks`` and, unless the caller passes
+    ``config``, its own ``config``.  A budget overrun anywhere in the body
+    becomes an inconclusive ``enumeration`` check (exit 3).
+    """
+    t0 = time.perf_counter()
+    try:
+        part = {"config": config, **body()}
+    except BudgetExceeded as exc:
+        part = {"config": config, "counts": [], "checks": [
+            {"name": "enumeration", "status": "inconclusive", "witness": str(exc)}]}
+    rep = report.make_report(part["config"], part["counts"], part["checks"],
+                             seed=args.seed if seeded else None,
+                             wall_time_s=time.perf_counter() - t0)
     text = report.emit(rep, args.format)
     if args.out:
         with open(args.out, "w") as fh:
@@ -51,149 +67,123 @@ def _finish(args, rep: dict) -> int:
 
 def cmd_strata_verify(args) -> int:
     cfg = _strata_config(args)
-    with report.Stopwatch() as sw:
-        part = strata.verify_decomposition(cfg, budget=args.budget)
-    rep = report.make_report(part["config"], part["counts"], part["checks"],
-                             seed=args.seed)
-    rep["wall_time_s"] = sw.seconds
-    return _finish(args, rep)
+    return _run(args, lambda: strata.verify_decomposition(cfg, budget=args.budget),
+                config=cfg.describe())
 
 
 def cmd_strata_count(args) -> int:
     cfg = _strata_config(args)
-    with report.Stopwatch() as sw:
-        try:
-            counts, total = strata.stratum_counts(cfg, budget=args.budget)
-            checks = [{"name": "enumeration", "status": "pass",
-                       "data": {"members": total}}]
-            rows = [{"label": l.key(), "count": c}
-                    for l, c in sorted(counts.items(), key=lambda x: x[0].key())]
-        except strata.BudgetExceeded as exc:
-            checks = [{"name": "enumeration", "status": "inconclusive",
-                       "witness": str(exc)}]
-            rows = []
-    rep = report.make_report(cfg.describe(), rows, checks, seed=args.seed)
-    rep["wall_time_s"] = sw.seconds
-    return _finish(args, rep)
+
+    def body():
+        counts, total = strata.stratum_counts(cfg, budget=args.budget)
+        return {"counts": [{"label": l.key(), "count": c}
+                           for l, c in sorted(counts.items(), key=lambda x: x[0].key())],
+                "checks": [{"name": "enumeration", "status": "pass",
+                            "data": {"members": total}}]}
+
+    return _run(args, body, config=cfg.describe())
 
 
 def cmd_strata_classify(args) -> int:
     cfg = _strata_config(args)
     with open(args.input) as fh:
-        data = json.load(fh)
-    U = subspace_from_json(data)
-    with report.Stopwatch() as sw:
+        U = subspace_from_json(json.load(fh))
+
+    def body():
         if not strata.member(cfg, U):
-            rep = report.make_report(cfg.describe(), [], [
+            return {"counts": [], "checks": [
                 {"name": "membership", "status": "fail",
-                 "witness": "subspace is not a member of the configured stratum space"},
-            ])
-            rep["wall_time_s"] = sw.seconds
-            return _finish(args, rep)
+                 "witness": "subspace is not a member of the configured stratum space"}]}
         label, chain = strata.classify_flag(cfg, U)
         kr = strata.kr_class(cfg, U)
-    rep = report.make_report(
-        cfg.describe(),
-        [{"label": label.key(), "count": 1}],
-        [{"name": "membership", "status": "pass",
-          "data": {"label": label.key(), "kr_class": kr,
-                   "chain_dims": [f.dim for f in chain]}}],
-    )
-    rep["wall_time_s"] = sw.seconds
-    return _finish(args, rep)
+        return {"counts": [{"label": label.key(), "count": 1}],
+                "checks": [{"name": "membership", "status": "pass",
+                            "data": {"label": label.key(), "kr_class": kr,
+                                     "chain_dims": [f.dim for f in chain]}}]}
+
+    return _run(args, body, config=cfg.describe(), seeded=False)
 
 
 def cmd_weyl_audit(args) -> int:
-    with report.Stopwatch() as sw:
-        part = weyl.symplectic_audit(args.tmax)
-    rep = report.make_report(part["config"], part["counts"], part["checks"],
-                             seed=args.seed)
-    rep["wall_time_s"] = sw.seconds
-    return _finish(args, rep)
+    return _run(args, lambda: weyl.symplectic_audit(args.tmax))
 
 
 def cmd_charts_reconcile(args) -> int:
-    with report.Stopwatch() as sw:
+    def body():
         if args.family:
             specs = [charts.ChartSpec(args.family, args.q, n=args.n, h=args.h,
                                       t1=args.t1, t2=args.t2)]
         else:
             specs = charts.all_chart_specs(args.max_entries, qs=(3, 5))
         parts = [charts.reconcile(spec, budget=args.budget) for spec in specs]
-    rep = report.merge_reports(parts, {"command": "charts reconcile",
-                                       "max_entries": args.max_entries},
-                               seed=args.seed)
-    rep["wall_time_s"] = sw.seconds
-    return _finish(args, rep)
+        return report.merge_reports(parts, {"command": "charts reconcile",
+                                            "max_entries": args.max_entries})
+
+    return _run(args, body)
 
 
 def cmd_charts_rzdim(args) -> int:
-    with report.Stopwatch() as sw:
+    def body():
         value = charts.rz_dim(args.n, args.h, args.eps)
         oracle = charts.rz_dim_oracle(args.n, args.h, args.eps)
-    rep = report.make_report(
-        {"command": "charts rzdim", "n": args.n, "h": args.h, "eps": args.eps},
-        [{"label": "rz_dim", "count": value}],
-        [{"name": "formula_matches_type_table_oracle",
-          "status": "pass" if value == oracle else "fail",
-          "data": {"formula": value, "oracle": oracle}}],
-    )
-    rep["wall_time_s"] = sw.seconds
-    code = _finish(args, rep)
-    return code
+        return {"counts": [{"label": "rz_dim", "count": value}],
+                "checks": [{"name": "formula_matches_type_table_oracle",
+                            "status": "pass" if value == oracle else "fail",
+                            "data": {"formula": value, "oracle": oracle}}]}
+
+    return _run(args, body, config={"command": "charts rzdim", "n": args.n, "h": args.h,
+                                    "eps": args.eps}, seeded=False)
 
 
 def cmd_latcalc_dichotomy(args) -> int:
-    with report.Stopwatch() as sw:
+    def body():
         if args.exhaustive:
             stats = latcalc.exhaustive_dichotomy(args.q, args.e, args.s, n=args.n,
-                                                 seed=args.seed, N=args.bign)
-            audited = stats["case_Y"] + stats["case_Z"] + stats["case_Both"]
+                                                 seed=args.seed, N=args.bign,
+                                                 budget=args.budget)
         else:
             stats = latcalc.dichotomy_trials(args.q, args.e, args.s, args.n,
                                              args.trials, seed=args.seed, N=args.bign)
-            audited = stats["case_Y"] + stats["case_Z"] + stats["case_Both"]
-    checks = [
-        {"name": "no_counterexamples",
-         "status": "pass" if not stats["counterexamples"] else "fail",
-         **({"witness": stats["counterexamples"][:3]} if stats["counterexamples"] else {})},
-        {"name": "no_anomalous_cases",
-         "status": "pass" if stats["anomalous"] == 0 else "fail"},
-        {"name": "same_index_lemma",
-         "status": "pass" if stats["same_index_failures"] == 0 else "fail"},
-    ]
-    denom = max(1, audited + stats["inconclusive"])
-    if stats["inconclusive"] / denom >= 0.05:
-        checks.append({"name": "inconclusive_rate_below_5_percent", "status": "fail",
-                       "data": {"inconclusive": stats["inconclusive"], "audited": audited}})
-    else:
-        checks.append({"name": "inconclusive_rate_below_5_percent", "status": "pass"})
-    counts = [{"label": k, "count": v} for k, v in sorted(stats.items())
-              if isinstance(v, int)]
-    rep = report.make_report(
-        {"command": "latcalc dichotomy", "p": args.q, "e": args.e, "s": args.s,
-         "n": args.n, "N": args.bign, "trials": args.trials,
-         "exhaustive": bool(args.exhaustive)},
-        counts, checks, seed=args.seed)
-    rep["wall_time_s"] = sw.seconds
-    return _finish(args, rep)
+        audited = stats["case_Y"] + stats["case_Z"] + stats["case_Both"]
+        checks = [
+            {"name": "no_counterexamples",
+             "status": "pass" if not stats["counterexamples"] else "fail",
+             **({"witness": stats["counterexamples"][:3]} if stats["counterexamples"] else {})},
+            {"name": "no_anomalous_cases",
+             "status": "pass" if stats["anomalous"] == 0 else "fail"},
+            {"name": "same_index_lemma",
+             "status": "pass" if stats["same_index_failures"] == 0 else "fail"},
+        ]
+        denom = max(1, audited + stats["inconclusive"])
+        if stats["inconclusive"] / denom >= 0.05:
+            checks.append({"name": "inconclusive_rate_below_5_percent", "status": "fail",
+                           "data": {"inconclusive": stats["inconclusive"], "audited": audited}})
+        else:
+            checks.append({"name": "inconclusive_rate_below_5_percent", "status": "pass"})
+        return {"counts": [{"label": k, "count": v} for k, v in sorted(stats.items())
+                           if isinstance(v, int)],
+                "checks": checks}
+
+    return _run(args, body, config={
+        "command": "latcalc dichotomy", "p": args.q, "e": args.e, "s": args.s,
+        "n": args.n, "N": args.bign, "trials": args.trials,
+        "exhaustive": bool(args.exhaustive)})
 
 
 def cmd_latcalc_inclusions(args) -> int:
-    with report.Stopwatch() as sw:
-        part = latcalc.inclusion_report(args.q, args.e, args.s, n=args.n, h=args.h,
-                                        seed=args.seed, N=args.bign)
-    rep = report.make_report(part["config"], part["counts"], part["checks"],
-                             seed=args.seed)
-    rep["wall_time_s"] = sw.seconds
-    return _finish(args, rep)
+    return _run(args, lambda: latcalc.inclusion_report(
+        args.q, args.e, args.s, n=args.n, h=args.h, seed=args.seed, N=args.bign,
+        budget=args.budget), config={"p": args.q, "e": args.e, "s": args.s, "n": args.n,
+                                     "h": args.h, "N": args.bign})
 
 
-def _add_common(p) -> None:
+def _add_common(p, budget: bool = True) -> None:
     p.add_argument("--q", type=int, default=3, help="base field characteristic p")
     p.add_argument("--e", type=int, default=1, help="base field degree (q = p^e)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    if budget:
+        p.add_argument("--budget", type=int, default=None,
+                       help="enumeration budget; an overrun exits 3")
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.add_argument("--out", default=None)
 
@@ -208,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("verify", cmd_strata_verify), ("count", cmd_strata_count),
                      ("classify", cmd_strata_classify)):
         p = st_sub.add_parser(name)
-        _add_common(p)
+        _add_common(p, budget=name != "classify")
         p.add_argument("--case", required=True, choices=("z", "y", "zy", "Z", "Y", "ZY"))
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--n", type=int, default=0)
@@ -224,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     wy = sub.add_parser("weyl", help="signed permutation calculus audits")
     wy_sub = wy.add_subparsers(dest="command", required=True)
     p = wy_sub.add_parser("audit")
-    _add_common(p)
+    _add_common(p, budget=False)
     p.add_argument("--tmax", type=int, default=6)
     p.set_defaults(func=cmd_weyl_audit)
 
@@ -240,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-entries", type=int, default=10)
     p.set_defaults(func=cmd_charts_reconcile)
     p = ch_sub.add_parser("rzdim")
-    _add_common(p)
+    _add_common(p, budget=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--eps", type=int, default=1, choices=(-1, 1))

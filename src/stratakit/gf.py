@@ -15,14 +15,15 @@ Conway-style compatible towers are needed.
 >>> ctx = FieldCtx(3, 1, 2)            # GF(9) over GF(3), auto modulus
 >>> ctx.modulus                        # x^2 + 1 is the smallest irreducible
 (1, 0, 1)
->>> i = ctx.element(ctx.gen_code)      # a generator of GF(9)^x
->>> (i * i.inverse()).code
+>>> g = ctx.gen_code                   # a generator of GF(9)^x
+>>> ctx.mul(g, ctx.inv(g))
 1
+>>> ctx.from_coeffs(ctx.coeffs(g)) == g
+True
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -201,13 +202,11 @@ class FieldCtx:
         sums = (digits[:, None, :] + digits[None, :, :]) % self.p
         weights = self.p ** np.arange(self.degree)
         self.ADD = (sums * weights).sum(axis=2).astype(np.int32)
-        self.NEG = self.ADD[0].copy()
         neg = ((-digits) % self.p * weights).sum(axis=1).astype(np.int32)
         self.NEG = neg
         # multiplicative structure via a generator
         gen = None
         for cand in range(2, n):
-            seen = 1
             x = cand
             order = 1
             while x != 1:
@@ -274,21 +273,12 @@ class FieldCtx:
             return 0
         return int(self._EXP[(int(self._LOG[a]) * n) % (self.size - 1)])
 
-    def element(self, code: int) -> "FieldElem":
-        if not 0 <= code < self.size:
-            raise FieldError(f"code {code} out of range")
-        return FieldElem(self, code)
-
-    def from_int(self, n: int) -> "FieldElem":
-        """Image of the integer n under Z -> GF(p) -> the field."""
-        return FieldElem(self, n % self.p)
-
     def coeffs(self, code: int) -> tuple[int, ...]:
         return tuple(_int_to_digits(code, self.p, self.degree))
 
-    def enumerate(self):
-        """All field elements exactly once, lexicographic on coefficient vectors."""
-        return [FieldElem(self, c) for c in range(self.size)]
+    def from_coeffs(self, coeffs) -> int:
+        """The code with the given little-endian coefficients (inverse of ``coeffs``)."""
+        return _digits_to_int([int(c) % self.p for c in coeffs], self.p)
 
     def subfield_codes(self, j: int = 1) -> tuple[int, ...]:
         """Codes of the subfield GF(q^j), the fixed set of frobenius^j."""
@@ -320,52 +310,3 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(p={self.p}, e={self.e}, k={self.k})"
 
-
-@dataclass(frozen=True)
-class FieldElem:
-    """A field element: a context handle plus an integer code."""
-
-    ctx: FieldCtx
-    code: int
-
-    def _check(self, other: "FieldElem") -> None:
-        if self.ctx != other.ctx:
-            raise FieldError("cross-context arithmetic")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.add(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.sub(self.code, other.code))
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.neg(self.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.mul(self.code, self.ctx.inv(other.code)))
-
-    def __pow__(self, n: int):
-        return FieldElem(self.ctx, self.ctx.pow(self.code, n))
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.ctx, self.ctx.inv(self.code))
-
-    def frobenius(self) -> "FieldElem":
-        """The arithmetic Frobenius x -> x^q."""
-        return FieldElem(self.ctx, self.ctx.frobenius(self.code))
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.coeffs(self.code)
-
-    def __repr__(self):
-        return f"<{self.coeffs()} in GF({self.ctx.p}^{self.ctx.degree})>"

@@ -24,6 +24,9 @@ from dataclasses import dataclass
 
 from .gf import FieldCtx
 from . import linalg
+from .space import BudgetExceeded
+
+LATTICE_BUDGET = 10**6
 
 
 class GuardError(RuntimeError):
@@ -125,19 +128,6 @@ class TruncRing:
         if any(a[:j]):
             raise LatticeError("inexact division by pi power")
         return a[j:] + (0,) * j
-
-    def divide(self, a, b):
-        """a / b when val(a) >= val(b); exact in the window."""
-        vb = self.val(b)
-        if vb == self.width:
-            raise ZeroDivisionError("division by zero in the truncated ring")
-        if self.val(a) < vb:
-            raise LatticeError("inexact ring division")
-        if vb > self.N:
-            raise GuardError("divisor valuation beyond the guard")
-        a2 = self.shift(a, -vb)
-        b2 = self.shift(b, -vb)
-        return self.mul(a2, self.unit_inv(b2))
 
 
 # -- matrices over the ring ------------------------------------------------
@@ -307,6 +297,21 @@ def lattice_sum(L1: Lattice, L2: Lattice) -> Lattice:
     return Lattice.from_columns(R, cols, v)
 
 
+def _solve_lower(R: TruncRing, basis, pivs, b):
+    """x with basis . x = b by forward substitution (basis lower triangular
+    with pivot valuations pivs), or None when b is not in the span."""
+    x = [R.zero] * len(pivs)
+    for r, pv in enumerate(pivs):
+        acc = b[r]
+        for j in range(r):
+            if not (R.is_zero(basis[r][j]) or R.is_zero(x[j])):
+                acc = R.add(acc, R.neg(R.mul(basis[r][j], x[j])))
+        if R.val(acc) < pv:
+            return None
+        x[r] = R.shift(acc, -pv)
+    return x
+
+
 def contains(big: Lattice, small: Lattice) -> bool:
     """small subset of big, by forward substitution in the triangular form."""
     R = big.ring
@@ -315,22 +320,9 @@ def contains(big: Lattice, small: Lattice) -> bool:
     for col in small.columns():
         try:
             b = [R.shift(x, shift) for x in col]
-        except GuardError:
-            raise
         except LatticeError:
             return False
-        x = [R.zero] * big.n
-        ok = True
-        for r in range(big.n):
-            acc = b[r]
-            for j in range(r):
-                if not (R.is_zero(big.basis[r][j]) or R.is_zero(x[j])):
-                    acc = R.add(acc, R.neg(R.mul(big.basis[r][j], x[j])))
-            if R.val(acc) < piv[r]:
-                ok = False
-                break
-            x[r] = R.shift(acc, -piv[r])
-        if not ok:
+        if _solve_lower(R, big.basis, piv, b) is None:
             return False
     return True
 
@@ -351,18 +343,13 @@ def triangular_inverse(R: TruncRing, mat, pivs):
     if m > R.N:
         raise GuardError("inverse needs a shift beyond the guard")
     # solve mat * X = pi^m * I column by column (mat lower triangular)
-    X = [[R.zero] * n for _ in range(n)]
+    cols = []
     for col in range(n):
-        b = [R.pi_pow(m) if i == col else R.zero for i in range(n)]
-        for r in range(n):
-            acc = b[r]
-            for j in range(r):
-                if not (R.is_zero(mat[r][j]) or R.is_zero(X[j][col])):
-                    acc = R.add(acc, R.neg(R.mul(mat[r][j], X[j][col])))
-            if R.val(acc) < pivs[r]:
-                raise GuardError("inverse lost precision at the guard")
-            X[r][col] = R.shift(acc, -pivs[r])
-    return m, X
+        x = _solve_lower(R, mat, pivs, [R.pi_pow(m) if i == col else R.zero for i in range(n)])
+        if x is None:
+            raise GuardError("inverse lost precision at the guard")
+        cols.append(x)
+    return m, _from_columns(cols)
 
 
 @dataclass(frozen=True)
@@ -612,16 +599,9 @@ def quotient_basis(space: HermSpace, big: Lattice, small: Lattice):
     pivs = big.pivot_valuations()
     X = []
     for col in small.columns():
-        b = [R.shift(x, shift) for x in col]
-        xcol = [R.zero] * big.n
-        for r in range(big.n):
-            acc = b[r]
-            for j in range(r):
-                if not (R.is_zero(big.basis[r][j]) or R.is_zero(xcol[j])):
-                    acc = R.add(acc, R.neg(R.mul(big.basis[r][j], xcol[j])))
-            if R.val(acc) < pivs[r]:
-                raise LatticeError("not contained")
-            xcol[r] = R.shift(acc, -pivs[r])
+        xcol = _solve_lower(R, big.basis, pivs, [R.shift(x, shift) for x in col])
+        if xcol is None:
+            raise LatticeError("not contained")
         X.append(xcol)
     Xmat = _from_columns(X)
     P, divs = smith_form(R, Xmat, big.n)
@@ -699,19 +679,21 @@ def induced_forms(space: HermSpace, lam: Lattice):
 # -- enumeration of intermediate lattices ----------------------------------
 
 def enumerate_between(space: HermSpace, bot: Lattice, top: Lattice,
-                      predicate=None, budget: int = 10**6):
+                      predicate=None, budget: int | None = None):
     """All lattices between bot and top (pi-elementary quotient), filtered.
 
     Intermediate lattices correspond to subspaces of top/bot over the
-    coefficient field.
+    coefficient field; more than ``budget`` of them (default
+    ``LATTICE_BUDGET``) raises :class:`BudgetExceeded`.
     """
     R = space.ring
     ctx = R.ctx
     vecs, vfloor = quotient_basis(space, top, bot)
     dim = len(vecs)
     total = sum(linalg.gaussian_binomial(dim, d, ctx.size) for d in range(dim + 1))
-    if total > budget:
-        raise GuardError(f"{total} intermediate lattices exceeds budget {budget}")
+    limit = LATTICE_BUDGET if budget is None else budget
+    if total > limit:
+        raise BudgetExceeded(f"{total} intermediate lattices exceeds budget {limit}")
     base = min(bot.vfloor, vfloor)
     bot_cols = [tuple(R.shift(x, bot.vfloor - base) for x in c) for c in bot.columns()]
     for d in range(dim + 1):
@@ -751,29 +733,17 @@ def n_point_conditions(space: HermSpace, M: Lattice, h: int) -> bool:
     return index_in(lattice_sum(M, tM), M) <= 1
 
 
-def z_set(space: HermSpace, lam: Lattice, h: int, budget: int = 10**6) -> frozenset:
-    """Point set of the closed stratum attached to a vertex lattice of
-    type >= h: lattices lam <= M with the point conditions."""
-    lam_s = dual_sharp(space, lam)
-    keys = set()
-    for M in enumerate_between(space, lam, lam_s, budget=budget):
-        if n_point_conditions(space, M, h):
-            keys.add(M.key())
-    return frozenset(keys)
+def _point_set(space: HermSpace, bot: Lattice, top: Lattice, h: int,
+               budget: int | None) -> frozenset:
+    """Keys of the lattices bot <= M <= top with the point conditions: the
+    closed stratum of a vertex lattice lam of type >= h is the set between
+    lam and lam#, the dual-side one of type <= h the set between pi lam#
+    and lam."""
+    return frozenset(M.key() for M in enumerate_between(space, bot, top, budget=budget)
+                     if n_point_conditions(space, M, h))
 
 
-def y_set(space: HermSpace, lam: Lattice, h: int, budget: int = 10**6) -> frozenset:
-    """Point set of the dual-side stratum attached to a vertex lattice of
-    type <= h: lattices pi lam# <= M <= lam with the point conditions."""
-    lam_s = dual_sharp(space, lam)
-    keys = set()
-    for M in enumerate_between(space, lam_s.scale(1), lam, budget=budget):
-        if n_point_conditions(space, M, h):
-            keys.add(M.key())
-    return frozenset(keys)
-
-
-def vertex_lattices_in_window(space: HermSpace, budget: int = 10**6):
+def vertex_lattices_in_window(space: HermSpace, budget: int | None = None):
     """Tau-stable vertex lattices between pi L0 and L0-sharp, L0 standard."""
     L0 = standard_lattice(space.ring, space.n)
     top = dual_sharp(space, L0)
@@ -895,44 +865,6 @@ def random_instance(space: HermSpace, rng: random.Random):
     return Lattice.from_columns(R, cols, base)
 
 
-def exhaustive_dichotomy(p: int, e: int, s: int, n: int = 2, seed: int = 0,
-                         N: int = 8, budget: int = 10**6) -> dict:
-    """Audit every lattice between pi L0-sharp and L0-sharp for every tau
-    in the generator set.  Instances failing the hypotheses are skipped;
-    guard trips count as inconclusive; any failed audit is recorded."""
-    ctx = FieldCtx(p, e, s)
-    ring = TruncRing(ctx, N)
-    stats = {"instances": 0, "hypothesis_rejected": 0, "case_Y": 0, "case_Z": 0,
-             "case_Both": 0, "anomalous": 0, "inconclusive": 0,
-             "same_index_failures": 0, "counterexamples": []}
-    for H in gram_family(ring, n):
-        for A in tau_generator_set(ring, n, seed, H):
-            space = HermSpace.build(ring, H, A)
-            L0 = standard_lattice(ring, n)
-            top = dual_sharp(space, L0)
-            for M in enumerate_between(space, top.scale(1), top, budget=budget):
-                stats["instances"] += 1
-                try:
-                    if not check_hypotheses(space, M):
-                        stats["hypothesis_rejected"] += 1
-                        continue
-                    if not same_index_lemma_holds(space, M):
-                        stats["same_index_failures"] += 1
-                    res = crucial_dichotomy(space, M)
-                except GuardError:
-                    stats["inconclusive"] += 1
-                    continue
-                key = {"Y": "case_Y", "Z": "case_Z", "Both": "case_Both"}.get(
-                    res["case"], "anomalous")
-                stats[key] += 1
-                if not res["verified"]:
-                    stats["counterexamples"].append({
-                        "lattice": M.key(), "result": res["case"],
-                        "c": res["c"], "d": res["d"],
-                    })
-    return stats
-
-
 def same_index_lemma_holds(space: HermSpace, M: Lattice) -> bool:
     """[M + tau M : M] = 1 implies [M# + tau M# : M#] = 1."""
     left = index_in(lattice_sum(M, space.tau(M)), M)
@@ -943,7 +875,7 @@ def same_index_lemma_holds(space: HermSpace, M: Lattice) -> bool:
 
 
 def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
-                     N: int = 8, budget: int = 10**6) -> dict:
+                     N: int = 8, budget: int | None = None) -> dict:
     """Check the five stratum inclusion bullets on an enumerated catalog.
 
     The catalog holds the tau-stable vertex lattices between pi L0 and
@@ -955,79 +887,40 @@ def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
     space = HermSpace.build(ring, identity_gram(ring, n),
                             tau_generator_set(ring, n, seed)[1])
     catalog = vertex_lattices_in_window(space, budget=budget)
-    types = {L.key(): vertex_type(space, L) for L in catalog}
-    zs = {L.key(): z_set(space, L, h, budget=budget)
-          for L in catalog if types[L.key()] >= h}
-    ys = {L.key(): y_set(space, L, h, budget=budget)
-          for L in catalog if types[L.key()] <= h}
-    checks = []
-
-    def bullet(name, ok_pairs, bad_pairs):
-        checks.append({
-            "name": name,
-            "status": "pass" if not bad_pairs else "fail",
-            "data": {"pairs": ok_pairs},
-            **({"witness": bad_pairs[:3]} if bad_pairs else {}),
-        })
-
-    zl = [L for L in catalog if types[L.key()] >= h]
-    yl = [L for L in catalog if types[L.key()] <= h]
-    bad, okc = [], 0
-    for L1 in zl:
-        for L2 in zl:
-            inc_sets = zs[L1.key()] <= zs[L2.key()]
-            inc_lat = contains(L1, L2)
-            if inc_sets != inc_lat:
-                bad.append((types[L1.key()], types[L2.key()]))
-            else:
-                okc += 1
-    bullet("z_inclusion_iff_reverse_lattice_inclusion", okc, bad)
-    bad, okc = [], 0
-    for L1 in yl:
-        for L2 in yl:
-            inc_sets = ys[L1.key()] <= ys[L2.key()]
-            inc_lat = contains(L2, L1)
-            if inc_sets != inc_lat:
-                bad.append((types[L1.key()], types[L2.key()]))
-            else:
-                okc += 1
-    bullet("y_inclusion_iff_lattice_inclusion", okc, bad)
-    bad, okc = [], 0
-    for L1 in zl:
-        for L2 in yl:
-            meets = bool(zs[L1.key()] & ys[L2.key()])
-            inc_lat = contains(L2, L1)
-            if meets != inc_lat:
-                bad.append((types[L1.key()], types[L2.key()]))
-            else:
-                okc += 1
-    bullet("z_meets_y_iff_lattice_inclusion", okc, bad)
+    types = {L: vertex_type(space, L) for L in catalog}
+    zl = [L for L in catalog if types[L] >= h]
+    yl = [L for L in catalog if types[L] <= h]
+    zs = {L: _point_set(space, L, dual_sharp(space, L), h, budget) for L in zl}
+    ys = {L: _point_set(space, dual_sharp(space, L).scale(1), L, h, budget) for L in yl}
+    # (name, left family, right family, set relation, lattice predicate).
     # In the lattice model both one-sided containments require the small
     # lattice inside the big one (the printed statements reverse this,
     # which would contradict the intersection bullet).
-    bad, okc = [], 0
-    for L1 in zl:
-        for L2 in yl:
-            inc_sets = zs[L1.key()] <= ys[L2.key()]
-            pred = types[L1.key()] == h and contains(L2, L1)
-            if inc_sets != pred:
-                bad.append((types[L1.key()], types[L2.key()]))
-            else:
-                okc += 1
-    bullet("z_in_y_iff_worst_type_and_inclusion", okc, bad)
-    bad, okc = [], 0
-    for L1 in zl:
-        for L2 in yl:
-            inc_sets = ys[L2.key()] <= zs[L1.key()]
-            pred = types[L2.key()] == h and contains(L2, L1)
-            if inc_sets != pred:
-                bad.append((types[L1.key()], types[L2.key()]))
-            else:
-                okc += 1
-    bullet("y_in_z_iff_worst_type_and_inclusion", okc, bad)
-    singles = [L for L in catalog if types[L.key()] == h]
-    bad = [types[L.key()] for L in singles
-           if zs[L.key()] != frozenset({L.key()}) or ys[L.key()] != frozenset({L.key()})]
+    bullets = (
+        ("z_inclusion_iff_reverse_lattice_inclusion", zl, zl,
+         lambda a, b: zs[a] <= zs[b], contains),
+        ("y_inclusion_iff_lattice_inclusion", yl, yl,
+         lambda a, b: ys[a] <= ys[b], lambda a, b: contains(b, a)),
+        ("z_meets_y_iff_lattice_inclusion", zl, yl,
+         lambda a, b: bool(zs[a] & ys[b]), lambda a, b: contains(b, a)),
+        ("z_in_y_iff_worst_type_and_inclusion", zl, yl,
+         lambda a, b: zs[a] <= ys[b], lambda a, b: types[a] == h and contains(b, a)),
+        ("y_in_z_iff_worst_type_and_inclusion", zl, yl,
+         lambda a, b: ys[b] <= zs[a], lambda a, b: types[b] == h and contains(b, a)),
+    )
+    checks = []
+    for name, left, right, sets, lattices in bullets:
+        bad = [(types[a], types[b]) for a in left for b in right
+               if sets(a, b) != lattices(a, b)]
+        checks.append({
+            "name": name,
+            "status": "pass" if not bad else "fail",
+            "data": {"pairs": len(left) * len(right) - len(bad)},
+            **({"witness": bad[:3]} if bad else {}),
+        })
+    singles = [L for L in catalog if types[L] == h]
+    bad = [types[L] for L in singles
+           if zs[L] != frozenset({L.key()}) or ys[L] != frozenset({L.key()})]
     checks.append({
         "name": "worst_points_are_singletons",
         "status": "pass" if not bad and singles else ("inconclusive" if not singles else "fail"),
@@ -1041,24 +934,29 @@ def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
     }
 
 
-def dichotomy_trials(p: int, e: int, s: int, n: int, trials: int, seed: int = 0,
-                     N: int = 8) -> dict:
-    """Seeded random dichotomy audit; returns counters and counterexamples."""
-    ctx = FieldCtx(p, e, s)
-    ring = TruncRing(ctx, N)
-    rng = random.Random(seed)
-    spaces = []
-    for H in gram_family(ring, n):
-        for A in tau_generator_set(ring, n, seed, H):
-            spaces.append(HermSpace.build(ring, H, A))
-    stats = {"trials": 0, "hypothesis_rejected": 0, "case_Y": 0, "case_Z": 0,
+_CASE_KEYS = {"Y": "case_Y", "Z": "case_Z", "Both": "case_Both"}
+
+
+def _dichotomy_audit(p: int, e: int, s: int, n: int, seed: int, N: int,
+                     counter: str, draws) -> dict:
+    """The dichotomy audit loop shared by the exhaustive and random modes.
+
+    ``draws(spaces)`` yields (space, draw) pairs, where ``draw()`` returns
+    the lattice to audit.  Each pair runs the hypotheses, the same-index
+    lemma and the dichotomy; a guard trip anywhere, the draw included,
+    counts as inconclusive.  A failed audit is recorded with everything
+    needed to replay it: Gram, tau, lattice basis and floor, and result.
+    """
+    ring = TruncRing(FieldCtx(p, e, s), N)
+    spaces = [HermSpace.build(ring, H, A) for H in gram_family(ring, n)
+              for A in tau_generator_set(ring, n, seed, H)]
+    stats = {counter: 0, "hypothesis_rejected": 0, "case_Y": 0, "case_Z": 0,
              "case_Both": 0, "anomalous": 0, "inconclusive": 0,
              "same_index_failures": 0, "counterexamples": []}
-    for _ in range(trials):
-        stats["trials"] += 1
-        space = spaces[rng.randrange(len(spaces))]
+    for space, draw in draws(spaces):
+        stats[counter] += 1
         try:
-            M = random_instance(space, rng)
+            M = draw()
             if not check_hypotheses(space, M):
                 stats["hypothesis_rejected"] += 1
                 continue
@@ -1068,13 +966,41 @@ def dichotomy_trials(p: int, e: int, s: int, n: int, trials: int, seed: int = 0,
         except GuardError:
             stats["inconclusive"] += 1
             continue
-        key = {"Y": "case_Y", "Z": "case_Z", "Both": "case_Both"}.get(res["case"], "anomalous")
-        stats[key] += 1
+        stats[_CASE_KEYS.get(res["case"], "anomalous")] += 1
         if not res["verified"]:
             stats["counterexamples"].append({
+                "gram": [[list(x) for x in row] for row in space.gram],
                 "tau": [[list(x) for x in row] for row in space.tau_matrix],
                 "lattice": [list(map(list, r)) for r in M.basis],
                 "vfloor": M.vfloor,
                 "result": {k: v for k, v in res.items() if k != "audits"},
             })
     return stats
+
+
+def exhaustive_dichotomy(p: int, e: int, s: int, n: int = 2, seed: int = 0,
+                         N: int = 8, budget: int | None = None) -> dict:
+    """Audit every lattice between pi L0-sharp and L0-sharp for every tau
+    in the generator set; counters and counterexamples as in
+    :func:`dichotomy_trials`, with ``instances`` counting the lattices."""
+
+    def draws(spaces):
+        for space in spaces:
+            top = dual_sharp(space, standard_lattice(space.ring, n))
+            for M in enumerate_between(space, top.scale(1), top, budget=budget):
+                yield space, lambda M=M: M
+
+    return _dichotomy_audit(p, e, s, n, seed, N, "instances", draws)
+
+
+def dichotomy_trials(p: int, e: int, s: int, n: int, trials: int, seed: int = 0,
+                     N: int = 8) -> dict:
+    """Seeded random dichotomy audit; returns counters and counterexamples."""
+    rng = random.Random(seed)
+
+    def draws(spaces):
+        for _ in range(trials):
+            space = spaces[rng.randrange(len(spaces))]
+            yield space, lambda: random_instance(space, rng)
+
+    return _dichotomy_audit(p, e, s, n, seed, N, "trials", draws)

@@ -7,6 +7,8 @@ spaces compare equal as plain tuples.
 
 from __future__ import annotations
 
+import itertools
+
 from .gf import FieldCtx
 
 Row = tuple[int, ...]
@@ -55,10 +57,6 @@ def rank(ctx: FieldCtx, rows) -> int:
     return len(rref(ctx, rows)[0])
 
 
-def row_space_sum(ctx: FieldCtx, a: Mat, b: Mat) -> tuple[Mat, tuple[int, ...]]:
-    return rref(ctx, list(a) + list(b))
-
-
 def intersect(ctx: FieldCtx, a: Mat, b: Mat, ncols: int) -> Mat:
     """Zassenhaus: rows with zero left half of rref([[A A],[B 0]]) span A^B."""
     if not a or not b:
@@ -100,13 +98,6 @@ def contains_vector(ctx: FieldCtx, red_rows: Mat, pivots, vec) -> bool:
     return all(x == 0 for x in v)
 
 
-def echelon_patterns(ncols: int, dim: int):
-    """Pivot-column patterns in lexicographic order."""
-    import itertools
-
-    return itertools.combinations(range(ncols), dim)
-
-
 def enumerate_echelon(ctx: FieldCtx, ncols: int, dim: int, scalars=None, row_filter=None):
     """Stream all dim-dimensional row spaces in canonical echelon form.
 
@@ -116,15 +107,13 @@ def enumerate_echelon(ctx: FieldCtx, ncols: int, dim: int, scalars=None, row_fil
     a partial matrix as soon as its last row is filled; it must be a
     condition on the row span prefix for the enumeration to stay exact.
     """
-    import itertools
-
     if scalars is None:
         scalars = range(ctx.size)
     scalars = list(scalars)
     if dim == 0:
         yield ()
         return
-    for pivots in echelon_patterns(ncols, dim):
+    for pivots in itertools.combinations(range(ncols), dim):
         pivset = set(pivots)
         base = []
         slots_per_row = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import time
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -30,7 +29,9 @@ def make_report(config: dict, counts: list, checks: list, seed: int | None = Non
     return {"stable": stable, "wall_time_s": wall_time_s}
 
 
-def merge_reports(parts: list[dict], config: dict, seed: int | None = None) -> dict:
+def merge_reports(parts: list[dict], config: dict) -> dict:
+    """One part (config, counts, checks) from several, each row tagged
+    with its part's config."""
     counts = []
     checks = []
     for part in parts:
@@ -42,7 +43,7 @@ def merge_reports(parts: list[dict], config: dict, seed: int | None = None) -> d
             item = dict(chk)
             item["name"] = f"[{tag}] {chk['name']}"
             checks.append(item)
-    return make_report(config, counts, checks, seed=seed)
+    return {"config": config, "counts": counts, "checks": checks}
 
 
 def exit_code(report: dict) -> int:
@@ -114,13 +115,3 @@ def emit(report: dict, fmt: str) -> str:
     if fmt == "md":
         return emit_md(report)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-class Stopwatch:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.t0
-        return False

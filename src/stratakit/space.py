@@ -82,7 +82,7 @@ class FormedSpace:
         self.dim = dim
         self.gram = _standard_gram(ctx, kind, dim)
         perm = list(range(dim))
-        if kind == "symmetric-even-nonsplit":
+        if kind == "symmetric-even-nonsplit" and dim:
             m = dim // 2
             perm[m - 1], perm[dim - 1] = perm[dim - 1], perm[m - 1]
         self.phi_perm = tuple(perm)
@@ -174,23 +174,24 @@ def full_subspace(space: FormedSpace) -> Subspace:
 def apply_phi(U: Subspace, power: int = 1) -> Subspace:
     """Twisted Frobenius: entrywise q-power then the basis permutation."""
     space = U.space
-    ctx = space.ctx
-    FROB = ctx.FROB
-    perm = space.phi_perm
     if power < 0:
         raise SpaceError("negative Frobenius power")
     rows = U.rows
     for _ in range(power % _phi_order(space)):
-        new_rows = []
-        for r in rows:
-            v = [0] * space.dim
-            for j, x in enumerate(r):
-                if x:
-                    v[perm[j]] = int(FROB[x])
-            new_rows.append(tuple(v))
-        rows = new_rows
-    red, piv = linalg.rref(ctx, rows)
+        rows = [_phi_vector(space, r) for r in rows]
+    red, piv = linalg.rref(space.ctx, rows)
     return Subspace(space, red, piv)
+
+
+def _phi_vector(space: FormedSpace, v: tuple[int, ...]) -> tuple[int, ...]:
+    """Twisted Frobenius of one coordinate vector."""
+    FROB = space.ctx.FROB
+    perm = space.phi_perm
+    out = [0] * space.dim
+    for j, x in enumerate(v):
+        if x:
+            out[perm[j]] = int(FROB[x])
+    return tuple(out)
 
 
 def _phi_order(space: FormedSpace) -> int:
@@ -203,7 +204,7 @@ def _phi_order(space: FormedSpace) -> int:
 
 def sum_spaces(U: Subspace, W: Subspace) -> Subspace:
     _check_same(U, W)
-    red, piv = linalg.row_space_sum(U.space.ctx, U.rows, W.rows)
+    red, piv = linalg.rref(U.space.ctx, U.rows + W.rows)
     return Subspace(U.space, red, piv)
 
 
@@ -217,20 +218,9 @@ def perp(U: Subspace) -> Subspace:
     space = U.space
     if space.gram is None:
         raise SpaceError("perp needs a formed space")
-    ctx = space.ctx
-    ADD, MUL = ctx.ADD, ctx.MUL
     n = space.dim
-    mat = []
-    for r in U.rows:
-        row = [0] * n
-        for j in range(n):
-            s = 0
-            for i, xi in enumerate(r):
-                if xi != 0 and space.gram[i][j] != 0:
-                    s = ADD[s, MUL[xi, space.gram[i][j]]]
-            row[j] = int(s)
-        mat.append(tuple(row))
-    basis = linalg.nullspace(ctx, mat, n)
+    mat = [tuple(space.form(r, space.e(j + 1)) for j in range(n)) for r in U.rows]
+    basis = linalg.nullspace(space.ctx, mat, n)
     return Subspace.from_rows(space, basis)
 
 
@@ -354,14 +344,5 @@ def subspace_from_json(data: dict) -> Subspace:
     sp = data["space"]
     ctx = FieldCtx(sp["p"], sp["e"], sp["k"], tuple(sp["modulus"]) if "modulus" in sp else "auto")
     space = FormedSpace(ctx, sp["kind"], sp["dim"])
-    rows = []
-    for r in data["rows"]:
-        rows.append(tuple(_code_from_coeffs(ctx, c) for c in r))
+    rows = [tuple(ctx.from_coeffs(c) for c in r) for r in data["rows"]]
     return Subspace.from_rows(space, rows)
-
-
-def _code_from_coeffs(ctx: FieldCtx, coeffs) -> int:
-    code = 0
-    for c in reversed(list(coeffs)):
-        code = code * ctx.p + int(c) % ctx.p
-    return code

@@ -226,13 +226,15 @@ def _chain_down(U: Subspace) -> list[Subspace]:
     return chain
 
 
-def _chain_up_formed(U: Subspace) -> tuple[list[Subspace], str]:
-    """Sum chain until stabilization or loss of isotropy; returns (chain, kind)."""
+def _chain_up(U: Subspace) -> tuple[list[Subspace], str]:
+    """Sum chain until stabilization or, in a formed space, loss of
+    isotropy; returns (chain, kind)."""
+    formed = U.space.gram is not None
     chain = [U]
     cur = U
     while not _phi_stable(cur):
         nxt = sum_spaces(cur, apply_phi(cur))
-        if not is_isotropic(nxt):
+        if formed and not is_isotropic(nxt):
             return chain, "anisotropic"
         if nxt.dim != cur.dim + 1:
             raise ChainError(f"up step added {nxt.dim - cur.dim} dimensions")
@@ -241,29 +243,14 @@ def _chain_up_formed(U: Subspace) -> tuple[list[Subspace], str]:
     return chain, "stable"
 
 
-def _chain_up_plain(U: Subspace) -> list[Subspace]:
-    chain = [U]
-    cur = U
-    while not _phi_stable(cur):
-        nxt = sum_spaces(cur, apply_phi(cur))
-        if nxt.dim != cur.dim + 1:
-            raise ChainError(f"up step added {nxt.dim - cur.dim} dimensions")
-        chain.append(nxt)
-        cur = nxt
-    return chain
-
-
 def classify_flag(cfg: StrataConfig, U: Subspace) -> tuple[StratumLabel, list[Subspace]]:
     """Stratum label of a member plus the full flag chain for audit."""
     down = _chain_down(U)
     bottom = down[0]
-    if cfg.case == "ZY":
-        up = _chain_up_plain(U)
-        r = cfg.th1 - bottom.dim
-        s = cfg.th1 - up[-1].dim
-        return StratumLabel(r, s, "w"), down[:-1] + up
-    up, stop = _chain_up_formed(U)
+    up, stop = _chain_up(U)
     top = up[-1]
+    if cfg.case == "ZY":
+        return StratumLabel(cfg.th1 - bottom.dim, cfg.th1 - top.dim, "w"), down[:-1] + up
     if cfg.case == "Z":
         r = cfg.th - bottom.dim
         s = cfg.th - top.dim
@@ -390,12 +377,17 @@ def reachable_at_k(cfg: StrataConfig, label: StratumLabel, k: int | None = None)
     * kind ``w``: v + u <= floor(k/2) -- the non-isotropic exit pairs a
       chain vector against a Frobenius iterate, and the orbit Gram of a
       GF(q^k)-rational vector only has floor(k/2) free entries;
-    * kind ``wprime`` and the formless case: v, u >= 1 and v + u <= k.
+    * kind ``wprime`` and the formless case: v, u >= 1 and v + u <= k;
+    * except that members at h = n of a non-split even space are
+      Lagrangians, and a non-split form stays non-split over an odd-degree
+      extension, so at odd k only ``id`` is reachable there.
     """
     if k is None:
         k = cfg.k
     if label.kind == "id":
         return True
+    if cfg.space_kind == "symmetric-even-nonsplit" and cfg.h == cfg.n and k % 2:
+        return False
     h = cfg.hp if cfg.case == "Y" else cfg.hh
     down = label.r - h
     up = h - label.s
@@ -485,7 +477,7 @@ def rational_form_basis(sp: FormedSpace) -> list[tuple[int, ...]]:
         for i in range(sp.dim):
             v = [0] * sp.dim
             v[i] = scal
-            fv = _phi_vector(sp, tuple(v))
+            fv = spc._phi_vector(sp, tuple(v))
             vec = tuple(ctx.add(a, b) for a, b in zip(tuple(v), fv))
             if all(x == 0 for x in vec):
                 continue
@@ -497,15 +489,6 @@ def rational_form_basis(sp: FormedSpace) -> list[tuple[int, ...]]:
             if len(basis) == sp.dim:
                 return basis
     raise RuntimeError("failed to build a fixed basis (bug)")
-
-
-def _phi_vector(sp: FormedSpace, v: tuple[int, ...]) -> tuple[int, ...]:
-    ctx = sp.ctx
-    out = [0] * sp.dim
-    for j, x in enumerate(v):
-        if x:
-            out[sp.phi_perm[j]] = int(ctx.FROB[x])
-    return tuple(out)
 
 
 def _combine(ctx: FieldCtx, basis, coeffs) -> tuple[int, ...]:
@@ -630,7 +613,7 @@ def _members_k2(cfg: StrataConfig, sp: FormedSpace, d: int, iso: bool, budget: i
             U = Subspace.from_rows(sp, wrows + [v])
             if U.dim != d:
                 continue
-            fv = _phi_vector(sp, v)
+            fv = spc._phi_vector(sp, v)
             if U.contains(fv):
                 continue  # Phi-stable: already produced by the rational pass
             yield U
@@ -758,7 +741,7 @@ def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
         **({"witness": kr_bad} if kr_bad else {}),
     })
 
-    if cfg.case == "Y" and cfg.n % 2 == 0 and cfg.h == cfg.n:
+    if cfg.case == "Y" and cfg.n % 2 == 0 and cfg.t < cfg.h == cfg.n:
         nonw = sum(c for (kr, _), c in kr_counts.items() if kr != "w")
         checks.append({
             "name": "kr_cross_locus_empty",

@@ -184,11 +184,6 @@ def length(w: WeylElem) -> int:
     return count
 
 
-def left_descents(w: WeylElem) -> list[int]:
-    lw = length(w)
-    return [i for i in w.ctx.simple_indices if length(mul(simple(w.ctx, i), w)) < lw]
-
-
 def right_descents(w: WeylElem) -> list[int]:
     lw = length(w)
     return [i for i in w.ctx.simple_indices if length(mul(w, simple(w.ctx, i))) < lw]
@@ -490,6 +485,13 @@ def expected_wprime_action(t: int, h: int, r: int, s: int) -> dict:
     return act
 
 
+# (name, s runs below h + this, word, action diagram, DL dimension)
+_SYMPLECTIC_FAMILIES = (
+    ("w", 1, symplectic_w_word, expected_w_action, lambda r, s: r + s),
+    ("w'", 0, symplectic_wprime_word, expected_wprime_action, lambda r, s: r - s - 1),
+)
+
+
 def symplectic_audit(t_max: int) -> dict:
     """Length, reducedness, minimality, action-diagram and dimension
     tables for the symplectic families up to the given rank."""
@@ -499,41 +501,23 @@ def symplectic_audit(t_max: int) -> dict:
         ctx = symplectic_ctx(t)
         for h in range(0, t):
             for r in range(h + 1, t + 1):
-                for s in range(0, h + 1):
-                    word = symplectic_w_word(t, h, r, s)
-                    w = from_word(ctx, word)
-                    I = parabolic(ctx, symplectic_index_set(t, h, r, s))
-                    ok_len = length(w) == r + s
-                    ok_red = len(word) == length(w)
-                    ok_min = is_min_double_coset(w, I.gens, I.gens)
-                    ok_dim = dl_dimension(I, w) == r + s if ok_min else False
-                    exp = expected_w_action(t, h, r, s)
-                    ok_act = all(act(w, v) == img for v, img in exp.items())
-                    ok = ok_len and ok_red and ok_min and ok_dim and ok_act
-                    checks.append({
-                        "name": f"w t={t} h={h} r={r} s={s}",
-                        "status": "pass" if ok else "fail",
-                        **({} if ok else {"witness": {
-                            "length": ok_len, "reduced": ok_red, "minimal": ok_min,
-                            "dimension": ok_dim, "action": ok_act}}),
-                    })
-                for s in range(0, h):
-                    word = symplectic_wprime_word(t, h, r, s)
-                    w = from_word(ctx, word)
-                    I = parabolic(ctx, symplectic_index_set(t, h, r, s))
-                    ok_red = len(word) == length(w) == r - s - 1
-                    ok_min = is_min_double_coset(w, I.gens, I.gens)
-                    ok_dim = dl_dimension(I, w) == r - s - 1 if ok_min else False
-                    exp = expected_wprime_action(t, h, r, s)
-                    ok_act = all(act(w, v) == img for v, img in exp.items())
-                    ok = ok_red and ok_min and ok_dim and ok_act
-                    checks.append({
-                        "name": f"w' t={t} h={h} r={r} s={s}",
-                        "status": "pass" if ok else "fail",
-                        **({} if ok else {"witness": {
-                            "reduced": ok_red, "minimal": ok_min,
-                            "dimension": ok_dim, "action": ok_act}}),
-                    })
+                for name, s_end, word_of, action_of, dim_of in _SYMPLECTIC_FAMILIES:
+                    for s in range(0, h + s_end):
+                        word = word_of(t, h, r, s)
+                        w = from_word(ctx, word)
+                        I = parabolic(ctx, symplectic_index_set(t, h, r, s))
+                        lw, dim = length(w), dim_of(r, s)
+                        ok = {"length": lw == dim, "reduced": len(word) == lw,
+                              "minimal": is_min_double_coset(w, I.gens, I.gens)}
+                        ok["dimension"] = ok["minimal"] and dl_dimension(I, w) == dim
+                        ok["action"] = all(act(w, v) == img
+                                           for v, img in action_of(t, h, r, s).items())
+                        good = all(ok.values())
+                        checks.append({
+                            "name": f"{name} t={t} h={h} r={r} s={s}",
+                            "status": "pass" if good else "fail",
+                            **({} if good else {"witness": ok}),
+                        })
             top = from_word(ctx, symplectic_w_word(t, h, t, h))
             I_top = parabolic(ctx, symplectic_index_set(t, h, t, h))
             counts.append({

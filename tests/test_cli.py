@@ -34,6 +34,22 @@ def test_budget_exit_three(capsys):
     assert data["stable"]["checks"][0]["status"] == "inconclusive"
 
 
+def test_latcalc_budget_exit_three(capsys):
+    for argv in (("latcalc", "inclusions", "--n", "2", "--h", "2", "--budget", "5"),
+                 ("latcalc", "dichotomy", "--n", "2", "--s", "2", "--exhaustive",
+                  "--budget", "5")):
+        code, out = run(capsys, *argv)
+        assert code == 3, argv
+        checks = json.loads(out)["stable"]["checks"]
+        assert [(c["name"], c["status"]) for c in checks] == [("enumeration", "inconclusive")]
+
+
+def test_budget_only_where_something_is_bounded(capsys):
+    for argv in (("weyl", "audit", "--tmax", "2"), ("charts", "rzdim", "--n", "5", "--h", "0")):
+        assert main(list(argv) + ["--budget", "5"]) == 2, argv
+    capsys.readouterr()
+
+
 def test_rzdim_value(capsys):
     code, out = run(capsys, "charts", "rzdim", "--n", "5", "--h", "0", "--format", "csv")
     assert code == 0

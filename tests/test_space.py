@@ -146,9 +146,8 @@ def test_semilinearity_of_form_under_phi():
             fy = Subspace.from_rows(sp, [y])
             if fx.dim == 0 or fy.dim == 0:
                 continue
-            from stratakit.strata import _phi_vector
-
-            assert sp.form(_phi_vector(sp, x), _phi_vector(sp, y)) == F9.frobenius(sp.form(x, y))
+            phi = spc._phi_vector
+            assert sp.form(phi(sp, x), phi(sp, y)) == F9.frobenius(sp.form(x, y))
 
 
 def test_enumeration_counts():

@@ -265,3 +265,30 @@ def test_nonsplit_ambient_degree():
     counts, total = stratum_counts(cfg)
     assert set(counts) == {StratumLabel(1, 1, "id")}
     assert total == 10
+
+
+def test_nonsplit_lagrangians_unreachable_at_odd_k():
+    # a non-split form stays non-split over odd-degree extensions, so at
+    # h = n (Lagrangian members) odd k has no members and predicts none
+    for n, t in ((2, 0), (4, 2)):
+        for k in (1, 2, 3):
+            cfg = cfg_y(n, n, t, 1, k=k)
+            reach = {l.key() for l in predicted_index_set(cfg) if reachable_at_k(cfg, l)}
+            rep = verify_decomposition(cfg)
+            bad = [c for c in rep["checks"] if c["status"] != "pass"]
+            assert not bad, (n, t, k, bad)
+            realized = {row["label"] for row in rep["counts"]}
+            assert realized == reach
+            assert bool(reach) == (k % 2 == 0)
+
+
+def test_worst_point_at_maximal_level():
+    # t = h = n leaves a 0-dimensional non-split space: one member, id(0,0)
+    for n in (2, 4):
+        for k in (1, 2):
+            cfg = cfg_y(n, n, n, 1, k=k)
+            rep = verify_decomposition(cfg)
+            bad = [c for c in rep["checks"] if c["status"] != "pass"]
+            assert not bad, (n, k, bad)
+            assert rep["counts"] == [{"label": "id(0,0)", "count": 1}]
+            assert "kr_cross_locus_empty" not in {c["name"] for c in rep["checks"]}
