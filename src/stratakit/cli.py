@@ -45,14 +45,16 @@ def _run(args, body, config=None, seeded=True) -> int:
 
     The part holds ``counts`` and ``checks`` and, unless the caller passes
     ``config``, its own ``config``.  A budget overrun anywhere in the body
-    becomes an inconclusive ``enumeration`` check (exit 3).
+    becomes an inconclusive ``enumeration`` check, and a truncation guard
+    trip that no trial absorbed an inconclusive ``guard`` check (exit 3).
     """
     t0 = time.perf_counter()
     try:
         part = {"config": config, **body()}
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, latcalc.GuardError) as exc:
+        name = "enumeration" if isinstance(exc, BudgetExceeded) else "guard"
         part = {"config": config, "counts": [], "checks": [
-            {"name": "enumeration", "status": "inconclusive", "witness": str(exc)}]}
+            {"name": name, "status": "inconclusive", "witness": str(exc)}]}
     rep = report.make_report(part["config"], part["counts"], part["checks"],
                              seed=args.seed if seeded else None,
                              wall_time_s=time.perf_counter() - t0)
@@ -266,7 +268,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (strata.ConfigError, charts.ChartError, latcalc.LatticeError,
-            weyl.WeylError, ValueError) as exc:
+            weyl.WeylError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,14 @@ field.  Arithmetic is done modulo a monic irreducible polynomial of degree
 context is cheap to use but bounded in size (desk scale, a few thousand
 elements).
 
+The operation tables are plain Python lists: ``ADD`` and ``MUL`` nested
+(``ADD[a][b]``), ``NEG``, ``INV`` and ``FROB`` flat.  Their callers are
+pure-Python loops over single codes, where indexing a list is several
+times cheaper than indexing a numpy array and yields a plain ``int``
+rather than a numpy scalar.  Every entry is one of the shared ``int``
+objects of ``list(range(size))``, so a table costs one pointer per entry.
+numpy is used only while the tables are built.
+
 The context views its field as the degree-``k`` extension of a base field
 GF(q), q = p^e, and exposes the arithmetic Frobenius ``x -> x**q``.  The
 base field is recovered intrinsically as the fixed set of that map; no
@@ -190,20 +198,25 @@ class FieldCtx:
         return _digits_to_int(prod[:d], p)
 
     def _build_tables(self) -> None:
-        n = self.size
-        # additive structure is digitwise mod p
-        codes = np.arange(n)
-        digit_cols = []
-        tmp = codes.copy()
-        for _ in range(self.degree):
-            digit_cols.append(tmp % self.p)
-            tmp //= self.p
-        digits = np.stack(digit_cols, axis=1)  # (n, degree)
-        sums = (digits[:, None, :] + digits[None, :, :]) % self.p
-        weights = self.p ** np.arange(self.degree)
-        self.ADD = (sums * weights).sum(axis=2).astype(np.int32)
-        neg = ((-digits) % self.p * weights).sum(axis=1).astype(np.int32)
-        self.NEG = neg
+        n, p = self.size, self.p
+        codes = list(range(n))
+
+        def shared(arr) -> list:
+            # entries become the shared ints of ``codes``, not fresh objects
+            return list(map(codes.__getitem__, arr.tolist()))
+
+        # additive structure is digitwise mod p, one (n, n) array per digit
+        c = np.arange(n)
+        add = np.zeros((n, n), dtype=np.int64)
+        neg = np.zeros(n, dtype=np.int64)
+        for i in range(self.degree):
+            w = p**i
+            d = (c // w) % p
+            add += (d[:, None] + d[None, :]) % p * w
+            neg += (-d) % p * w
+        self.ADD = [shared(row) for row in add]
+        del add  # free the array before the MUL lists raise the peak
+        self.NEG = shared(neg)
         # multiplicative structure via a generator
         gen = None
         for cand in range(2, n):
@@ -220,49 +233,46 @@ class FieldCtx:
         if gen is None:
             raise FieldError("no multiplicative generator found (bug)")
         self.gen_code = gen
-        exp = np.zeros(2 * (n - 1), dtype=np.int32)
-        log = np.zeros(n, dtype=np.int32)
+        exp = [0] * (2 * (n - 1))
+        log = [0] * n
         x = 1
         for i in range(n - 1):
-            exp[i] = x
+            exp[i] = codes[x]
             log[x] = i
             x = self._mul_codes_slow(x, gen)
         exp[n - 1 :] = exp[: n - 1]
         self._EXP, self._LOG = exp, log
-        mul = np.zeros((n, n), dtype=np.int32)
-        nz = np.arange(1, n)
-        mul[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % (n - 1)]
-        self.MUL = mul
-        inv = np.zeros(n, dtype=np.int32)
-        inv[1:] = exp[(n - 1 - log[nz]) % (n - 1)]
-        self.INV = inv
+        # MUL[a][b] = g^(log a + log b); the exponent list is doubled, so no mod
+        nz_logs = log[1:]
+        self.MUL = [[0] * n] + [[0] + list(map(exp[la : la + n - 1].__getitem__, nz_logs))
+                                for la in nz_logs]
+        self.INV = [0] + [exp[(n - 1 - la) % (n - 1)] for la in nz_logs]
         # arithmetic Frobenius x -> x^q and its fixed set (the base field)
-        frob = np.zeros(n, dtype=np.int32)
-        frob[1:] = exp[(log[nz] * (self.q % (n - 1))) % (n - 1)]
-        self.FROB = frob
-        self.base_codes = tuple(int(c) for c in np.nonzero(frob == codes)[0])
+        qm = self.q % (n - 1)
+        self.FROB = [0] + [exp[la * qm % (n - 1)] for la in nz_logs]
+        self.base_codes = tuple(a for a in codes if self.FROB[a] == a)
 
     # -- scalar ops on codes ---------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return int(self.ADD[a, b])
+        return self.ADD[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.ADD[a, self.NEG[b]])
+        return self.ADD[a][self.NEG[b]]
 
     def neg(self, a: int) -> int:
-        return int(self.NEG[a])
+        return self.NEG[a]
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.MUL[a, b])
+        return self.MUL[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return int(self.INV[a])
+        return self.INV[a]
 
     def frobenius(self, a: int) -> int:
-        return int(self.FROB[a])
+        return self.FROB[a]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -271,7 +281,7 @@ class FieldCtx:
             if n < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0
-        return int(self._EXP[(int(self._LOG[a]) * n) % (self.size - 1)])
+        return self._EXP[self._LOG[a] * n % (self.size - 1)]
 
     def coeffs(self, code: int) -> tuple[int, ...]:
         return tuple(_int_to_digits(code, self.p, self.degree))
@@ -284,11 +294,12 @@ class FieldCtx:
         """Codes of the subfield GF(q^j), the fixed set of frobenius^j."""
         if self.k % j != 0:
             raise FieldError(f"GF(q^{j}) is not a subfield for k = {self.k}")
+        FROB = self.FROB
         fixed = []
         for a in range(self.size):
             x = a
             for _ in range(j):
-                x = int(self.FROB[x])
+                x = FROB[x]
             if x == a:
                 fixed.append(a)
         return tuple(fixed)

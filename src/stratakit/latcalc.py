@@ -64,11 +64,11 @@ class TruncRing:
 
     def add(self, a, b):
         ADD = self.ctx.ADD
-        return tuple(int(ADD[x, y]) for x, y in zip(a, b))
+        return tuple(ADD[x][y] for x, y in zip(a, b))
 
     def neg(self, a):
         NEG = self.ctx.NEG
-        return tuple(int(NEG[x]) for x in a)
+        return tuple(NEG[x] for x in a)
 
     def mul(self, a, b):
         ADD, MUL = self.ctx.ADD, self.ctx.MUL
@@ -80,16 +80,16 @@ class TruncRing:
             row = MUL[x]
             for j, y in enumerate(b):
                 if y and i + j < w:
-                    out[i + j] = int(ADD[out[i + j], row[y]])
+                    out[i + j] = ADD[out[i + j]][row[y]]
         return tuple(out)
 
     def conj(self, a):
         NEG = self.ctx.NEG
-        return tuple(int(NEG[x]) if i % 2 else x for i, x in enumerate(a))
+        return tuple(NEG[x] if i % 2 else x for i, x in enumerate(a))
 
     def sigma(self, a):
         FROB = self.ctx.FROB
-        return tuple(int(FROB[x]) for x in a)
+        return tuple(FROB[x] for x in a)
 
     def val(self, a) -> int:
         for i, x in enumerate(a):
@@ -654,7 +654,7 @@ def induced_forms(space: HermSpace, lam: Lattice):
                 res = _residue(R, h0, extra_pi + 2 * floor)
                 if sign < 0:
                     res = ctx.neg(res)
-                row.append(int(res))
+                row.append(res)
             rows.append(tuple(row))
         return tuple(rows)
 

@@ -33,18 +33,19 @@ def rref(ctx: FieldCtx, rows) -> tuple[Mat, tuple[int, ...]]:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = INV[work[r][c]]
-        if inv != 1:
-            row = work[r]
-            for j in range(c, ncols):
-                row[j] = MUL[inv, row[j]]
         prow = work[r]
+        inv = INV[prow[c]]
+        if inv != 1:
+            m = MUL[inv]
+            for j in range(c, ncols):
+                prow[j] = m[prow[j]]
+        live = [j for j in range(c, ncols) if prow[j]]
         for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = NEG[work[i][c]]
-                row = work[i]
-                for j in range(c, ncols):
-                    row[j] = ADD[row[j], MUL[f, prow[j]]]
+            row = work[i]
+            if i != r and row[c] != 0:
+                m = MUL[NEG[row[c]]]
+                for j in live:
+                    row[j] = ADD[row[j]][m[prow[j]]]
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -63,9 +64,10 @@ def intersect(ctx: FieldCtx, a: Mat, b: Mat, ncols: int) -> Mat:
         return ()
     stacked = [list(r) + list(r) for r in a] + [list(r) + [0] * ncols for r in b]
     red, _ = rref(ctx, stacked)
-    inter = [r[ncols:] for r in red if all(x == 0 for x in r[:ncols])]
-    out, _ = rref(ctx, inter)
-    return out
+    # The rows with zero left half close the reduced matrix, and their
+    # pivots all lie in the right half, so their right halves are already
+    # in reduced echelon form.
+    return tuple(r[ncols:] for r in red if not any(r[:ncols]))
 
 
 def nullspace(ctx: FieldCtx, rows, ncols: int) -> Mat:
@@ -79,7 +81,7 @@ def nullspace(ctx: FieldCtx, rows, ncols: int) -> Mat:
         vec = [0] * ncols
         vec[f] = 1
         for i, pc in enumerate(pivots):
-            vec[pc] = int(NEG[red[i][f]])
+            vec[pc] = NEG[red[i][f]]
         basis.append(tuple(vec))
     out, _ = rref(ctx, basis)
     return out
@@ -91,11 +93,12 @@ def contains_vector(ctx: FieldCtx, red_rows: Mat, pivots, vec) -> bool:
     v = list(vec)
     for i, pc in enumerate(pivots):
         if v[pc] != 0:
-            f = NEG[v[pc]]
+            m = MUL[NEG[v[pc]]]
             row = red_rows[i]
             for j in range(pc, len(v)):
-                v[j] = ADD[v[j], MUL[f, row[j]]]
-    return all(x == 0 for x in v)
+                if row[j]:
+                    v[j] = ADD[v[j]][m[row[j]]]
+    return not any(v)
 
 
 def enumerate_echelon(ctx: FieldCtx, ncols: int, dim: int, scalars=None, row_filter=None):

@@ -41,7 +41,7 @@ def _standard_gram(ctx: FieldCtx, kind: str, dim: int):
     if kind == "none":
         return None
     one = 1
-    neg1 = int(ctx.NEG[1])
+    neg1 = ctx.NEG[1]
     g = [[0] * dim for _ in range(dim)]
     if kind == "symplectic":
         m = dim // 2
@@ -81,6 +81,9 @@ class FormedSpace:
         self.kind = kind
         self.dim = dim
         self.gram = _standard_gram(ctx, kind, dim)
+        # the nonzero Gram entries (j, g_ij) of each row i
+        self._gram_nz = None if self.gram is None else tuple(
+            tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
         perm = list(range(dim))
         if kind == "symmetric-even-nonsplit" and dim:
             m = dim // 2
@@ -105,16 +108,17 @@ class FormedSpace:
         ctx = self.ctx
         ADD, MUL = ctx.ADD, ctx.MUL
         acc = 0
-        for i, xi in enumerate(x):
+        for xi, nz in zip(x, self._gram_nz):
             if xi == 0:
                 continue
-            row = self.gram[i]
             s = 0
-            for j, yj in enumerate(y):
-                if yj != 0 and row[j] != 0:
-                    s = ADD[s, MUL[row[j], yj]]
-            acc = ADD[acc, MUL[xi, s]]
-        return int(acc)
+            for j, g in nz:
+                yj = y[j]
+                if yj:
+                    s = ADD[s][MUL[g][yj]]
+            if s:
+                acc = ADD[acc][MUL[xi][s]]
+        return acc
 
     def describe(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, **self.ctx.describe()}
@@ -172,15 +176,20 @@ def full_subspace(space: FormedSpace) -> Subspace:
 
 
 def apply_phi(U: Subspace, power: int = 1) -> Subspace:
-    """Twisted Frobenius: entrywise q-power then the basis permutation."""
+    """Twisted Frobenius: entrywise q-power then the basis permutation.
+
+    Without a permutation the result needs no reduction: FROB fixes 0 and
+    1, so it maps a reduced echelon matrix to one with the same pivots.
+    """
     space = U.space
     if power < 0:
         raise SpaceError("negative Frobenius power")
     rows = U.rows
     for _ in range(power % _phi_order(space)):
-        rows = [_phi_vector(space, r) for r in rows]
-    red, piv = linalg.rref(space.ctx, rows)
-    return Subspace(space, red, piv)
+        rows = tuple(_phi_vector(space, r) for r in rows)
+    if space.kind != "symmetric-even-nonsplit":
+        return Subspace(space, rows, U.pivots)
+    return Subspace.from_rows(space, rows)
 
 
 def _phi_vector(space: FormedSpace, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -190,7 +199,7 @@ def _phi_vector(space: FormedSpace, v: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * space.dim
     for j, x in enumerate(v):
         if x:
-            out[perm[j]] = int(FROB[x])
+            out[perm[j]] = FROB[x]
     return tuple(out)
 
 
@@ -211,7 +220,7 @@ def sum_spaces(U: Subspace, W: Subspace) -> Subspace:
 def intersect(U: Subspace, W: Subspace) -> Subspace:
     _check_same(U, W)
     rows = linalg.intersect(U.space.ctx, U.rows, W.rows, U.space.dim)
-    return Subspace.from_rows(U.space, rows)
+    return Subspace(U.space, rows, tuple(_pivots_of(rows)))
 
 
 def perp(U: Subspace) -> Subspace:
@@ -221,7 +230,7 @@ def perp(U: Subspace) -> Subspace:
     n = space.dim
     mat = [tuple(space.form(r, space.e(j + 1)) for j in range(n)) for r in U.rows]
     basis = linalg.nullspace(space.ctx, mat, n)
-    return Subspace.from_rows(space, basis)
+    return Subspace(space, basis, tuple(_pivots_of(basis)))
 
 
 def is_isotropic(U: Subspace) -> bool:

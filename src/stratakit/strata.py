@@ -497,9 +497,10 @@ def _combine(ctx: FieldCtx, basis, coeffs) -> tuple[int, ...]:
     out = [0] * n
     for c, vec in zip(coeffs, basis):
         if c:
+            m = MUL[c]
             for j, x in enumerate(vec):
                 if x:
-                    out[j] = ADD[out[j], MUL[c, x]]
+                    out[j] = ADD[out[j]][m[x]]
     return tuple(out)
 
 

@@ -114,3 +114,26 @@ def test_unknown_command_usage_error(capsys):
     assert main(["strata"]) == 2
     assert main(["bogus"]) == 2
     capsys.readouterr()
+
+
+def test_missing_input_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code = main(["strata", "classify", "--case", "z", "--q", "3", "--k", "2",
+                 "--t", "4", "--h", "0", "--input", str(missing)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "absent.json" in err
+
+
+def test_guard_trip_outside_a_trial_exits_three(monkeypatch, capsys):
+    from stratakit import latcalc
+
+    def trip(*args, **kwargs):
+        raise latcalc.GuardError("lattice floor beyond the guard")
+
+    monkeypatch.setattr(latcalc, "inclusion_report", trip)
+    code, out = run(capsys, "latcalc", "inclusions", "--n", "2", "--h", "2")
+    assert code == 3
+    checks = json.loads(out)["stable"]["checks"]
+    assert checks == [{"name": "guard", "status": "inconclusive",
+                       "witness": "lattice floor beyond the guard"}]

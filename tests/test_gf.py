@@ -1,5 +1,6 @@
 import doctest
 
+import numpy as np
 import pytest
 
 from stratakit import gf
@@ -59,7 +60,8 @@ def test_generator_inverse_by_exhaustive_table():
 def test_field_axioms_by_table_identities(p, e, k):
     ctx = FieldCtx(p, e, k)
     n = ctx.size
-    ADD, MUL = ctx.ADD, ctx.MUL
+    # numpy views of the list tables, for vectorised identities
+    ADD, MUL = np.asarray(ctx.ADD), np.asarray(ctx.MUL)
     # commutativity
     assert (ADD == ADD.T).all() and (MUL == MUL.T).all()
     # associativity via exhaustive triple tables (vectorized):
@@ -76,10 +78,9 @@ def test_field_axioms_by_table_identities(p, e, k):
 @pytest.mark.parametrize("p,e,k", [(3, 1, 2), (3, 1, 4), (3, 2, 1)])
 def test_frobenius_is_field_automorphism(p, e, k):
     ctx = FieldCtx(p, e, k)
-    n = ctx.size
-    F = ctx.FROB
-    assert (F[ctx.ADD] == ctx.ADD[F][:, F]).all()
-    assert (F[ctx.MUL] == ctx.MUL[F][:, F]).all()
+    F, ADD, MUL = np.asarray(ctx.FROB), np.asarray(ctx.ADD), np.asarray(ctx.MUL)
+    assert (F[ADD] == ADD[F][:, F]).all()
+    assert (F[MUL] == MUL[F][:, F]).all()
 
 
 def test_frobenius_fixed_field_is_base():
@@ -120,12 +121,47 @@ def test_subfield_codes():
         FieldCtx(3, 1, 3).subfield_codes(2)
 
 
+@pytest.mark.parametrize("p,e,k", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 1, 4)])
+def test_tables_against_digitwise_and_slow_arithmetic(p, e, k):
+    """Every ADD and MUL entry against an oracle that uses no table."""
+    ctx = FieldCtx(p, e, k)
+    n = ctx.size
+    digits = [ctx.coeffs(a) for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            want = ctx.from_coeffs([x + y for x, y in zip(digits[a], digits[b])])
+            assert ctx.ADD[a][b] == want, (a, b)
+            assert ctx.MUL[a][b] == ctx._mul_codes_slow(a, b), (a, b)
+    for a in range(n):
+        assert ctx.NEG[a] == ctx.from_coeffs([-x for x in digits[a]])
+        x = 1
+        for _ in range(ctx.q):
+            x = ctx._mul_codes_slow(x, a)
+        assert ctx.FROB[a] == x
+        if a:
+            assert ctx._mul_codes_slow(a, ctx.INV[a]) == 1
+
+
+@pytest.mark.parametrize("p,e,k", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 1, 4)])
+def test_table_entries_are_plain_ints(p, e, k):
+    ctx = FieldCtx(p, e, k)
+    for name in ("ADD", "MUL"):
+        table = getattr(ctx, name)
+        assert type(table) is list and len(table) == ctx.size
+        assert all(type(row) is list and len(row) == ctx.size for row in table), name
+        assert all(type(x) is int for row in table for x in row), name
+    for name in ("NEG", "INV", "FROB", "_EXP", "_LOG"):
+        table = getattr(ctx, name)
+        assert type(table) is list, name
+        assert all(type(x) is int for x in table), name
+
+
 def test_equal_parameter_contexts_interoperate():
     a, b = FieldCtx(3, 1, 2), FieldCtx(3, 1, 2)
     assert a == b and hash(a) == hash(b)
     # codes mean the same element in both: every table agrees
     for name in ("ADD", "NEG", "MUL", "INV", "FROB"):
-        assert (getattr(a, name) == getattr(b, name)).all(), name
+        assert getattr(a, name) == getattr(b, name), name
     assert a.mul(4, 5) == b.mul(4, 5)
     assert a != FieldCtx(3, 1, 1)
     assert a != FieldCtx(5, 1, 2)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stratakit.gf import FieldCtx
-from stratakit import space as spc
+from stratakit import linalg, space as spc, strata
 from stratakit.space import (
     BudgetExceeded,
     SpaceError,
@@ -95,6 +95,7 @@ def test_dimension_identity_with_membership_oracle():
         s = sum_spaces(U, W)
         i = intersect(U, W)
         assert s.dim + i.dim == U.dim + W.dim
+        assert Subspace.from_rows(sp, i.rows) == i  # already canonical
         # oracle: intersection as a set of vectors
         assert all_vectors(sp, i) == all_vectors(sp, U) & all_vectors(sp, W)
 
@@ -200,3 +201,48 @@ def test_subspace_json_roundtrip():
     U = Subspace.from_rows(sp, [(1, 4, 0, 7), (0, 0, 1, 2)])
     V = subspace_from_json(subspace_to_json(U))
     assert V.rows == U.rows and V.space == U.space
+
+
+def test_kernel_outputs_are_plain_ints():
+    sp = build_space(F9, "symmetric-even-nonsplit", 4)
+    rows = [(2, 5, 0, 7), (1, 1, 3, 1), (4, 0, 8, 2)]
+    red, _ = linalg.rref(F9, rows)
+    U = Subspace.from_rows(sp, rows[:2])
+    W = Subspace.from_rows(sp, rows[1:])
+    outputs = {"rref": red, "apply_phi": apply_phi(U).rows, "intersect": intersect(U, W).rows}
+    untwisted = build_space(F9, "symplectic", 4)
+    outputs["apply_phi untwisted"] = apply_phi(Subspace.from_rows(untwisted, rows[:2])).rows
+    for name, mat in outputs.items():
+        assert mat and all(type(x) is int for row in mat for x in row), name
+
+
+@pytest.mark.parametrize("cfg", [
+    strata.StrataConfig(case="Z", p=3, k=2, t=4, h=2),
+    strata.StrataConfig(case="Y", p=3, k=2, n=4, h=2, t=0, eps=-1),
+], ids=["Z-t4-h2", "Y-split-n4-h2"])
+def test_untwisted_apply_phi_equals_reduced_frobenius_rows(cfg):
+    """The no-reduction fast path against a full re-reduction."""
+    members = list(strata.enumerate_members(cfg))
+    assert members
+    for U in members:
+        sp = U.space
+        want = Subspace.from_rows(sp, [spc._phi_vector(sp, r) for r in U.rows])
+        got = apply_phi(U)
+        assert (got.rows, got.pivots) == (want.rows, want.pivots)
+
+
+@pytest.mark.parametrize("kind,dim", [
+    ("symplectic", 4), ("symmetric-even-split", 4),
+    ("symmetric-even-nonsplit", 4), ("symmetric-odd", 3),
+])
+def test_sparse_form_equals_dense_gram_sum(kind, dim):
+    """Over a prime field codes are residues, so the dense sum
+    sum_ij x_i g_ij y_j can be taken with integers mod p."""
+    sp = build_space(F3, kind, dim)
+    p = F3.p
+    vectors = list(itertools.product(range(p), repeat=dim))
+    for x in vectors:
+        for y in vectors:
+            dense = sum(x[i] * sp.gram[i][j] * y[j]
+                        for i in range(dim) for j in range(dim)) % p
+            assert sp.form(x, y) == dense, (x, y)
