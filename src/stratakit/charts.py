@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .report import check, inconclusive
 from .space import BudgetExceeded
 
 MATRIX_ENTRY_BUDGET = int(os.environ.get("STRATAKIT_MATRIX_BUDGET", 10**8))
@@ -328,15 +329,11 @@ def reconcile(spec: ChartSpec, budget: int | None = None) -> dict:
     closed = chart_count_closed(spec)
     try:
         brute = chart_count(spec, budget=budget)
-        checks.append({
-            "name": "count_matches_closed_form",
-            "status": "pass" if brute == closed else "fail",
-            "data": {"brute": brute, "closed": closed},
-        })
+        checks.append(check("count_matches_closed_form", ok=brute == closed,
+                            data={"brute": brute, "closed": closed}))
     except BudgetExceeded as exc:
         brute = None
-        checks.append({"name": "count_matches_closed_form", "status": "inconclusive",
-                       "witness": str(exc)})
+        checks.append(inconclusive("count_matches_closed_form", witness=str(exc)))
 
     import math
 
@@ -346,11 +343,8 @@ def reconcile(spec: ChartSpec, budget: int | None = None) -> dict:
     c1, c2 = chart_count_closed(spec), chart_count_closed(other)
     lo, hi = (c1, c2) if other_q > spec.q else (c2, c1)
     growth = round(math.log(hi / lo) / math.log(5 / 3))
-    checks.append({
-        "name": "growth_exponent_matches_dimension",
-        "status": "pass" if growth == dim else "fail",
-        "data": {"growth": growth, "dimension": dim},
-    })
+    checks.append(check("growth_exponent_matches_dimension", ok=growth == dim,
+                        data={"growth": growth, "dimension": dim}))
 
     if spec.family == "Z":
         smooth = spec.t1 - spec.h == 2
@@ -367,12 +361,9 @@ def reconcile(spec: ChartSpec, budget: int | None = None) -> dict:
     # family where the biconditional degrades to an implication.
     cone = spec.family == "Z" and spec.h == 0 and spec.t1 >= 4
     ok = (smooth == affine) or (cone and affine and not smooth)
-    checks.append({
-        "name": "smooth_iff_affine_count",
-        "status": "pass" if ok else "fail",
-        "data": {"smooth_predicate": smooth, "count_is_q_pow_dim": affine,
-                 **({"cone_exception": True} if cone and not smooth else {})},
-    })
+    checks.append(check("smooth_iff_affine_count", ok=ok, data={
+        "smooth_predicate": smooth, "count_is_q_pow_dim": affine,
+        **({"cone_exception": True} if cone and not smooth else {})}))
     return {
         "config": {"family": spec.family, "q": spec.q, "n": spec.n, "h": spec.h,
                    "t1": spec.t1, "t2": spec.t2},

@@ -53,8 +53,8 @@ def _run(args, body, config=None, seeded=True) -> int:
         part = {"config": config, **body()}
     except (BudgetExceeded, latcalc.GuardError) as exc:
         name = "enumeration" if isinstance(exc, BudgetExceeded) else "guard"
-        part = {"config": config, "counts": [], "checks": [
-            {"name": name, "status": "inconclusive", "witness": str(exc)}]}
+        part = {"config": config, "counts": [],
+                "checks": [report.inconclusive(name, witness=str(exc))]}
     rep = report.make_report(part["config"], part["counts"], part["checks"],
                              seed=args.seed if seeded else None,
                              wall_time_s=time.perf_counter() - t0)
@@ -80,8 +80,7 @@ def cmd_strata_count(args) -> int:
         counts, total = strata.stratum_counts(cfg, budget=args.budget)
         return {"counts": [{"label": l.key(), "count": c}
                            for l, c in sorted(counts.items(), key=lambda x: x[0].key())],
-                "checks": [{"name": "enumeration", "status": "pass",
-                            "data": {"members": total}}]}
+                "checks": [report.check("enumeration", ok=True, data={"members": total})]}
 
     return _run(args, body, config=cfg.describe())
 
@@ -93,15 +92,15 @@ def cmd_strata_classify(args) -> int:
 
     def body():
         if not strata.member(cfg, U):
-            return {"counts": [], "checks": [
-                {"name": "membership", "status": "fail",
-                 "witness": "subspace is not a member of the configured stratum space"}]}
+            return {"counts": [], "checks": [report.check(
+                "membership", ok=False,
+                witness="subspace is not a member of the configured stratum space")]}
         label, chain = strata.classify_flag(cfg, U)
         kr = strata.kr_class(cfg, U)
         return {"counts": [{"label": label.key(), "count": 1}],
-                "checks": [{"name": "membership", "status": "pass",
-                            "data": {"label": label.key(), "kr_class": kr,
-                                     "chain_dims": [f.dim for f in chain]}}]}
+                "checks": [report.check("membership", ok=True,
+                                        data={"label": label.key(), "kr_class": kr,
+                                              "chain_dims": [f.dim for f in chain]})]}
 
     return _run(args, body, config=cfg.describe(), seeded=False)
 
@@ -129,9 +128,9 @@ def cmd_charts_rzdim(args) -> int:
         value = charts.rz_dim(args.n, args.h, args.eps)
         oracle = charts.rz_dim_oracle(args.n, args.h, args.eps)
         return {"counts": [{"label": "rz_dim", "count": value}],
-                "checks": [{"name": "formula_matches_type_table_oracle",
-                            "status": "pass" if value == oracle else "fail",
-                            "data": {"formula": value, "oracle": oracle}}]}
+                "checks": [report.check("formula_matches_type_table_oracle",
+                                        ok=value == oracle,
+                                        data={"formula": value, "oracle": oracle})]}
 
     return _run(args, body, config={"command": "charts rzdim", "n": args.n, "h": args.h,
                                     "eps": args.eps}, seeded=False)
@@ -147,21 +146,16 @@ def cmd_latcalc_dichotomy(args) -> int:
             stats = latcalc.dichotomy_trials(args.q, args.e, args.s, args.n,
                                              args.trials, seed=args.seed, N=args.bign)
         audited = stats["case_Y"] + stats["case_Z"] + stats["case_Both"]
-        checks = [
-            {"name": "no_counterexamples",
-             "status": "pass" if not stats["counterexamples"] else "fail",
-             **({"witness": stats["counterexamples"][:3]} if stats["counterexamples"] else {})},
-            {"name": "no_anomalous_cases",
-             "status": "pass" if stats["anomalous"] == 0 else "fail"},
-            {"name": "same_index_lemma",
-             "status": "pass" if stats["same_index_failures"] == 0 else "fail"},
-        ]
         denom = max(1, audited + stats["inconclusive"])
-        if stats["inconclusive"] / denom >= 0.05:
-            checks.append({"name": "inconclusive_rate_below_5_percent", "status": "fail",
-                           "data": {"inconclusive": stats["inconclusive"], "audited": audited}})
-        else:
-            checks.append({"name": "inconclusive_rate_below_5_percent", "status": "pass"})
+        rate_ok = stats["inconclusive"] / denom < 0.05
+        checks = [
+            report.check("no_counterexamples", witness=stats["counterexamples"][:3]),
+            report.check("no_anomalous_cases", ok=stats["anomalous"] == 0),
+            report.check("same_index_lemma", ok=stats["same_index_failures"] == 0),
+            # the counts behind the rate are reported only when it is too high
+            report.check("inconclusive_rate_below_5_percent", ok=rate_ok, data=None if rate_ok
+                         else {"inconclusive": stats["inconclusive"], "audited": audited}),
+        ]
         return {"counts": [{"label": k, "count": v} for k, v in sorted(stats.items())
                            if isinstance(v, int)],
                 "checks": checks}
@@ -267,8 +261,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (strata.ConfigError, charts.ChartError, latcalc.LatticeError,
-            weyl.WeylError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

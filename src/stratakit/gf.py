@@ -257,9 +257,6 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         return self.ADD[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.ADD[a][self.NEG[b]]
-
     def neg(self, a: int) -> int:
         return self.NEG[a]
 

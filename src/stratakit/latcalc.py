@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .gf import FieldCtx
 from . import linalg
+from .report import check, inconclusive
 from .space import BudgetExceeded
 
 LATTICE_BUDGET = 10**6
@@ -211,13 +212,9 @@ def column_hnf(R: TruncRing, cols, n: int):
         for j in range(len(work)):
             if j == r or R.is_zero(work[j][r]):
                 continue
-            if j > r:
-                q = R.shift(work[j][r], -bestv)
-            else:
-                # reduce modulo pi^a: subtract the exactly-divisible part
-                x = work[j][r]
-                keep = x[:bestv] + (0,) * (R.width - bestv)
-                q = R.shift(R.add(x, R.neg(keep)), -bestv)
+            # the quotient by pi^a with the residue mod pi^a dropped; below
+            # the pivot no entry has smaller valuation, so it is exact there
+            q = work[j][r][bestv:] + (0,) * bestv
             if R.is_zero(q):
                 continue
             work[j] = [R.add(work[j][i], R.neg(R.mul(q, piv[i]))) for i in range(n)]
@@ -229,13 +226,8 @@ def column_hnf(R: TruncRing, cols, n: int):
     # restores the canonical sub-pivot residues, top row downward
     for j in range(n):
         for i in range(j + 1, n):
-            x = work[j][i]
             a = pivs[i]
-            if R.val(x) >= a:
-                q = R.shift(x, -a)
-            else:
-                keep = x[:a] + (0,) * (R.width - a)
-                q = R.shift(R.add(x, R.neg(keep)), -a)
+            q = work[j][i][a:] + (0,) * a
             if not R.is_zero(q):
                 work[j] = [R.add(work[j][t], R.neg(R.mul(q, work[i][t]))) for t in range(n)]
     return pivs, _from_columns([tuple(c) for c in work[:n]])
@@ -442,8 +434,7 @@ def tau_chain(space: HermSpace, M: Lattice):
 
 def check_hypotheses(space: HermSpace, M: Lattice) -> bool:
     """pi M-sharp <= M <= M-sharp and [M + tau M : M] <= 1."""
-    Ms = dual_sharp(space, M)
-    if not (contains(Ms, M) and contains(M, Ms.scale(1))):
+    if vertex_type(space, M) is None:
         return False
     s = lattice_sum(M, space.tau(M))
     return index_in(s, M) <= 1
@@ -495,22 +486,13 @@ def crucial_dichotomy(space: HermSpace, M: Lattice) -> dict:
 
     if cond1 and cond2:
         case = "anomalous-both-exclusions"
-        audits = {"Y": verify_case_y(), "Z": verify_case_z()}
-    elif cond1:
-        case = "Y"
-        audits = {"Y": verify_case_y()}
-    elif cond2:
-        case = "Z"
-        audits = {"Z": verify_case_z()}
-    elif c < d:
-        case = "Y"
-        audits = {"Y": verify_case_y()}
-    elif d < c:
-        case = "Z"
-        audits = {"Z": verify_case_z()}
+    elif cond1 or cond2:
+        case = "Y" if cond1 else "Z"
     else:
-        case = "Both"
-        audits = {"Y": verify_case_y(), "Z": verify_case_z()}
+        case = "Y" if c < d else "Z" if d < c else "Both"
+    # a decided case audits its own conclusion, any other case both
+    audits = {key: verify() for key, verify in (("Y", verify_case_y), ("Z", verify_case_z))
+              if case in (key, "Both", "anomalous-both-exclusions")}
     return {
         "case": case,
         "c": c,
@@ -678,31 +660,50 @@ def induced_forms(space: HermSpace, lam: Lattice):
 
 # -- enumeration of intermediate lattices ----------------------------------
 
-def enumerate_between(space: HermSpace, bot: Lattice, top: Lattice,
-                      predicate=None, budget: int | None = None):
-    """All lattices between bot and top (pi-elementary quotient), filtered.
+class _Window:
+    """The lattices between ``bot`` and ``top`` (a pi-elementary quotient),
+    each the lift of a subspace of top/bot over the coefficient field."""
 
-    Intermediate lattices correspond to subspaces of top/bot over the
-    coefficient field; more than ``budget`` of them (default
-    ``LATTICE_BUDGET``) raises :class:`BudgetExceeded`.
-    """
-    R = space.ring
-    ctx = R.ctx
-    vecs, vfloor = quotient_basis(space, top, bot)
-    dim = len(vecs)
-    total = sum(linalg.gaussian_binomial(dim, d, ctx.size) for d in range(dim + 1))
-    limit = LATTICE_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceeded(f"{total} intermediate lattices exceeds budget {limit}")
-    base = min(bot.vfloor, vfloor)
-    bot_cols = [tuple(R.shift(x, bot.vfloor - base) for x in c) for c in bot.columns()]
-    for d in range(dim + 1):
-        for rows in linalg.enumerate_echelon(ctx, dim, d):
-            cols = [tuple(R.shift(x, vfloor - base) for x in _combine_vec(R, vecs, row))
-                    for row in rows]
-            L = Lattice.from_columns(R, bot_cols + cols, base)
-            if predicate is None or predicate(L):
-                yield L
+    def __init__(self, space: HermSpace, bot: Lattice, top: Lattice):
+        R = self.ring = space.ring
+        self.vecs, self.vfloor = quotient_basis(space, top, bot)
+        self.dim = len(self.vecs)
+        self.base = min(bot.vfloor, self.vfloor)
+        self.bot_cols = [tuple(R.shift(x, bot.vfloor - self.base) for x in c)
+                         for c in bot.columns()]
+
+    def lift(self, rows) -> Lattice:
+        """bot plus the span of the lifts of the coefficient rows."""
+        R, shift = self.ring, self.vfloor - self.base
+        cols = [tuple(R.shift(x, shift) for x in _combine_vec(R, self.vecs, row))
+                for row in rows]
+        return Lattice.from_columns(R, self.bot_cols + cols, self.base)
+
+    def lattices(self, budget: int | None = None):
+        """Every lattice of the window; more than ``budget`` of them
+        (default ``LATTICE_BUDGET``) raises :class:`BudgetExceeded`."""
+        ctx, dim = self.ring.ctx, self.dim
+        total = sum(linalg.gaussian_binomial(dim, d, ctx.size) for d in range(dim + 1))
+        limit = LATTICE_BUDGET if budget is None else budget
+        if total > limit:
+            raise BudgetExceeded(f"{total} intermediate lattices exceeds budget {limit}")
+        for d in range(dim + 1):
+            for rows in linalg.enumerate_echelon(ctx, dim, d):
+                yield self.lift(rows)
+
+
+def _standard_window(space: HermSpace) -> _Window:
+    """The window between pi L0-sharp and L0-sharp, L0 the standard
+    lattice; every Gram entry is integral, so L0 <= L0-sharp."""
+    top = dual_sharp(space, standard_lattice(space.ring, space.n))
+    return _Window(space, top.scale(1), top)
+
+
+def enumerate_between(space: HermSpace, bot: Lattice, top: Lattice,
+                      budget: int | None = None):
+    """All lattices between bot and top (pi-elementary quotient), as in
+    :meth:`_Window.lattices`."""
+    return _Window(space, bot, top).lattices(budget)
 
 
 def _combine_vec(R: TruncRing, vecs, coeffs):
@@ -721,11 +722,7 @@ def _combine_vec(R: TruncRing, vecs, coeffs):
 def n_point_conditions(space: HermSpace, M: Lattice, h: int) -> bool:
     """Lattice-model point conditions: pi M# <= M <=(h) M#, the pi-window
     around tau, and the unit index jump."""
-    R = space.ring
-    Ms = dual_sharp(space, M)
-    if not (contains(Ms, M) and contains(M, Ms.scale(1))):
-        return False
-    if index_in(Ms, M) != h:
+    if vertex_type(space, M) != h:
         return False
     tM = space.tau(M)
     if not (contains(tM, M.scale(1)) and contains(M, tM.scale(1))):
@@ -744,13 +741,10 @@ def _point_set(space: HermSpace, bot: Lattice, top: Lattice, h: int,
 
 
 def vertex_lattices_in_window(space: HermSpace, budget: int | None = None):
-    """Tau-stable vertex lattices between pi L0 and L0-sharp, L0 standard."""
-    L0 = standard_lattice(space.ring, space.n)
-    top = dual_sharp(space, L0)
-    if not contains(top, L0):
-        top = L0
+    """Tau-stable vertex lattices between pi L0-sharp and L0-sharp, L0
+    standard."""
     out = []
-    for L in enumerate_between(space, top.scale(1), top, budget=budget):
+    for L in _standard_window(space).lattices(budget):
         if vertex_type(space, L) is None:
             continue
         if not lattice_eq(space.tau(L), L):
@@ -847,22 +841,12 @@ def gram_family(ring: TruncRing, n: int):
     return [mixed_gram(ring, n, b) for b in range(n // 2 + 1)]
 
 
-def random_instance(space: HermSpace, rng: random.Random):
-    """One random hypothesis-candidate lattice in [pi L0-sharp, L0-sharp]."""
-    R = space.ring
-    L0 = standard_lattice(R, space.n)
-    top = dual_sharp(space, L0)
-    bot = top.scale(1)
-    vecs, vfloor = quotient_basis(space, top, bot)
-    dim = len(vecs)
-    d = rng.randrange(0, dim + 1)
-    base = min(bot.vfloor, vfloor)
-    cols = [tuple(R.shift(x, bot.vfloor - base) for x in c) for c in bot.columns()]
-    for _ in range(d):
-        coeffs = [rng.randrange(R.ctx.size) for _ in range(dim)]
-        cols.append(tuple(R.shift(x, vfloor - base)
-                          for x in _combine_vec(R, vecs, coeffs)))
-    return Lattice.from_columns(R, cols, base)
+def random_instance(window: _Window, rng: random.Random):
+    """One random lattice of a window: the lift of d random coefficient
+    rows, d uniform in 0..dim."""
+    d = rng.randrange(0, window.dim + 1)
+    size = window.ring.ctx.size
+    return window.lift([[rng.randrange(size) for _ in range(window.dim)] for _ in range(d)])
 
 
 def same_index_lemma_holds(space: HermSpace, M: Lattice) -> bool:
@@ -912,20 +896,15 @@ def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
     for name, left, right, sets, lattices in bullets:
         bad = [(types[a], types[b]) for a in left for b in right
                if sets(a, b) != lattices(a, b)]
-        checks.append({
-            "name": name,
-            "status": "pass" if not bad else "fail",
-            "data": {"pairs": len(left) * len(right) - len(bad)},
-            **({"witness": bad[:3]} if bad else {}),
-        })
+        checks.append(check(name, witness=bad[:3],
+                            data={"pairs": len(left) * len(right) - len(bad)}))
     singles = [L for L in catalog if types[L] == h]
     bad = [types[L] for L in singles
            if zs[L] != frozenset({L.key()}) or ys[L] != frozenset({L.key()})]
-    checks.append({
-        "name": "worst_points_are_singletons",
-        "status": "pass" if not bad and singles else ("inconclusive" if not singles else "fail"),
-        "data": {"worst_points": len(singles)},
-    })
+    worst = {"worst_points": len(singles)}
+    # with no lattice of type h the check has nothing to test
+    checks.append(check("worst_points_are_singletons", ok=not bad, data=worst) if singles
+                  else inconclusive("worst_points_are_singletons", data=worst))
     return {
         "config": {"p": p, "e": e, "s": s, "n": n, "h": h, "N": N},
         "counts": [{"label": f"type_{t}", "count": c}
@@ -986,8 +965,7 @@ def exhaustive_dichotomy(p: int, e: int, s: int, n: int = 2, seed: int = 0,
 
     def draws(spaces):
         for space in spaces:
-            top = dual_sharp(space, standard_lattice(space.ring, n))
-            for M in enumerate_between(space, top.scale(1), top, budget=budget):
+            for M in _standard_window(space).lattices(budget):
                 yield space, lambda M=M: M
 
     return _dichotomy_audit(p, e, s, n, seed, N, "instances", draws)
@@ -999,8 +977,9 @@ def dichotomy_trials(p: int, e: int, s: int, n: int, trials: int, seed: int = 0,
     rng = random.Random(seed)
 
     def draws(spaces):
+        windows = [_standard_window(space) for space in spaces]
         for _ in range(trials):
-            space = spaces[rng.randrange(len(spaces))]
-            yield space, lambda: random_instance(space, rng)
+            i = rng.randrange(len(spaces))
+            yield spaces[i], lambda: random_instance(windows[i], rng)
 
     return _dichotomy_audit(p, e, s, n, seed, N, "trials", draws)

@@ -1,4 +1,8 @@
-"""Report assembly and serialization.
+"""Check records, report assembly and serialization.
+
+A check record is ``{"name", "status"}`` plus an optional failure
+``witness`` and optional ``data``; :func:`check` and :func:`inconclusive`
+build every one, so the status strings live only here.
 
 A report has a stable section (config echo, counts, checks, toolkit
 version, seed) and a volatile wall-time field.  The stable section is
@@ -13,7 +17,32 @@ import json
 
 TOOLKIT_VERSION = "0.1.0"
 
-STATUS_ORDER = {"pass": 0, "fail": 1, "inconclusive": 2}
+
+def check(name: str, ok: bool | None = None, witness=None, data=None) -> dict:
+    """One check record.
+
+    It fails when ``ok`` is false, or when ``ok`` is omitted and
+    ``witness`` is non-empty.  The witness is kept only on failure;
+    ``data`` is kept always.
+    """
+    if ok is None:
+        ok = not witness
+    return _record(name, "pass" if ok else "fail", None if ok else witness, data)
+
+
+def inconclusive(name: str, witness=None, data=None) -> dict:
+    """A check record that could not be decided: a budget overrun, a guard
+    trip, or nothing to check."""
+    return _record(name, "inconclusive", witness, data)
+
+
+def _record(name: str, status: str, witness, data) -> dict:
+    rec = {"name": name, "status": status}
+    if witness is not None:
+        rec["witness"] = witness
+    if data is not None:
+        rec["data"] = data
+    return rec
 
 
 def make_report(config: dict, counts: list, checks: list, seed: int | None = None,

@@ -48,17 +48,13 @@ def _standard_gram(ctx: FieldCtx, kind: str, dim: int):
         for i in range(m):
             g[i][m + i] = one
             g[m + i][i] = neg1
-    elif kind in ("symmetric-even-split", "symmetric-even-nonsplit"):
+    elif kind.startswith("symmetric"):
         m = dim // 2
         for i in range(m):
             g[i][m + i] = one
             g[m + i][i] = one
-    elif kind == "symmetric-odd":
-        m = dim // 2
-        for i in range(m):
-            g[i][m + i] = one
-            g[m + i][i] = one
-        g[dim - 1][dim - 1] = one
+        if kind == "symmetric-odd":
+            g[dim - 1][dim - 1] = one
     else:
         raise SpaceError(f"unknown kind {kind!r}")
     return tuple(tuple(row) for row in g)
@@ -160,10 +156,6 @@ class Subspace:
 
     def key(self) -> tuple:
         return self.rows
-
-
-def build_space(ctx: FieldCtx, kind: str, dim: int) -> FormedSpace:
-    return FormedSpace(ctx, kind, dim)
 
 
 def zero_subspace(space: FormedSpace) -> Subspace:
@@ -322,17 +314,13 @@ def count_oracle(space: FormedSpace, d: int, k: int | None = None,
     if d > m:
         return 0
     num = den = 1
-    if space.kind == "symplectic":
+    if space.kind in ("symplectic", "symmetric-odd"):
         for i in range(d):
             num *= Q ** (2 * (m - i)) - 1
             den *= Q ** (i + 1) - 1
     elif space.kind in ("symmetric-even-split", "symmetric-even-nonsplit"):
         for i in range(d):
             num *= (Q ** (m - i) - 1) * (Q ** (m - i - 1) + 1)
-            den *= Q ** (i + 1) - 1
-    elif space.kind == "symmetric-odd":
-        for i in range(d):
-            num *= Q ** (2 * (m - i)) - 1
             den *= Q ** (i + 1) - 1
     else:
         return None

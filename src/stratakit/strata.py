@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .gf import FieldCtx
 from . import linalg, space as spc
+from .report import check, inconclusive
 from .space import (
     BudgetExceeded,
     FormedSpace,
@@ -280,13 +281,18 @@ def _label_is_signed(cfg: StrataConfig, kind: str) -> bool:
 
 
 def kr_class(cfg: StrataConfig, U: Subspace) -> str:
-    """First-step trichotomy: stable / isotropic span / non-isotropic span."""
-    phiU = apply_phi(U)
-    if phiU.rows == U.rows:
+    """First-step trichotomy: stable / isotropic span / non-isotropic span.
+
+    A member U and its image are isotropic, so U + Phi(U) is isotropic
+    exactly when every row of U is orthogonal to every row of Phi(U).
+    """
+    if _phi_stable(U):
         return "id"
     if cfg.case == "ZY":
         return "wprime"
-    return "wprime" if is_isotropic(sum_spaces(U, phiU)) else "w"
+    form = U.space.form
+    phi_rows = apply_phi(U).rows
+    return "w" if any(form(u, v) for u in U.rows for v in phi_rows) else "wprime"
 
 
 def component_sign(cfg: StrataConfig, F: Subspace) -> str:
@@ -344,25 +350,14 @@ def predicted_index_set(cfg: StrataConfig) -> frozenset[StratumLabel]:
     if cfg.t == cfg.h:
         return frozenset({StratumLabel(hp, hp, "id")})
     kind = cfg.space_kind
-    wprime_signed = kind == "symmetric-even-split" and cfg.h == cfg.n - 2
-    w_signed = kind == "symmetric-even-nonsplit" and cfg.h == cfg.n
     if kind != "symmetric-even-nonsplit" or hp >= 1:
         labels.add(StratumLabel(hp, hp, "id"))
-    w_jmin = 1 if kind == "symmetric-even-split" else 0
-    wp_jmin = 1 if kind == "symmetric-even-nonsplit" else 0
-    for i in range(hp + 1, tp + 1):
-        for j in range(w_jmin, hp + 1):
-            if w_signed:
-                labels.add(StratumLabel(i, j, "w", "+"))
-                labels.add(StratumLabel(i, j, "w", "-"))
-            else:
-                labels.add(StratumLabel(i, j, "w"))
-        for j in range(wp_jmin, hp):
-            if wprime_signed:
-                labels.add(StratumLabel(i, j, "wprime", "+"))
-                labels.add(StratumLabel(i, j, "wprime", "-"))
-            else:
-                labels.add(StratumLabel(i, j, "wprime"))
+    w_js = range(1 if kind == "symmetric-even-split" else 0, hp + 1)
+    wp_js = range(1 if kind == "symmetric-even-nonsplit" else 0, hp)
+    for label_kind, js in (("w", w_js), ("wprime", wp_js)):
+        signs = ("+", "-") if _label_is_signed(cfg, label_kind) else (None,)
+        labels.update(StratumLabel(i, j, label_kind, sign)
+                      for i in range(hp + 1, tp + 1) for j in js for sign in signs)
     return frozenset(labels)
 
 
@@ -470,25 +465,30 @@ def rational_form_basis(sp: FormedSpace) -> list[tuple[int, ...]]:
     ctx = sp.ctx
     if sp.kind != "symmetric-even-nonsplit":
         return [sp.e(i + 1) for i in range(sp.dim)]
-    gen = ctx.gen_code
-    basis: list[tuple[int, ...]] = []
-    rank_rows: list[tuple[int, ...]] = []
-    for scal in (1, gen):
-        for i in range(sp.dim):
-            v = [0] * sp.dim
-            v[i] = scal
-            fv = spc._phi_vector(sp, tuple(v))
-            vec = tuple(ctx.add(a, b) for a, b in zip(tuple(v), fv))
-            if all(x == 0 for x in vec):
-                continue
-            cand = rank_rows + [vec]
-            red, _ = linalg.rref(ctx, cand)
-            if len(red) > len(rank_rows):
-                rank_rows = cand
-                basis.append(vec)
-            if len(basis) == sp.dim:
-                return basis
-    raise RuntimeError("failed to build a fixed basis (bug)")
+
+    def fixed_vectors():
+        for scal in (1, ctx.gen_code):
+            for i in range(sp.dim):
+                v = tuple(scal if j == i else 0 for j in range(sp.dim))
+                yield tuple(ctx.add(a, b) for a, b in zip(v, spc._phi_vector(sp, v)))
+
+    basis = _extend_basis(ctx, [], fixed_vectors())
+    if len(basis) != sp.dim:
+        raise RuntimeError("failed to build a fixed basis (bug)")
+    return basis
+
+
+def _extend_basis(ctx: FieldCtx, rows, candidates) -> list[tuple[int, ...]]:
+    """Greedy basis extension: the candidates, in order, that are
+    independent of the basis ``rows`` and of the candidates taken before."""
+    rows = list(rows)
+    out = []
+    for vec in candidates:
+        red, _ = linalg.rref(ctx, rows + [vec])
+        if len(red) > len(rows):
+            rows.append(vec)
+            out.append(vec)
+    return out
 
 
 def _combine(ctx: FieldCtx, basis, coeffs) -> tuple[int, ...]:
@@ -529,23 +529,6 @@ def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
         if U.dim != d:
             raise RuntimeError("fixed basis was not independent (bug)")
         yield U
-
-
-def _complement_in(sp: FormedSpace, big: Subspace, small: Subspace) -> list[tuple[int, ...]]:
-    """Rows of ``big`` extending ``small`` to a basis of ``big``."""
-    ctx = sp.ctx
-    rows = list(small.rows)
-    out = []
-    red, piv = linalg.rref(ctx, rows)
-    cur = len(red)
-    for r in big.rows:
-        cand = rows + [r]
-        red2, _ = linalg.rref(ctx, cand)
-        if len(red2) > cur:
-            rows = cand
-            cur = len(red2)
-            out.append(r)
-    return out
 
 
 def enumerate_members(cfg: StrataConfig, budget: int | None = None):
@@ -600,7 +583,7 @@ def _members_k2(cfg: StrataConfig, sp: FormedSpace, d: int, iso: bool, budget: i
             amb = perp(W)
         else:
             amb = spc.full_subspace(sp)
-        comp = _complement_in(sp, amb, W)
+        comp = _extend_basis(ctx, W.rows, amb.rows)  # completes W to a basis of amb
         if not comp:
             continue
         wrows = list(W.rows)
@@ -674,51 +657,34 @@ def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
         return {
             "config": cfg.describe(),
             "counts": [],
-            "checks": [{"name": "enumeration", "status": "inconclusive", "witness": str(exc)}],
+            "checks": [inconclusive("enumeration", witness=str(exc))],
         }
 
     realized = frozenset(counts)
 
-    checks.append({
-        "name": "partition",
-        "status": "pass" if sum(counts.values()) == total else "fail",
-        "data": {"members": total},
-    })
+    checks.append(check("partition", ok=sum(counts.values()) == total,
+                        data={"members": total}))
 
     stray = sorted(l.key() for l in realized - expected)
-    checks.append({
-        "name": "labels_within_index_set",
-        "status": "pass" if not stray else "fail",
-        **({"witness": stray} if stray else {}),
-    })
+    checks.append(check("labels_within_index_set", witness=stray))
 
     missing = sorted(l.key() for l in reach - realized)
     extra = sorted(l.key() for l in realized - reach)
-    checks.append({
-        "name": "index_set_coverage_at_k",
-        "status": "pass" if not missing and not extra else "fail",
-        "data": {
-            "expected_at_k": sorted(l.key() for l in reach),
-            "missing": missing,
-            "extra": extra,
-        },
-    })
+    checks.append(check("index_set_coverage_at_k", ok=not missing and not extra, data={
+        "expected_at_k": sorted(l.key() for l in reach),
+        "missing": missing,
+        "extra": extra,
+    }))
 
     top = top_label(cfg)
     tops = [top] if top.sign is None else [
         StratumLabel(top.r, top.s, top.kind, sg) for sg in ("+", "-")
     ]
     closure_union = frozenset().union(*(closure_index_set(cfg, tl) for tl in tops))
-    checks.append({
-        "name": "top_closure_identity",
-        "status": "pass" if closure_union == expected else "fail",
-        **({} if closure_union == expected else {
-            "witness": {
-                "closure_minus_index": sorted(l.key() for l in closure_union - expected),
-                "index_minus_closure": sorted(l.key() for l in expected - closure_union),
-            }
-        }),
-    })
+    checks.append(check("top_closure_identity", ok=closure_union == expected, witness={
+        "closure_minus_index": sorted(l.key() for l in closure_union - expected),
+        "index_minus_closure": sorted(l.key() for l in expected - closure_union),
+    }))
 
     mono_bad = []
     for label in expected:
@@ -726,29 +692,18 @@ def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
         for other in closure_index_set(cfg, label):
             if other != label and reference_dimension(cfg, other) >= dl:
                 mono_bad.append((label.key(), other.key()))
-    checks.append({
-        "name": "dimension_monotonicity",
-        "status": "pass" if not mono_bad else "fail",
-        **({"witness": mono_bad} if mono_bad else {}),
-    })
+    checks.append(check("dimension_monotonicity", witness=mono_bad))
 
     kr_bad = []
     for (kr, label), cnt in sorted(kr_counts.items(), key=lambda x: (x[0][0], x[0][1].key())):
         if _kr_fiber_prediction(cfg, label) != kr:
             kr_bad.append({"kr": kr, "label": label.key(), "count": cnt})
-    checks.append({
-        "name": "kr_refinement",
-        "status": "pass" if not kr_bad else "fail",
-        **({"witness": kr_bad} if kr_bad else {}),
-    })
+    checks.append(check("kr_refinement", witness=kr_bad))
 
     if cfg.case == "Y" and cfg.n % 2 == 0 and cfg.t < cfg.h == cfg.n:
         nonw = sum(c for (kr, _), c in kr_counts.items() if kr != "w")
-        checks.append({
-            "name": "kr_cross_locus_empty",
-            "status": "pass" if nonw == 0 else "fail",
-            "data": {"non_w_members": nonw},
-        })
+        checks.append(check("kr_cross_locus_empty", ok=nonw == 0,
+                            data={"non_w_members": nonw}))
 
     signed_expected = sorted(
         (l for l in reach if l.sign == "+"), key=lambda l: l.key()
@@ -760,11 +715,7 @@ def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
             if counts.get(twin, 0) != counts.get(label, 0) or counts.get(label, 0) == 0:
                 pair_bad.append({"label": label.key(), "plus": counts.get(label, 0),
                                  "minus": counts.get(twin, 0)})
-        checks.append({
-            "name": "sign_classes_balanced",
-            "status": "pass" if not pair_bad else "fail",
-            **({"witness": pair_bad} if pair_bad else {}),
-        })
+        checks.append(check("sign_classes_balanced", witness=pair_bad))
 
     return {
         "config": cfg.describe(),

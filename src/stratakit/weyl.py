@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .report import check
+
 LIE_TYPES = ("A", "B", "C", "D")
 
 
@@ -391,15 +393,6 @@ def orthogonal_even_w_word(k: int, hp: int, r: int, s: int, delta: str = "+") ->
     )
 
 
-def orthogonal_even_wprime_word(k: int, hp: int, r: int, s: int, delta: str = "+") -> list[int]:
-    if not (0 <= s < hp < r <= k):
-        raise WeylError(f"bad orthogonal parameters r={r}, s={s} for (k={k}, hp={hp})")
-    if delta == "-" and s == 0 and hp == 1:
-        # the second signed family in the almost-maximal case
-        return [k] + _rng_desc(k - 2, k - r + 1)
-    return _rng_desc(k - hp, k - r + 1) + _rng(k - hp + 1, k - s - 1)
-
-
 def orthogonal_odd_ctx(k: int) -> WeylCtx:
     return WeylCtx("B", k)
 
@@ -507,27 +500,21 @@ def symplectic_audit(t_max: int) -> dict:
                         w = from_word(ctx, word)
                         I = parabolic(ctx, symplectic_index_set(t, h, r, s))
                         lw, dim = length(w), dim_of(r, s)
-                        ok = {"length": lw == dim, "reduced": len(word) == lw,
-                              "minimal": is_min_double_coset(w, I.gens, I.gens)}
-                        ok["dimension"] = ok["minimal"] and dl_dimension(I, w) == dim
-                        ok["action"] = all(act(w, v) == img
-                                           for v, img in action_of(t, h, r, s).items())
-                        good = all(ok.values())
-                        checks.append({
-                            "name": f"{name} t={t} h={h} r={r} s={s}",
-                            "status": "pass" if good else "fail",
-                            **({} if good else {"witness": ok}),
-                        })
+                        held = {"length": lw == dim, "reduced": len(word) == lw,
+                                "minimal": is_min_double_coset(w, I.gens, I.gens)}
+                        held["dimension"] = held["minimal"] and dl_dimension(I, w) == dim
+                        held["action"] = all(act(w, v) == img
+                                             for v, img in action_of(t, h, r, s).items())
+                        checks.append(check(f"{name} t={t} h={h} r={r} s={s}",
+                                            ok=all(held.values()), witness=held))
             top = from_word(ctx, symplectic_w_word(t, h, t, h))
             I_top = parabolic(ctx, symplectic_index_set(t, h, t, h))
             counts.append({
                 "label": f"dl_dim top t={t} h={h}",
                 "count": dl_dimension(I_top, top),
             })
-            checks.append({
-                "name": f"top irreducible t={t} h={h}",
-                "status": "pass" if is_irreducible(I_top, top) else "fail",
-            })
+            checks.append(check(f"top irreducible t={t} h={h}",
+                                ok=is_irreducible(I_top, top)))
     return {"config": {"t_max": t_max, "family": "symplectic"},
             "counts": counts, "checks": checks}
 

@@ -69,7 +69,7 @@ def test_classify_roundtrip(tmp_path, capsys):
     from stratakit.gf import FieldCtx
     from stratakit import space as spc
 
-    sp = spc.build_space(FieldCtx(3, 1, 2), "symplectic", 4)
+    sp = spc.FormedSpace(FieldCtx(3, 1, 2), "symplectic", 4)
     U = spc.Subspace.from_rows(sp, [sp.e(1), sp.e(2)])
     path = tmp_path / "subspace.json"
     path.write_text(json.dumps(spc.subspace_to_json(U)))

@@ -108,8 +108,9 @@ def test_double_dual_random():
     R = ring9()
     sp = id_space(R, 3, tau_index=1)
     rng = random.Random(2)
+    window = lc._standard_window(sp)
     for _ in range(10):
-        M = lc.random_instance(sp, rng)
+        M = lc.random_instance(window, rng)
         assert lattice_eq(dual_sharp(sp, dual_sharp(sp, M)), M)
 
 
@@ -246,6 +247,24 @@ def test_tau_axioms_on_vectors():
                 assert sp.herm(sp.tau_vec(x), sp.tau_vec(y)) == R.sigma(sp.herm(x, y))
                 cx = [R.mul(c, xi) for xi in x]
                 assert sp.tau_vec(cx) == [R.mul(R.sigma(c), t) for t in sp.tau_vec(x)]
+
+
+def test_standard_lattice_inside_its_dual():
+    # every Gram entry is integral, so L0 <= L0-sharp and the standard
+    # window [pi L0-sharp, L0-sharp] needs no fallback
+    spaces = 0
+    for s in (1, 2):
+        for N in (2, 8):
+            R = TruncRing(FieldCtx(3, 1, s), N)
+            for n in (2, 3, 4):
+                L0 = standard_lattice(R, n)
+                for H in lc.gram_family(R, n):
+                    for seed in (0, 1, 2):
+                        for A in tau_generator_set(R, n, seed, H):
+                            sp = HermSpace.build(R, H, A)
+                            assert lc.contains(dual_sharp(sp, L0), L0)
+                            spaces += 1
+    assert spaces > 300
 
 
 def test_rejects_non_unitary_tau():

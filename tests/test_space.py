@@ -7,10 +7,10 @@ from stratakit.gf import FieldCtx
 from stratakit import linalg, space as spc, strata
 from stratakit.space import (
     BudgetExceeded,
+    FormedSpace,
     SpaceError,
     Subspace,
     apply_phi,
-    build_space,
     count_oracle,
     enumerate_subspaces,
     intersect,
@@ -39,35 +39,35 @@ def all_vectors(space, U):
 
 
 def test_build_space_grams():
-    sp = build_space(F3, "symplectic", 4)
+    sp = FormedSpace(F3, "symplectic", 4)
     assert sp.form(sp.e(1), sp.f(1)) == 1
     assert sp.form(sp.f(1), sp.e(1)) == F3.neg(1)
     assert sp.form(sp.e(1), sp.e(2)) == 0
-    so = build_space(F3, "symmetric-odd", 5)
+    so = FormedSpace(F3, "symmetric-odd", 5)
     v = so.e(5)  # highest index is the anisotropic vector
     last = tuple(0 if i != 4 else 1 for i in range(5))
     assert so.form(last, last) == 1
     with pytest.raises(SpaceError):
-        build_space(F3, "symplectic", 3)
+        FormedSpace(F3, "symplectic", 3)
     with pytest.raises(SpaceError):
-        build_space(F3, "symmetric-odd", 4)
+        FormedSpace(F3, "symmetric-odd", 4)
 
 
 def test_phi_fixes_rational_subspaces():
-    sp = build_space(F9, "symplectic", 4)
+    sp = FormedSpace(F9, "symplectic", 4)
     U = Subspace.from_rows(sp, [sp.e(1), sp.f(2)])
     assert apply_phi(U).rows == U.rows
 
 
 def test_phi_nonsplit_swaps_last_pair():
-    sp = build_space(F9, "symmetric-even-nonsplit", 4)
+    sp = FormedSpace(F9, "symmetric-even-nonsplit", 4)
     U = Subspace.from_rows(sp, [sp.e(2)])
     V = apply_phi(U)
     assert V.rows == Subspace.from_rows(sp, [sp.f(2)]).rows
 
 
 def test_phi_order():
-    sp = build_space(F9, "symplectic", 2)
+    sp = FormedSpace(F9, "symplectic", 2)
     rng = random.Random(0)
     for _ in range(10):
         U = Subspace.from_rows(sp, [tuple(rng.randrange(9) for _ in range(2))])
@@ -77,7 +77,7 @@ def test_phi_order():
 
 
 def test_sum_intersect_idempotent_and_plane():
-    sp = build_space(F3, "none", 2)
+    sp = FormedSpace(F3, "none", 2)
     L1 = Subspace.from_rows(sp, [(1, 0)])
     L2 = Subspace.from_rows(sp, [(0, 1)])
     assert sum_spaces(L1, L1).rows == L1.rows
@@ -87,7 +87,7 @@ def test_sum_intersect_idempotent_and_plane():
 
 
 def test_dimension_identity_with_membership_oracle():
-    sp = build_space(F9, "none", 4)
+    sp = FormedSpace(F9, "none", 4)
     rng = random.Random(1)
     for _ in range(8):
         U = Subspace.from_rows(sp, [[rng.randrange(9) for _ in range(4)] for _ in range(2)])
@@ -101,7 +101,7 @@ def test_dimension_identity_with_membership_oracle():
 
 
 def test_perp_examples():
-    sp = build_space(F3, "symplectic", 4)
+    sp = FormedSpace(F3, "symplectic", 4)
     full = spc.full_subspace(sp)
     assert perp(full).dim == 0
     P = perp(Subspace.from_rows(sp, [sp.e(1)]))
@@ -112,7 +112,7 @@ def test_perp_examples():
 
 
 def test_perp_involution_and_reversal():
-    sp = build_space(F9, "symplectic", 4)
+    sp = FormedSpace(F9, "symplectic", 4)
     rng = random.Random(2)
     for _ in range(10):
         U = Subspace.from_rows(sp, [[rng.randrange(9) for _ in range(4)] for _ in range(2)])
@@ -128,9 +128,9 @@ def test_perp_involution_and_reversal():
 
 
 def test_isotropy():
-    sp = build_space(F3, "symplectic", 4)
+    sp = FormedSpace(F3, "symplectic", 4)
     assert is_isotropic(Subspace.from_rows(sp, [(1, 2, 0, 1)]))
-    se = build_space(F3, "symmetric-even-split", 4)
+    se = FormedSpace(F3, "symmetric-even-split", 4)
     e1f1 = tuple(F3.add(a, b) for a, b in zip(se.e(1), se.f(1)))
     assert not is_isotropic(Subspace.from_rows(se, [e1f1]))
     assert is_isotropic(Subspace.from_rows(se, [se.e(1), se.e(2)]))
@@ -138,7 +138,7 @@ def test_isotropy():
 
 def test_semilinearity_of_form_under_phi():
     for kind in ("symplectic", "symmetric-even-split", "symmetric-even-nonsplit"):
-        sp = build_space(F9, kind, 4)
+        sp = FormedSpace(F9, kind, 4)
         rng = random.Random(3)
         for _ in range(20):
             x = tuple(rng.randrange(9) for _ in range(4))
@@ -152,15 +152,15 @@ def test_semilinearity_of_form_under_phi():
 
 
 def test_enumeration_counts():
-    line_space = build_space(F3, "none", 2)
+    line_space = FormedSpace(F3, "none", 2)
     assert sum(1 for _ in enumerate_subspaces(line_space, 1)) == 4
-    sp = build_space(F3, "symplectic", 4)
+    sp = FormedSpace(F3, "symplectic", 4)
     assert sum(1 for _ in enumerate_subspaces(sp, 2, isotropic_only=True)) == 40
     assert sum(1 for _ in enumerate_subspaces(sp, 2)) == 130
 
 
 def test_enumeration_deterministic_and_canonical():
-    sp = build_space(F3, "symplectic", 4)
+    sp = FormedSpace(F3, "symplectic", 4)
     first = [U.rows for U in enumerate_subspaces(sp, 2)]
     second = [U.rows for U in enumerate_subspaces(sp, 2)]
     assert first == second
@@ -173,7 +173,7 @@ def test_enumeration_deterministic_and_canonical():
 
 
 def test_budget():
-    sp = build_space(F9, "none", 4)
+    sp = FormedSpace(F9, "none", 4)
     with pytest.raises(BudgetExceeded):
         list(enumerate_subspaces(sp, 2, budget=10))
 
@@ -184,33 +184,33 @@ def test_budget():
     ("symmetric-even-nonsplit", 4, 2), ("symmetric-odd", 5, 1), ("symmetric-odd", 5, 2),
 ])
 def test_count_oracle_against_enumeration(kind, dim, d):
-    sp = build_space(F3, kind, dim)
+    sp = FormedSpace(F3, kind, dim)
     got = sum(1 for _ in enumerate_subspaces(sp, d, isotropic_only=True))
     assert count_oracle(sp, d, isotropic_only=True) == got
     assert count_oracle(sp, d) == sum(1 for _ in enumerate_subspaces(sp, d))
 
 
 def test_count_oracle_trivia():
-    sp = build_space(F3, "symplectic", 4)
+    sp = FormedSpace(F3, "symplectic", 4)
     assert count_oracle(sp, 0) == 1
     assert count_oracle(sp, 2, isotropic_only=True) == 40
 
 
 def test_subspace_json_roundtrip():
-    sp = build_space(F9, "symplectic", 4)
+    sp = FormedSpace(F9, "symplectic", 4)
     U = Subspace.from_rows(sp, [(1, 4, 0, 7), (0, 0, 1, 2)])
     V = subspace_from_json(subspace_to_json(U))
     assert V.rows == U.rows and V.space == U.space
 
 
 def test_kernel_outputs_are_plain_ints():
-    sp = build_space(F9, "symmetric-even-nonsplit", 4)
+    sp = FormedSpace(F9, "symmetric-even-nonsplit", 4)
     rows = [(2, 5, 0, 7), (1, 1, 3, 1), (4, 0, 8, 2)]
     red, _ = linalg.rref(F9, rows)
     U = Subspace.from_rows(sp, rows[:2])
     W = Subspace.from_rows(sp, rows[1:])
     outputs = {"rref": red, "apply_phi": apply_phi(U).rows, "intersect": intersect(U, W).rows}
-    untwisted = build_space(F9, "symplectic", 4)
+    untwisted = FormedSpace(F9, "symplectic", 4)
     outputs["apply_phi untwisted"] = apply_phi(Subspace.from_rows(untwisted, rows[:2])).rows
     for name, mat in outputs.items():
         assert mat and all(type(x) is int for row in mat for x in row), name
@@ -238,7 +238,7 @@ def test_untwisted_apply_phi_equals_reduced_frobenius_rows(cfg):
 def test_sparse_form_equals_dense_gram_sum(kind, dim):
     """Over a prime field codes are residues, so the dense sum
     sum_ij x_i g_ij y_j can be taken with integers mod p."""
-    sp = build_space(F3, kind, dim)
+    sp = FormedSpace(F3, kind, dim)
     p = F3.p
     vectors = list(itertools.product(range(p), repeat=dim))
     for x in vectors:

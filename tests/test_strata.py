@@ -118,6 +118,25 @@ def test_kr_class_matches_label_fiber():
             assert kr == "wprime"
 
 
+def test_kr_class_matches_isotropy_of_first_sum():
+    # the pairwise-form shortcut against the span it stands for, on every
+    # member: symplectic, split, non-split and odd symmetric spaces, with
+    # members of dimension 1 and 2
+    kinds = set()
+    for cfg in (cfg_z(4, 2), cfg_z(4, 0), cfg_y(4, 2, 0, -1), cfg_y(6, 4, 2, 1),
+                cfg_y(4, 4, 0, 1), cfg_y(5, 2, 0, -1), cfg_y(5, 4, 0, -1)):
+        for U in enumerate_members(cfg):
+            phiU = spc.apply_phi(U)
+            if phiU.rows == U.rows:
+                want = "id"
+            else:
+                want = "wprime" if spc.is_isotropic(spc.sum_spaces(U, phiU)) else "w"
+            assert kr_class(cfg, U) == want, (cfg.describe(), U.rows)
+            kinds.add((cfg.space_kind, want))
+    assert {kind for _, kind in kinds} == {"id", "w", "wprime"}
+    assert len({space for space, _ in kinds}) == 4
+
+
 FROZEN_COUNTS = {
     # exhaustive runs, frozen: (case params, k) -> {label: count}
     ("Z", 4, 0, 1): {"id(0,0)": 40},
