@@ -8,12 +8,12 @@ context is cheap to use but bounded in size (desk scale, a few thousand
 elements).
 
 The operation tables are plain Python lists: ``ADD`` and ``MUL`` nested
-(``ADD[a][b]``), ``NEG``, ``INV`` and ``FROB`` flat.  Their callers are
-pure-Python loops over single codes, where indexing a list is several
-times cheaper than indexing a numpy array and yields a plain ``int``
-rather than a numpy scalar.  Every entry is one of the shared ``int``
-objects of ``list(range(size))``, so a table costs one pointer per entry.
-numpy is used only while the tables are built.
+(``ADD[a][b]``), ``NEG``, ``INV``, ``FROB`` and ``FROB_INV`` flat.  Their
+callers are pure-Python loops over single codes, where indexing a list is
+several times cheaper than indexing a numpy array and yields a plain
+``int`` rather than a numpy scalar.  Every entry is one of the shared
+``int`` objects of ``list(range(size))``, so a table costs one pointer per
+entry.  numpy is used only while the tables are built.
 
 The context views its field as the degree-``k`` extension of a base field
 GF(q), q = p^e, and exposes the arithmetic Frobenius ``x -> x**q``.  The
@@ -247,9 +247,10 @@ class FieldCtx:
         self.MUL = [[0] * n] + [[0] + list(map(exp[la : la + n - 1].__getitem__, nz_logs))
                                 for la in nz_logs]
         self.INV = [0] + [exp[(n - 1 - la) % (n - 1)] for la in nz_logs]
-        # arithmetic Frobenius x -> x^q and its fixed set (the base field)
-        qm = self.q % (n - 1)
+        # Frobenius x -> x^q, its inverse x -> x^(q^(k-1)), its fixed set (the base field)
+        qm, qi = self.q % (n - 1), pow(self.q, self.k - 1, n - 1)
         self.FROB = [0] + [exp[la * qm % (n - 1)] for la in nz_logs]
+        self.FROB_INV = [0] + [exp[la * qi % (n - 1)] for la in nz_logs]
         self.base_codes = tuple(a for a in codes if self.FROB[a] == a)
 
     # -- scalar ops on codes ---------------------------------------------

@@ -154,13 +154,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         return linalg.contains_vector(self.space.ctx, self.rows, self.pivots, vec)
 
-    def key(self) -> tuple:
-        return self.rows
-
-
-def zero_subspace(space: FormedSpace) -> Subspace:
-    return Subspace(space, (), ())
-
 
 def full_subspace(space: FormedSpace) -> Subspace:
     rows = tuple(space.e(i + 1) for i in range(space.dim))
@@ -184,9 +177,10 @@ def apply_phi(U: Subspace, power: int = 1) -> Subspace:
     return Subspace.from_rows(space, rows)
 
 
-def _phi_vector(space: FormedSpace, v: tuple[int, ...]) -> tuple[int, ...]:
-    """Twisted Frobenius of one coordinate vector."""
-    FROB = space.ctx.FROB
+def _phi_vector(space: FormedSpace, v: tuple[int, ...], inverse: bool = False) -> tuple[int, ...]:
+    """Twisted Frobenius of one coordinate vector, or its inverse (the
+    basis permutation is an involution)."""
+    FROB = space.ctx.FROB_INV if inverse else space.ctx.FROB
     perm = space.phi_perm
     out = [0] * space.dim
     for j, x in enumerate(v):

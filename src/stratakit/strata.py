@@ -22,11 +22,13 @@ identities, Kottwitz-Rapoport fibers and sign-class statistics.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .gf import FieldCtx
 from . import linalg, space as spc
+from .linalg import gaussian_binomial
 from .report import check, inconclusive
 from .space import (
     BudgetExceeded,
@@ -455,24 +457,37 @@ def top_label(cfg: StrataConfig) -> StratumLabel:
 
 # -- member enumeration ---------------------------------------------------
 
-def rational_form_basis(sp: FormedSpace) -> list[tuple[int, ...]]:
-    """A basis of the Frobenius-fixed form of the space.
+def _fixed_vectors(sp: FormedSpace, rows, power: int = 1):
+    """Phi^power-fixed vectors spanning the span of ``rows``, which must be
+    Phi^power-stable (Galois descent).
 
-    For the untwisted kinds this is the standard basis.  For the
-    non-split twist, vectors v + Phi(v) are fixed; sweeping v over scaled
-    standard basis vectors yields a full fixed basis.
+    The echelon rows of a stable subspace of an untwisted space are fixed
+    already.  In the twisted kind sigma = Phi^power has order r on vectors,
+    and the traces cv + sigma(cv) + ... + sigma^(r-1)(cv) span the fixed
+    vectors when c runs over the basis 1, g, ..., g^(r-1) of the field
+    over the fixed field of sigma (g primitive).
     """
-    ctx = sp.ctx
     if sp.kind != "symmetric-even-nonsplit":
-        return [sp.e(i + 1) for i in range(sp.dim)]
+        yield from rows
+        return
+    ctx = sp.ctx
+    ADD, MUL = ctx.ADD, ctx.MUL
+    order = ctx.k // math.gcd(ctx.k, power)
+    for i in range(order):
+        c = MUL[ctx.pow(ctx.gen_code, i)]
+        for v in rows:
+            w = acc = tuple(c[x] for x in v)
+            for _ in range(order - 1):
+                for _ in range(power):
+                    w = spc._phi_vector(sp, w)
+                acc = tuple(ADD[a][b] for a, b in zip(acc, w))
+            yield acc
 
-    def fixed_vectors():
-        for scal in (1, ctx.gen_code):
-            for i in range(sp.dim):
-                v = tuple(scal if j == i else 0 for j in range(sp.dim))
-                yield tuple(ctx.add(a, b) for a, b in zip(v, spc._phi_vector(sp, v)))
 
-    basis = _extend_basis(ctx, [], fixed_vectors())
+def rational_form_basis(sp: FormedSpace) -> list[tuple[int, ...]]:
+    """A basis of Frobenius-fixed vectors: the standard basis in the
+    untwisted kinds, traces of scaled standard vectors in the twisted one."""
+    basis = _extend_basis(sp.ctx, [], _fixed_vectors(sp, spc.full_subspace(sp).rows))
     if len(basis) != sp.dim:
         raise RuntimeError("failed to build a fixed basis (bug)")
     return basis
@@ -491,16 +506,19 @@ def _extend_basis(ctx: FieldCtx, rows, candidates) -> list[tuple[int, ...]]:
     return out
 
 
-def _combine(ctx: FieldCtx, basis, coeffs) -> tuple[int, ...]:
+def _nonzero(rows) -> list[list[tuple[int, int]]]:
+    return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+
+
+def _combine(ctx: FieldCtx, n: int, basis, coeffs) -> tuple[int, ...]:
+    """The vector sum of c * b over coeffs and the ``_nonzero`` basis rows."""
     ADD, MUL = ctx.ADD, ctx.MUL
-    n = len(basis[0])
     out = [0] * n
     for c, vec in zip(coeffs, basis):
         if c:
             m = MUL[c]
-            for j, x in enumerate(vec):
-                if x:
-                    out[j] = ADD[out[j]][m[x]]
+            for j, x in vec:
+                out[j] = ADD[out[j]][m[x]]
     return tuple(out)
 
 
@@ -510,21 +528,21 @@ def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
     if sp.kind != "symmetric-even-nonsplit":
         yield from spc.enumerate_subspaces(sp, d, k=1, isotropic_only=isotropic_only)
         return
-    basis = rational_form_basis(sp)
+    basis, n = _nonzero(rational_form_basis(sp)), sp.dim
     base_scalars = ctx.subfield_codes(1)
     row_filter = None
     if isotropic_only:
         form = sp.form
 
         def row_filter(coeff_rows):
-            new = _combine(ctx, basis, coeff_rows[-1])
+            new = _combine(ctx, n, basis, coeff_rows[-1])
             if form(new, new) != 0:
                 return False
-            return all(form(_combine(ctx, basis, r), new) == 0
+            return all(form(_combine(ctx, n, basis, r), new) == 0
                        for r in coeff_rows[:-1])
 
     for rows in linalg.enumerate_echelon(ctx, sp.dim, d, base_scalars, row_filter):
-        vecs = [_combine(ctx, basis, r) for r in rows]
+        vecs = [_combine(ctx, n, basis, r) for r in rows]
         U = Subspace.from_rows(sp, vecs)
         if U.dim != d:
             raise RuntimeError("fixed basis was not independent (bug)")
@@ -534,80 +552,65 @@ def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
 def enumerate_members(cfg: StrataConfig, budget: int | None = None):
     """Stream every member rational over GF(q^k), exactly once.
 
-    For k = 1 and k = 2 this uses the Galois shortcut (the intersection
-    with the Frobenius image of a GF(q^2)-rational member is itself
-    Frobenius stable); the generic filter handles other degrees.  The
-    shortcut is validated against the generic enumerator in the tests.
+    A member U that is not Phi-stable runs down its chain
+    U = U_0 > U_1 > ... > U_v = B, U_(i+1) = U_i cap Phi(U_i), one
+    dimension a step, to its Phi-stable bottom B; and U_(i-1) is
+    U_i + Phi^-1(U_i), so U is the Frobenius-Krylov span
+    B + <y, Phi^-1 y, ..., Phi^-(v-1) y> of a vector y spanning U_(v-1)/B.
+    As Phi^k(U) = U, y can be taken Phi^k-fixed in a GF(q^k)-rational
+    complement of B (in B^perp in the formed cases), where it is unique up
+    to a scalar.  Conversely, such a span is a member with bottom B when
+    it is isotropic (y isotropic and orthogonal to each Phi^-j y, j < v),
+    has dimension d, and misses Phi^-v y.  So the members are enumerated
+    as pairs (B, y), the stable ones (v = 0) first.  Since Phi^-k y = y,
+    v <= k - 1: at v = k the span would contain Phi^-v y, and past k it
+    would have dimension below d.
     """
     sp = cfg.build_space()
-    d = cfg.member_dim
-    iso = cfg.case in ("Z", "Y")
-    k = cfg.k
-    if d == 0:
-        yield spc.zero_subspace(sp)
-        return
-    if k == 1:
-        for U in rational_subspaces(sp, d, iso):
-            yield U
-        return
-    if k == 2:
-        yield from _members_k2(cfg, sp, d, iso, budget)
-        return
-    # generic: full coordinate enumeration plus stability filter
-    for U in spc.enumerate_subspaces(sp, d, isotropic_only=iso, budget=budget):
-        if apply_phi(U, k).rows != U.rows:
-            continue
-        if member(cfg, U):
-            yield U
-
-
-def _members_k2(cfg: StrataConfig, sp: FormedSpace, d: int, iso: bool, budget: int | None):
     ctx = sp.ctx
-    limit = spc.SUBSPACE_BUDGET if budget is None else budget
-    # upfront scan estimate: stable (d-1)-subspaces times quotient lines
-    n_w = spc.count_oracle(sp, d - 1, k=1, isotropic_only=iso)
-    quot = sp.dim - 2 * (d - 1) if iso else sp.dim - (d - 1)
-    if n_w is not None and quot >= 1:
-        lines = (ctx.size**quot - 1) // (ctx.size - 1)
-        if n_w * lines > limit:
-            raise BudgetExceeded(
-                f"estimated {n_w * lines} member candidates exceeds budget {limit}")
-    scanned = 0
-    # stable members
-    for U in rational_subspaces(sp, d, iso):
-        yield U
-    # members U with U != Phi(U): W = U cap Phi(U) is Phi-stable of dim d-1
+    d, k = cfg.member_dim, cfg.k
+    iso = cfg.case in ("Z", "Y")
     symmetric = sp.kind.startswith("symmetric")
-    for W in rational_subspaces(sp, d - 1, iso):
-        if iso:
-            amb = perp(W)
-        else:
-            amb = spc.full_subspace(sp)
-        comp = _extend_basis(ctx, W.rows, amb.rows)  # completes W to a basis of amb
-        if not comp:
-            continue
-        wrows = list(W.rows)
-        for coeffs in _line_reps(ctx, len(comp)):
-            scanned += 1
-            if scanned > limit:
-                raise BudgetExceeded(f"member scan exceeded budget {limit}")
-            v = _combine(ctx, comp, coeffs)
-            if symmetric and sp.form(v, v) != 0:
-                continue
-            U = Subspace.from_rows(sp, wrows + [v])
-            if U.dim != d:
-                continue
-            fv = spc._phi_vector(sp, v)
-            if U.contains(fv):
-                continue  # Phi-stable: already produced by the rational pass
-            yield U
+    scalars = ctx.subfield_codes(k)
+    vmax = min(d, k - 1)
+    limit = spc.SUBSPACE_BUDGET if budget is None else budget
+    # upfront scan estimate: stable bottoms times the lines of a complement
+    estimate = sum(spc.count_oracle(sp, d - v, k=1, isotropic_only=iso)
+                   * gaussian_binomial(sp.dim - (2 if iso else 1) * (d - v), 1, len(scalars))
+                   for v in range(1, vmax + 1))
+    if estimate > limit:
+        raise BudgetExceeded(f"estimated {estimate} member candidates exceeds budget {limit}")
+    yield from rational_subspaces(sp, d, iso)
+    form = sp.form
+    scanned = 0
+    for v in range(1, vmax + 1):
+        for B in rational_subspaces(sp, d - v, iso):
+            amb = perp(B) if iso else spc.full_subspace(sp)
+            comp = _nonzero(_extend_basis(ctx, B.rows, _fixed_vectors(sp, amb.rows, k)))
+            for coeffs in _line_reps(scalars, len(comp)):
+                scanned += 1
+                if scanned > limit:
+                    raise BudgetExceeded(f"member scan exceeded budget {limit}")
+                y = _combine(ctx, sp.dim, comp, coeffs)
+                if symmetric and form(y, y):
+                    continue
+                rows = [*B.rows, y]
+                z = spc._phi_vector(sp, y, True)  # the next Krylov vector
+                for _ in range(v - 1):
+                    if iso and form(y, z):
+                        break
+                    rows.append(z)
+                    z = spc._phi_vector(sp, z, True)
+                else:
+                    U = Subspace.from_rows(sp, rows)
+                    if U.dim == d and not U.contains(z):
+                        yield U
 
 
-def _line_reps(ctx: FieldCtx, m: int):
-    """Canonical projective representatives of lines in ctx^m."""
-    size = ctx.size
+def _line_reps(scalars, m: int):
+    """Canonical projective representatives of lines in scalars^m."""
     for lead in range(m):
-        for tail in itertools.product(range(size), repeat=m - lead - 1):
+        for tail in itertools.product(scalars, repeat=m - lead - 1):
             yield (0,) * lead + (1,) + tail
 
 
@@ -686,10 +689,11 @@ def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
         "index_minus_closure": sorted(l.key() for l in expected - closure_union),
     }))
 
+    # sorted: label hashes include hash(None), which varies between runs
     mono_bad = []
-    for label in expected:
+    for label in sorted(expected, key=StratumLabel.key):
         dl = reference_dimension(cfg, label)
-        for other in closure_index_set(cfg, label):
+        for other in sorted(closure_index_set(cfg, label), key=StratumLabel.key):
             if other != label and reference_dimension(cfg, other) >= dl:
                 mono_bad.append((label.key(), other.key()))
     checks.append(check("dimension_monotonicity", witness=mono_bad))

@@ -34,6 +34,22 @@ def test_budget_exit_three(capsys):
     assert data["stable"]["checks"][0]["status"] == "inconclusive"
 
 
+def test_budget_exit_three_at_k3(capsys):
+    code, out = run(capsys, "strata", "verify", "--case", "z", "--q", "3",
+                    "--k", "3", "--t", "4", "--h", "0", "--budget", "10")
+    assert code == 3
+    data = json.loads(out)
+    assert data["stable"]["checks"][0]["status"] == "inconclusive"
+
+
+def test_nonsplit_lagrangians_at_k3_exit_zero(capsys):
+    # the non-split form stays non-split over GF(27): no isotropic planes
+    code, out = run(capsys, "strata", "verify", "--case", "y", "--q", "3", "--k", "3",
+                    "--n", "4", "--h", "4", "--t", "0", "--eps", "1")
+    assert code == 0
+    assert json.loads(out)["stable"]["counts"] == []
+
+
 def test_latcalc_budget_exit_three(capsys):
     for argv in (("latcalc", "inclusions", "--n", "2", "--h", "2", "--budget", "5"),
                  ("latcalc", "dichotomy", "--n", "2", "--s", "2", "--exhaustive",

@@ -1,6 +1,7 @@
 import pytest
 
 from stratakit import space as spc, strata
+from stratakit.gf import FieldCtx
 from stratakit.strata import (
     ConfigError,
     StrataConfig,
@@ -81,16 +82,44 @@ def test_degenerate_worst_point():
     assert counts == {StratumLabel(2, 2, "id"): 1}
 
 
+def _coordinate_scan(cfg):
+    """Reference members: every (isotropic) coordinate subspace over the
+    working field that is rational over GF(q^k) and passes ``member``."""
+    sp = cfg.build_space()
+    iso = cfg.case in ("Z", "Y")
+    return {U.rows for U in spc.enumerate_subspaces(sp, cfg.member_dim, isotropic_only=iso)
+            if spc.apply_phi(U, cfg.k).rows == U.rows and member(cfg, U)}
+
+
 def test_fast_path_matches_generic_enumeration():
-    for cfg in (cfg_z(4, 2), cfg_y(5, 2, 0, -1), cfg_y(6, 4, 2, 1), cfg_zy(6, 2, 0)):
-        fast = {u.rows for u in enumerate_members(cfg)}
-        sp = cfg.build_space()
-        iso = cfg.case in ("Z", "Y")
-        generic = set()
-        for U in spc.enumerate_subspaces(sp, cfg.member_dim, isotropic_only=iso):
-            if spc.apply_phi(U, cfg.k).rows == U.rows and member(cfg, U):
-                generic.add(U.rows)
-        assert fast == generic
+    # k = 2 (one Krylov step) and k = 3 (up to two, and for the non-split
+    # form a GF(q^3)-rational complement inside GF(q^6) coordinates)
+    for cfg in (cfg_z(4, 2), cfg_y(5, 2, 0, -1), cfg_y(6, 4, 2, 1), cfg_zy(6, 2, 0),
+                cfg_z(4, 0, k=3), cfg_z(4, 2, k=3), cfg_zy(6, 2, 0, k=3),
+                cfg_y(4, 2, 0, -1, k=3), cfg_y(4, 4, 2, 1, k=3)):
+        fast = [u.rows for u in enumerate_members(cfg)]
+        assert len(fast) == len(set(fast)), cfg.describe()
+        assert set(fast) == _coordinate_scan(cfg), cfg.describe()
+
+
+def test_nonsplit_quadric_points_at_odd_k():
+    # members of Y n6 h4 t2 are the isotropic lines of the non-split
+    # 4-space; over GF(27) the elliptic quadric has 27^2 + 1 points
+    cfg = cfg_y(6, 4, 2, 1, k=3)
+    assert cfg.member_dim == 1 and cfg.ambient_degree == 6
+    assert sum(1 for _ in enumerate_members(cfg)) == 27**2 + 1
+
+
+def test_rational_form_basis_is_fixed_beyond_degree_two():
+    # over GF(729) the twisted Frobenius has order 6, so v + Phi(v) is not
+    # fixed; the trace over the whole orbit is
+    sp = spc.FormedSpace(FieldCtx(3, 1, 6), "symmetric-even-nonsplit", 4)
+    basis = strata.rational_form_basis(sp)
+    assert len(basis) == 4
+    assert all(spc._phi_vector(sp, v) == v for v in basis)
+    lines = {U.rows for U in strata.rational_subspaces(sp, 1, True)}
+    assert len(lines) == 3**2 + 1
+    assert all(spc.apply_phi(spc.Subspace.from_rows(sp, rows)).rows == rows for rows in lines)
 
 
 def test_phi_equivariance_of_labels():
@@ -271,6 +300,17 @@ def test_verify_decomposition_passes():
         rep = verify_decomposition(cfg)
         bad = [c for c in rep["checks"] if c["status"] != "pass"]
         assert not bad, (cfg.describe(), bad)
+
+
+def test_monotonicity_witness_is_sorted(monkeypatch):
+    # a failing dimension_monotonicity check lists its pairs in key order,
+    # not in the order of a frozenset of labels
+    monkeypatch.setattr(strata, "reference_dimension", lambda cfg, label: 0)
+    rep = verify_decomposition(cfg_z(6, 2, k=1))
+    mono = next(c for c in rep["checks"] if c["name"] == "dimension_monotonicity")
+    assert mono["status"] == "fail"
+    assert len(mono["witness"]) > 1
+    assert mono["witness"] == sorted(mono["witness"])
 
 
 def test_verify_budget_inconclusive():
