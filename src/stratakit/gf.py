@@ -247,11 +247,10 @@ class FieldCtx:
         self.MUL = [[0] * n] + [[0] + list(map(exp[la : la + n - 1].__getitem__, nz_logs))
                                 for la in nz_logs]
         self.INV = [0] + [exp[(n - 1 - la) % (n - 1)] for la in nz_logs]
-        # Frobenius x -> x^q, its inverse x -> x^(q^(k-1)), its fixed set (the base field)
+        # Frobenius x -> x^q and its inverse x -> x^(q^(k-1))
         qm, qi = self.q % (n - 1), pow(self.q, self.k - 1, n - 1)
         self.FROB = [0] + [exp[la * qm % (n - 1)] for la in nz_logs]
         self.FROB_INV = [0] + [exp[la * qi % (n - 1)] for la in nz_logs]
-        self.base_codes = tuple(a for a in codes if self.FROB[a] == a)
 
     # -- scalar ops on codes ---------------------------------------------
 

@@ -17,7 +17,6 @@ is equality of subspaces.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .gf import FieldCtx
@@ -25,8 +24,6 @@ from . import linalg
 from .linalg import gaussian_binomial
 
 KINDS = ("symplectic", "symmetric-even-split", "symmetric-even-nonsplit", "symmetric-odd", "none")
-
-SUBSPACE_BUDGET = int(os.environ.get("STRATAKIT_SUBSPACE_BUDGET", 10**7))
 
 
 class SpaceError(ValueError):
@@ -160,18 +157,14 @@ def full_subspace(space: FormedSpace) -> Subspace:
     return Subspace(space, rows, tuple(range(space.dim)))
 
 
-def apply_phi(U: Subspace, power: int = 1) -> Subspace:
+def apply_phi(U: Subspace) -> Subspace:
     """Twisted Frobenius: entrywise q-power then the basis permutation.
 
     Without a permutation the result needs no reduction: FROB fixes 0 and
     1, so it maps a reduced echelon matrix to one with the same pivots.
     """
     space = U.space
-    if power < 0:
-        raise SpaceError("negative Frobenius power")
-    rows = U.rows
-    for _ in range(power % _phi_order(space)):
-        rows = tuple(_phi_vector(space, r) for r in rows)
+    rows = tuple(_phi_vector(space, r) for r in U.rows)
     if space.kind != "symmetric-even-nonsplit":
         return Subspace(space, rows, U.pivots)
     return Subspace.from_rows(space, rows)
@@ -187,14 +180,6 @@ def _phi_vector(space: FormedSpace, v: tuple[int, ...], inverse: bool = False) -
         if x:
             out[perm[j]] = FROB[x]
     return tuple(out)
-
-
-def _phi_order(space: FormedSpace) -> int:
-    # order of the twisted Frobenius on subspaces with entries in the ctx
-    k = space.ctx.k
-    if space.kind == "symmetric-even-nonsplit":
-        return k if k % 2 == 0 else 2 * k
-    return max(k, 1)
 
 
 def sum_spaces(U: Subspace, W: Subspace) -> Subspace:
@@ -224,54 +209,22 @@ def is_isotropic(U: Subspace) -> bool:
     if space.gram is None:
         raise SpaceError("is_isotropic needs a formed space")
     rows = U.rows
-    symmetric = space.kind.startswith("symmetric")
-    for i in range(len(rows)):
-        if symmetric and space.form(rows[i], rows[i]) != 0:
-            return False
-        for j in range(i + 1, len(rows)):
-            if space.form(rows[i], rows[j]) != 0:
-                return False
-    return True
+    return all(isotropic_extension(space, rows[:i], rows[i]) for i in range(len(rows)))
+
+
+def isotropic_extension(space: FormedSpace, rows, v) -> bool:
+    """Whether v is isotropic and orthogonal to each of ``rows``, i.e.
+    whether an isotropic span of ``rows`` stays isotropic with v added.
+    Every vector is isotropic under an alternating form."""
+    form = space.form
+    if space.kind.startswith("symmetric") and form(v, v) != 0:
+        return False
+    return all(form(r, v) == 0 for r in rows)
 
 
 def _check_same(U: Subspace, W: Subspace) -> None:
     if U.space != W.space:
         raise SpaceError("subspaces live in different ambient spaces")
-
-
-def enumerate_subspaces(space: FormedSpace, d: int, k: int | None = None,
-                        isotropic_only: bool = False, budget: int | None = None):
-    """Stream every d-dimensional subspace with entries in GF(q^k) once.
-
-    ``k`` is the coordinate subfield degree over the base field (defaults
-    to the full working extension).  Deterministic order: echelon pivot
-    patterns lexicographically, free entries in field enumeration order.
-    """
-    ctx = space.ctx
-    if k is None:
-        k = ctx.k
-    scalars = ctx.subfield_codes(k)
-    total = count_oracle(space, d, k, isotropic_only)
-    if total is None:
-        total = gaussian_binomial(space.dim, d, len(scalars))
-    limit = SUBSPACE_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceeded(f"{total} subspaces exceeds budget {limit}")
-    row_filter = None
-    if isotropic_only:
-        if space.gram is None:
-            raise SpaceError("isotropic enumeration needs a formed space")
-        symmetric = space.kind.startswith("symmetric")
-        form = space.form
-
-        def row_filter(rows):
-            new = rows[-1]
-            if symmetric and form(new, new) != 0:
-                return False
-            return all(form(r, new) == 0 for r in rows[:-1])
-
-    for rows in linalg.enumerate_echelon(ctx, space.dim, d, scalars, row_filter):
-        yield Subspace(space, rows, tuple(_pivots_of(rows)))
 
 
 def _pivots_of(rows) -> list[int]:
@@ -284,40 +237,33 @@ def _pivots_of(rows) -> list[int]:
     return piv
 
 
-def count_oracle(space: FormedSpace, d: int, k: int | None = None,
-                 isotropic_only: bool = False) -> int | None:
-    """Closed-form subspace count, or None when only enumeration will do.
+def count_oracle(space: FormedSpace, d: int, isotropic_only: bool = False) -> int:
+    """Closed-form count of the Frobenius-stable d-subspaces, isotropic
+    ones only when asked.
 
-    Unfiltered counts are gaussian binomials.  Isotropic counts use the
-    classical product formulas for the symplectic, split hyperbolic even
-    and odd symmetric kinds (the stored Gram is hyperbolic in all even
-    kinds; the non-split twist only changes the Frobenius, not the form).
+    A stable subspace is spanned by its Frobenius-fixed vectors (Galois
+    descent), so these are the d-subspaces of the GF(q)-rational form:
+    gaussian binomials, and for isotropic ones the product formulas of the
+    symplectic, odd, split (plus type) and non-split (minus type) forms.
     """
-    ctx = space.ctx
-    if k is None:
-        k = ctx.k
-    Q = ctx.q ** k
+    Q = space.ctx.q
     n = space.dim
     if not isotropic_only:
         return gaussian_binomial(n, d, Q)
     if space.gram is None:
         raise SpaceError("isotropic count needs a formed space")
-    if d == 0:
-        return 1
     m = n // 2
     if d > m:
         return 0
     num = den = 1
-    if space.kind in ("symplectic", "symmetric-odd"):
-        for i in range(d):
+    for i in range(d):
+        if space.kind in ("symplectic", "symmetric-odd"):
             num *= Q ** (2 * (m - i)) - 1
-            den *= Q ** (i + 1) - 1
-    elif space.kind in ("symmetric-even-split", "symmetric-even-nonsplit"):
-        for i in range(d):
+        elif space.kind == "symmetric-even-split":
             num *= (Q ** (m - i) - 1) * (Q ** (m - i - 1) + 1)
-            den *= Q ** (i + 1) - 1
-    else:
-        return None
+        else:
+            num *= (Q ** (m - i) + 1) * (Q ** (m - i - 1) - 1)
+        den *= Q ** (i + 1) - 1
     assert num % den == 0
     return num // den
 

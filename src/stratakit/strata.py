@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ from .space import (
     perp,
     sum_spaces,
 )
+
+SUBSPACE_BUDGET = int(os.environ.get("STRATAKIT_SUBSPACE_BUDGET", 10**7))
 
 
 class ConfigError(ValueError):
@@ -523,30 +526,21 @@ def _combine(ctx: FieldCtx, n: int, basis, coeffs) -> tuple[int, ...]:
 
 
 def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
-    """All Frobenius-stable d-subspaces, via the fixed-form basis."""
+    """Every Frobenius-stable d-subspace (isotropic ones only when asked),
+    once: the spans of the echelon GF(q) coefficient rows over
+    ``rational_form_basis``.  In the untwisted kinds that basis is the
+    standard one, so these are the GF(q)-rational echelon matrices."""
     ctx = sp.ctx
-    if sp.kind != "symmetric-even-nonsplit":
-        yield from spc.enumerate_subspaces(sp, d, k=1, isotropic_only=isotropic_only)
-        return
     basis, n = _nonzero(rational_form_basis(sp)), sp.dim
-    base_scalars = ctx.subfield_codes(1)
     row_filter = None
     if isotropic_only:
-        form = sp.form
 
         def row_filter(coeff_rows):
-            new = _combine(ctx, n, basis, coeff_rows[-1])
-            if form(new, new) != 0:
-                return False
-            return all(form(_combine(ctx, n, basis, r), new) == 0
-                       for r in coeff_rows[:-1])
+            vecs = [_combine(ctx, n, basis, r) for r in coeff_rows]
+            return spc.isotropic_extension(sp, vecs[:-1], vecs[-1])
 
-    for rows in linalg.enumerate_echelon(ctx, sp.dim, d, base_scalars, row_filter):
-        vecs = [_combine(ctx, n, basis, r) for r in rows]
-        U = Subspace.from_rows(sp, vecs)
-        if U.dim != d:
-            raise RuntimeError("fixed basis was not independent (bug)")
-        yield U
+    for rows in linalg.enumerate_echelon(ctx, n, d, ctx.subfield_codes(1), row_filter):
+        yield Subspace.from_rows(sp, [_combine(ctx, n, basis, r) for r in rows])
 
 
 def enumerate_members(cfg: StrataConfig, budget: int | None = None):
@@ -564,35 +558,34 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
     has dimension d, and misses Phi^-v y.  So the members are enumerated
     as pairs (B, y), the stable ones (v = 0) first.  Since Phi^-k y = y,
     v <= k - 1: at v = k the span would contain Phi^-v y, and past k it
-    would have dimension below d.
+    would have dimension below d.  ``budget`` (default ``SUBSPACE_BUDGET``)
+    bounds the stable members plus the (B, y) candidates, counted in closed
+    form before the scan starts.
     """
     sp = cfg.build_space()
     ctx = sp.ctx
     d, k = cfg.member_dim, cfg.k
     iso = cfg.case in ("Z", "Y")
-    symmetric = sp.kind.startswith("symmetric")
     scalars = ctx.subfield_codes(k)
     vmax = min(d, k - 1)
-    limit = spc.SUBSPACE_BUDGET if budget is None else budget
-    # upfront scan estimate: stable bottoms times the lines of a complement
-    estimate = sum(spc.count_oracle(sp, d - v, k=1, isotropic_only=iso)
-                   * gaussian_binomial(sp.dim - (2 if iso else 1) * (d - v), 1, len(scalars))
-                   for v in range(1, vmax + 1))
+    limit = SUBSPACE_BUDGET if budget is None else budget
+    # the one budget gate, exact: the stable members, then for each v the
+    # stable bottoms times the lines of their complement
+    estimate = spc.count_oracle(sp, d, iso) + sum(
+        spc.count_oracle(sp, d - v, iso)
+        * gaussian_binomial(sp.dim - (2 if iso else 1) * (d - v), 1, len(scalars))
+        for v in range(1, vmax + 1))
     if estimate > limit:
         raise BudgetExceeded(f"estimated {estimate} member candidates exceeds budget {limit}")
     yield from rational_subspaces(sp, d, iso)
     form = sp.form
-    scanned = 0
     for v in range(1, vmax + 1):
         for B in rational_subspaces(sp, d - v, iso):
             amb = perp(B) if iso else spc.full_subspace(sp)
             comp = _nonzero(_extend_basis(ctx, B.rows, _fixed_vectors(sp, amb.rows, k)))
             for coeffs in _line_reps(scalars, len(comp)):
-                scanned += 1
-                if scanned > limit:
-                    raise BudgetExceeded(f"member scan exceeded budget {limit}")
                 y = _combine(ctx, sp.dim, comp, coeffs)
-                if symmetric and form(y, y):
+                if iso and not spc.isotropic_extension(sp, (), y):
                     continue
                 rows = [*B.rows, y]
                 z = spc._phi_vector(sp, y, True)  # the next Krylov vector
@@ -614,15 +607,24 @@ def _line_reps(scalars, m: int):
             yield (0,) * lead + (1,) + tail
 
 
+def _tally(cfg: StrataConfig, budget: int | None, kr: bool) -> Counter:
+    """Classify every member once: a Counter of (KR class, label) pairs,
+    the KR class None unless ``kr``."""
+    return Counter((kr_class(cfg, U) if kr else None, classify_flag(cfg, U)[0])
+                   for U in enumerate_members(cfg, budget=budget))
+
+
+def _label_counts(tally: Counter) -> Counter:
+    counts: Counter[StratumLabel] = Counter()
+    for (_, label), c in tally.items():
+        counts[label] += c
+    return counts
+
+
 def stratum_counts(cfg: StrataConfig, budget: int | None = None):
     """Exhaustive classification; returns (Counter[label], member_total)."""
-    counts: Counter[StratumLabel] = Counter()
-    total = 0
-    for U in enumerate_members(cfg, budget=budget):
-        label, _ = classify_flag(cfg, U)
-        counts[label] += 1
-        total += 1
-    return counts, total
+    counts = _label_counts(_tally(cfg, budget, kr=False))
+    return counts, sum(counts.values())
 
 
 # -- decomposition verification -------------------------------------------
@@ -647,15 +649,8 @@ def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
     expected = predicted_index_set(cfg)
     reach = frozenset(l for l in expected if reachable_at_k(cfg, l))
 
-    counts: Counter[StratumLabel] = Counter()
-    kr_counts: Counter[tuple[str, StratumLabel]] = Counter()
-    total = 0
     try:
-        for U in enumerate_members(cfg, budget=budget):
-            label, _ = classify_flag(cfg, U)
-            counts[label] += 1
-            kr_counts[(kr_class(cfg, U), label)] += 1
-            total += 1
+        kr_counts = _tally(cfg, budget, kr=True)
     except BudgetExceeded as exc:
         return {
             "config": cfg.describe(),
@@ -663,10 +658,15 @@ def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
             "checks": [inconclusive("enumeration", witness=str(exc))],
         }
 
+    counts = _label_counts(kr_counts)
     realized = frozenset(counts)
 
-    checks.append(check("partition", ok=sum(counts.values()) == total,
-                        data={"members": total}))
+    # the stable members (r = s) against their closed-form count, taken
+    # over GF(q) so that no second working field is built
+    stable = sum(c for l, c in counts.items() if l.r == l.s)
+    base = FormedSpace(FieldCtx(cfg.p, cfg.e, 1), cfg.space_kind, cfg.space_dim)
+    oracle = spc.count_oracle(base, cfg.member_dim, cfg.case != "ZY")
+    checks.append(check("partition", ok=stable == oracle, data={"members": sum(counts.values())}))
 
     stray = sorted(l.key() for l in realized - expected)
     checks.append(check("labels_within_index_set", witness=stray))

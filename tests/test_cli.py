@@ -42,6 +42,23 @@ def test_budget_exit_three_at_k3(capsys):
     assert data["stable"]["checks"][0]["status"] == "inconclusive"
 
 
+def test_budget_bounds_the_stable_scan(capsys):
+    # k = 1 scans only the 40 stable planes, and --budget bounds them too
+    code, out = run(capsys, "strata", "verify", "--case", "z", "--q", "3",
+                    "--k", "1", "--t", "4", "--h", "0", "--budget", "10")
+    assert code == 3
+    assert json.loads(out)["stable"]["checks"][0]["status"] == "inconclusive"
+
+
+def test_budget_met_exactly_by_the_nonsplit_scan(capsys):
+    # no stable Lagrangians, then 10 stable lines times 10 lines of their
+    # complement over GF(9): 100 candidates, 20 members
+    code, out = run(capsys, "strata", "verify", "--case", "y", "--q", "3", "--k", "2",
+                    "--n", "4", "--h", "4", "--t", "0", "--eps", "1", "--budget", "100")
+    assert code == 0
+    assert sum(c["count"] for c in json.loads(out)["stable"]["counts"]) == 20
+
+
 def test_nonsplit_lagrangians_at_k3_exit_zero(capsys):
     # the non-split form stays non-split over GF(27): no isotropic planes
     code, out = run(capsys, "strata", "verify", "--case", "y", "--q", "3", "--k", "3",

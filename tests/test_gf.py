@@ -85,10 +85,11 @@ def test_frobenius_is_field_automorphism(p, e, k):
 
 def test_frobenius_fixed_field_is_base():
     ctx = FieldCtx(3, 1, 2)
-    assert set(ctx.base_codes) == {a for a in range(9) if ctx.frobenius(a) == a}
-    assert len(ctx.base_codes) == 3
+    base = ctx.subfield_codes(1)
+    assert set(base) == {a for a in range(9) if ctx.frobenius(a) == a}
+    assert len(base) == 3
     # base elements are exactly the prime-field constants here (e = 1)
-    assert set(ctx.base_codes) == {0, 1, 2}
+    assert set(base) == {0, 1, 2}
 
 
 def test_frobenius_order_and_cube_example():

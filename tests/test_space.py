@@ -12,7 +12,6 @@ from stratakit.space import (
     Subspace,
     apply_phi,
     count_oracle,
-    enumerate_subspaces,
     intersect,
     is_isotropic,
     perp,
@@ -20,6 +19,7 @@ from stratakit.space import (
     subspace_to_json,
     sum_spaces,
 )
+from subspace_scan import enumerate_subspaces
 
 F3 = FieldCtx(3, 1, 1)
 F9 = FieldCtx(3, 1, 2)
@@ -73,7 +73,7 @@ def test_phi_order():
         U = Subspace.from_rows(sp, [tuple(rng.randrange(9) for _ in range(2))])
         if U.dim == 0:
             continue
-        assert apply_phi(U, 2).rows == U.rows
+        assert apply_phi(apply_phi(U)).rows == U.rows
 
 
 def test_sum_intersect_idempotent_and_plane():
@@ -173,21 +173,33 @@ def test_enumeration_deterministic_and_canonical():
 
 
 def test_budget():
-    sp = FormedSpace(F9, "none", 4)
+    # the member scan's one gate counts the stable scan too: Z t4 h0 at
+    # k = 1 has exactly the 40 rational Lagrangians
+    cfg = strata.StrataConfig(case="Z", p=3, k=1, t=4, h=0)
     with pytest.raises(BudgetExceeded):
-        list(enumerate_subspaces(sp, 2, budget=10))
+        list(strata.enumerate_members(cfg, budget=39))
+    assert sum(1 for _ in strata.enumerate_members(cfg, budget=40)) == 40
 
 
 @pytest.mark.parametrize("kind,dim,d", [
     ("symplectic", 4, 1), ("symplectic", 4, 2), ("symplectic", 6, 2),
     ("symmetric-even-split", 4, 1), ("symmetric-even-split", 4, 2),
     ("symmetric-even-nonsplit", 4, 2), ("symmetric-odd", 5, 1), ("symmetric-odd", 5, 2),
+    ("symmetric-even-nonsplit", 4, 1), ("symmetric-even-nonsplit", 6, 1),
+    ("symmetric-even-nonsplit", 6, 2), ("symmetric-even-nonsplit", 6, 3),
 ])
 def test_count_oracle_against_enumeration(kind, dim, d):
-    sp = FormedSpace(F3, kind, dim)
-    got = sum(1 for _ in enumerate_subspaces(sp, d, isotropic_only=True))
-    assert count_oracle(sp, d, isotropic_only=True) == got
-    assert count_oracle(sp, d) == sum(1 for _ in enumerate_subspaces(sp, d))
+    # the oracle counts Frobenius-stable subspaces: in the untwisted kinds
+    # the coordinate subspaces over GF(q); in the non-split kind the ones
+    # the twisted Frobenius fixes, seen over the ambient field GF(q^2)
+    if kind == "symmetric-even-nonsplit":
+        sp = FormedSpace(F9, kind, dim)
+        scan = lambda d, iso: strata.rational_subspaces(sp, d, iso)
+    else:
+        sp = FormedSpace(F3, kind, dim)
+        scan = lambda d, iso: enumerate_subspaces(sp, d, iso)
+    assert count_oracle(sp, d, isotropic_only=True) == sum(1 for _ in scan(d, True))
+    assert count_oracle(sp, d) == sum(1 for _ in scan(d, False))
 
 
 def test_count_oracle_trivia():

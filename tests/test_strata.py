@@ -18,6 +18,7 @@ from stratakit.strata import (
     top_label,
     verify_decomposition,
 )
+from subspace_scan import enumerate_subspaces
 
 
 def cfg_z(t, h, k=2, p=3):
@@ -82,13 +83,19 @@ def test_degenerate_worst_point():
     assert counts == {StratumLabel(2, 2, "id"): 1}
 
 
+def _phi_power(U, k):
+    for _ in range(k):
+        U = spc.apply_phi(U)
+    return U
+
+
 def _coordinate_scan(cfg):
     """Reference members: every (isotropic) coordinate subspace over the
     working field that is rational over GF(q^k) and passes ``member``."""
     sp = cfg.build_space()
     iso = cfg.case in ("Z", "Y")
-    return {U.rows for U in spc.enumerate_subspaces(sp, cfg.member_dim, isotropic_only=iso)
-            if spc.apply_phi(U, cfg.k).rows == U.rows and member(cfg, U)}
+    return {U.rows for U in enumerate_subspaces(sp, cfg.member_dim, isotropic_only=iso)
+            if _phi_power(U, cfg.k).rows == U.rows and member(cfg, U)}
 
 
 def test_fast_path_matches_generic_enumeration():
@@ -120,6 +127,22 @@ def test_rational_form_basis_is_fixed_beyond_degree_two():
     lines = {U.rows for U in strata.rational_subspaces(sp, 1, True)}
     assert len(lines) == 3**2 + 1
     assert all(spc.apply_phi(spc.Subspace.from_rows(sp, rows)).rows == rows for rows in lines)
+
+
+@pytest.mark.parametrize("kind,dim", [
+    ("symplectic", 4), ("symmetric-even-split", 4), ("symmetric-odd", 3), ("none", 3),
+])
+def test_rational_subspaces_are_the_rational_coordinate_scan(kind, dim):
+    # untwisted kinds: the stable subspaces are the echelon matrices with
+    # GF(q) entries, in the coordinate scan's order
+    sp = spc.FormedSpace(FieldCtx(3, 1, 2), kind, dim)
+    base = set(sp.ctx.subfield_codes(1))
+    for iso in (False, True) if sp.gram else (False,):
+        for d in range(dim + 1):
+            want = [(U.rows, U.pivots) for U in enumerate_subspaces(sp, d, iso)
+                    if all(x in base for row in U.rows for x in row)]
+            got = [(U.rows, U.pivots) for U in strata.rational_subspaces(sp, d, iso)]
+            assert got == want
 
 
 def test_phi_equivariance_of_labels():
@@ -311,6 +334,23 @@ def test_monotonicity_witness_is_sorted(monkeypatch):
     assert mono["status"] == "fail"
     assert len(mono["witness"]) > 1
     assert mono["witness"] == sorted(mono["witness"])
+
+
+def test_partition_fails_on_a_dropped_stable_member(monkeypatch):
+    # the stable members come first; without one of them the stable count
+    # falls short of count_oracle
+    full = strata.enumerate_members
+
+    def drop_first(cfg, budget=None):
+        members = full(cfg, budget=budget)
+        next(members)
+        yield from members
+
+    cfg = cfg_y(6, 4, 2, 1)
+    assert verify_decomposition(cfg)["checks"][0]["status"] == "pass"
+    monkeypatch.setattr(strata, "enumerate_members", drop_first)
+    part = verify_decomposition(cfg)["checks"][0]
+    assert (part["name"], part["status"]) == ("partition", "fail")
 
 
 def test_verify_budget_inconclusive():
