@@ -99,7 +99,7 @@ class TruncRing:
         return self.width
 
     def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return a == self.zero
 
     def unit_inv(self, a):
         """Inverse of a unit (valuation 0), by power-series recursion."""

@@ -87,18 +87,24 @@ def nullspace(ctx: FieldCtx, rows, ncols: int) -> Mat:
     return out
 
 
-def contains_vector(ctx: FieldCtx, red_rows: Mat, pivots, vec) -> bool:
-    """Membership of vec in the row space given by rref data."""
+def residual(ctx: FieldCtx, rows, pivots, vec) -> list[int]:
+    """vec reduced by echelon rows with leading 1s at ``pivots``, each zero
+    at the pivots of the rows before it: zero exactly when vec is in their span."""
     ADD, MUL, NEG = ctx.ADD, ctx.MUL, ctx.NEG
     v = list(vec)
     for i, pc in enumerate(pivots):
         if v[pc] != 0:
             m = MUL[NEG[v[pc]]]
-            row = red_rows[i]
+            row = rows[i]
             for j in range(pc, len(v)):
                 if row[j]:
                     v[j] = ADD[v[j]][m[row[j]]]
-    return not any(v)
+    return v
+
+
+def contains_vector(ctx: FieldCtx, red_rows: Mat, pivots, vec) -> bool:
+    """Membership of vec in the row space given by rref data."""
+    return not any(residual(ctx, red_rows, pivots, vec))
 
 
 def enumerate_echelon(ctx: FieldCtx, ncols: int, dim: int, scalars=None, row_filter=None):

@@ -1,4 +1,4 @@
-"""Membership tests, the flag-chain classifier, and decomposition checks.
+"""Membership tests, the Krylov-walk classifier, and decomposition checks.
 
 Three families of point sets are covered, all living inside a formed (or
 formless) space base-changed to GF(q^k):
@@ -11,12 +11,12 @@ formless) space base-changed to GF(q^k):
 * case ``ZY``: subspaces of a formless space of dimension (t1 - t2)/2
   with the intersection condition (parameters t2 <= h <= t1).
 
-Every member is classified by running its intersection chain down to a
-Frobenius-stable bottom and its sum chain up until the span either turns
-non-isotropic (kind ``w``) or stabilizes while isotropic (kind ``wprime``;
-kind ``id`` when the member itself is stable).  The resulting label
-(r, s, kind, sign) is compared against the predicted index sets, closure
-identities, Kottwitz-Rapoport fibers and sign-class statistics.
+Members are enumerated as Frobenius-Krylov spans B + <y, Phi^-1 y, ...>
+over a Frobenius-stable bottom B and classified from that data: one walk
+adds Phi y, Phi^2 y, ... until the span turns non-isotropic (kind ``w``)
+or stabilizes while isotropic (kind ``wprime``; ``id`` for stable members).
+The label (r, s, kind, sign) is compared against the predicted index sets,
+closure identities, Kottwitz-Rapoport fibers and sign-class statistics.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import itertools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gf import FieldCtx
 from . import linalg, space as spc
@@ -220,59 +220,70 @@ def _phi_stable(U: Subspace) -> bool:
     return apply_phi(U).rows == U.rows
 
 
-def _chain_down(U: Subspace) -> list[Subspace]:
-    chain = [U]
-    cur = U
+@dataclass(frozen=True)
+class KrylovMember(Subspace):
+    """A member U = B + <y, Phi^-1 y, ..., last = Phi^-(v-1) y> with its
+    Krylov data, which stay outside equality and hashing."""
+
+    y: tuple | None = field(default=None, compare=False)
+    v: int = field(default=0, compare=False)
+    last: tuple | None = field(default=None, compare=False)
+
+
+def _krylov_data(U: Subspace):
+    """(y, v, last) from one down chain to B: y is any vector of U_(v-1) - B."""
+    above, cur, v = None, U, 0
     while not _phi_stable(cur):
-        nxt = intersect(cur, apply_phi(cur))
-        if nxt.dim != cur.dim - 1:
-            raise ChainError(f"down step dropped {cur.dim - nxt.dim} dimensions")
-        chain.insert(0, nxt)
-        cur = nxt
-    return chain
+        above, cur, v = cur, intersect(cur, apply_phi(cur)), v + 1
+        if cur.dim != above.dim - 1:
+            raise ChainError(f"down step dropped {above.dim - cur.dim} dimensions")
+    if not v:
+        return None, 0, None
+    y = last = next(r for r in above.rows if not cur.contains(r))
+    for _ in range(v - 1):
+        last = spc._phi_vector(U.space, last, True)
+    return y, v, last
 
 
-def _chain_up(U: Subspace) -> tuple[list[Subspace], str]:
-    """Sum chain until stabilization or, in a formed space, loss of
-    isotropy; returns (chain, kind)."""
-    formed = U.space.gram is not None
-    chain = [U]
-    cur = U
-    while not _phi_stable(cur):
-        nxt = sum_spaces(cur, apply_phi(cur))
-        if formed and not is_isotropic(nxt):
-            return chain, "anisotropic"
-        if nxt.dim != cur.dim + 1:
-            raise ChainError(f"up step added {nxt.dim - cur.dim} dimensions")
-        chain.append(nxt)
-        cur = nxt
-    return chain, "stable"
+def classify_flag(cfg: StrataConfig, U: Subspace) -> tuple[StratumLabel, list[int]]:
+    """Stratum label of a member plus the dimensions of its flag chain.
 
-
-def classify_flag(cfg: StrataConfig, U: Subspace) -> tuple[StratumLabel, list[Subspace]]:
-    """Stratum label of a member plus the full flag chain for audit."""
-    down = _chain_down(U)
-    bottom = down[0]
-    up, stop = _chain_up(U)
-    top = up[-1]
+    U = B + <y, ..., Phi^-(v-1) y> (``enumerate_members``; other members
+    run their down chain once) has the down chain B + <y, ..., Phi^-i y>, so
+    r comes from dim B = d - v.  The up walk reduces Phi y, Phi^2 y, ...
+    against one echelon basis seeded with U's rows, and stops ``stable`` on
+    a zero residual, ``anisotropic`` when form(Phi^j y, Phi^-(v-1) y), the
+    one new pair, is nonzero; s comes from the top, of dimension d + u.
+    That pair is Frob^-(v-1)(g_(j+v-1)) in the orbit Gram g_m = form(Phi^m
+    y, y), and g_0..g_(v-1) vanish, so kind ``w`` exits at the first nonzero
+    g_m, m = v + u.  As Phi^k y = y, g_(k-m) = +-Frob^(k-m)(g_m) (minus when
+    symplectic), so m <= floor(k/2): the ``w`` bound of ``reachable_at_k``.
+    """
+    sp, ctx, d = U.space, U.space.ctx, U.dim
+    y, v, last = (U.y, U.v, U.last) if isinstance(U, KrylovMember) else _krylov_data(U)
+    rows, pivots, z, anisotropic = list(U.rows), list(U.pivots), y, False
+    while v:
+        z = spc._phi_vector(sp, z)
+        if sp.gram is not None and sp.form(z, last):
+            anisotropic = True
+            break
+        res = linalg.residual(ctx, rows, pivots, z)
+        p = next((j for j, x in enumerate(res) if x), None)
+        if p is None:
+            break
+        scale = ctx.MUL[ctx.INV[res[p]]]
+        rows.append(tuple(scale[x] for x in res))
+        pivots.append(p)
+    u = len(rows) - d
+    dims = list(range(d - v, d + u + 1))
     if cfg.case == "ZY":
-        return StratumLabel(cfg.th1 - bottom.dim, cfg.th1 - top.dim, "w"), down[:-1] + up
-    if cfg.case == "Z":
-        r = cfg.th - bottom.dim
-        s = cfg.th - top.dim
-    else:
-        r = cfg.tp - bottom.dim
-        s = cfg.tp - top.dim
-    if stop == "anisotropic":
-        kind = "w"
-    elif top.dim == U.dim and bottom.dim == U.dim:
-        kind = "id"
-    else:
-        kind = "wprime"
+        return StratumLabel(cfg.th1 - d + v, cfg.th1 - d - u, "w"), dims
+    top = cfg.th if cfg.case == "Z" else cfg.tp
+    kind = "w" if anisotropic else "wprime" if v else "id"
     sign = None
     if _label_is_signed(cfg, kind):
-        sign = component_sign(cfg, top if kind == "wprime" else U)
-    return StratumLabel(r, s, kind, sign), down[:-1] + up
+        sign = component_sign(cfg, U if kind == "w" else Subspace.from_rows(sp, rows))
+    return StratumLabel(top - d + v, top - d - u, kind, sign), dims
 
 
 def _label_is_signed(cfg: StrataConfig, kind: str) -> bool:
@@ -304,7 +315,8 @@ def component_sign(cfg: StrataConfig, F: Subspace) -> str:
     """Family of a maximal isotropic in the even symmetric space.
 
     The reference family is span(e_1..e_m); the sign is ``+`` exactly when
-    dim(F cap L_ref) is congruent to m modulo 2.
+    dim(F cap L_ref) = m - rank(F's f-columns) is congruent to m modulo 2,
+    that is, when that rank is even.
     """
     if cfg.case != "Y" or cfg.n % 2 != 0:
         raise ConfigError("component signs only exist in even symmetric Y cases")
@@ -312,9 +324,7 @@ def component_sign(cfg: StrataConfig, F: Subspace) -> str:
     m = sp.dim // 2
     if F.dim != m:
         raise ConfigError("component sign needs a maximal isotropic subspace")
-    lref = Subspace.from_rows(sp, [sp.e(i + 1) for i in range(m)])
-    inter = intersect(F, lref)
-    return "+" if (inter.dim - m) % 2 == 0 else "-"
+    return "-" if linalg.rank(sp.ctx, [r[m:] for r in F.rows]) % 2 else "+"
 
 
 # -- expected index sets, reachability, reference dimensions -------------
@@ -374,9 +384,9 @@ def reachable_at_k(cfg: StrataConfig, label: StratumLabel, k: int | None = None)
     k <= 4 on desk-scale configurations, frozen in the tests):
 
     * kind ``id``: always;
-    * kind ``w``: v + u <= floor(k/2) -- the non-isotropic exit pairs a
-      chain vector against a Frobenius iterate, and the orbit Gram of a
-      GF(q^k)-rational vector only has floor(k/2) free entries;
+    * kind ``w``: v + u <= floor(k/2) -- the non-isotropic exit reads the
+      first nonzero entry of the orbit Gram of a Phi^k-fixed vector, which
+      sits at most at floor(k/2) (see ``classify_flag``);
     * kind ``wprime`` and the formless case: v, u >= 1 and v + u <= k;
     * except that members at h = n of a non-split even space are
       Lagrangians, and a non-split form stays non-split over an odd-degree
@@ -556,7 +566,8 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
     to a scalar.  Conversely, such a span is a member with bottom B when
     it is isotropic (y isotropic and orthogonal to each Phi^-j y, j < v),
     has dimension d, and misses Phi^-v y.  So the members are enumerated
-    as pairs (B, y), the stable ones (v = 0) first.  Since Phi^-k y = y,
+    as pairs (B, y), the stable ones (v = 0) first; the others come as
+    ``KrylovMember`` values that carry (y, v).  Since Phi^-k y = y,
     v <= k - 1: at v = k the span would contain Phi^-v y, and past k it
     would have dimension below d.  ``budget`` (default ``SUBSPACE_BUDGET``)
     bounds the stable members plus the (B, y) candidates, counted in closed
@@ -595,9 +606,9 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
                     rows.append(z)
                     z = spc._phi_vector(sp, z, True)
                 else:
-                    U = Subspace.from_rows(sp, rows)
-                    if U.dim == d and not U.contains(z):
-                        yield U
+                    red, piv = linalg.rref(ctx, rows)
+                    if len(red) == d and not linalg.contains_vector(ctx, red, piv, z):
+                        yield KrylovMember(sp, red, piv, y, v, rows[-1])
 
 
 def _line_reps(scalars, m: int):

@@ -274,3 +274,25 @@ def test_rejects_non_unitary_tau():
                 for i in range(2))
     with pytest.raises(LatticeError):
         HermSpace.build(R, identity_gram(R, 2), bad)
+
+
+def test_is_zero_is_the_zero_tuple(monkeypatch, capsys):
+    # every ring element reaching is_zero in one lattice command is a
+    # width-length tuple, so tuple equality is the coefficientwise test
+    from stratakit.cli import main
+
+    fast = TruncRing.is_zero
+    seen = []
+
+    def recording(self, a):
+        seen.append((self, a))
+        return fast(self, a)
+
+    monkeypatch.setattr(TruncRing, "is_zero", recording)
+    assert main(["latcalc", "dichotomy", "--n", "2", "--s", "2", "--exhaustive"]) == 0
+    capsys.readouterr()
+    zero = sum(1 for _, a in seen if all(x == 0 for x in a))
+    assert zero and zero < len(seen)
+    for ring, a in seen:
+        assert type(a) is tuple and len(a) == ring.width
+        assert fast(ring, a) == all(x == 0 for x in a)

@@ -18,6 +18,7 @@ from stratakit.strata import (
     top_label,
     verify_decomposition,
 )
+from chain_classifier import chain_up, classify_by_chains, sign_by_intersection
 from subspace_scan import enumerate_subspaces
 
 
@@ -72,7 +73,7 @@ def test_classifier_stable_member_is_id():
     U = spc.Subspace.from_rows(sp, [sp.e(1)])
     label, chain = classify_flag(cfg, U)
     assert label == StratumLabel(1, 1, "id")
-    assert [f.dim for f in chain] == [1]
+    assert chain == [1]
     assert kr_class(cfg, U) == "id"
 
 
@@ -286,6 +287,24 @@ def test_component_sign():
         component_sign(cfg_z(4, 2), lref)
 
 
+def test_component_sign_matches_intersection():
+    # the one-rank sign against dim(F cap span(e_1..e_m)), on every
+    # Lagrangian member of the non-split 6-space and every stable top of a
+    # wprime chain of the split 6-space
+    n_lagrangian = n_tops = 0
+    cfg = cfg_y(6, 6, 0, 1)
+    for U in enumerate_members(cfg):
+        assert component_sign(cfg, U) == sign_by_intersection(U), U.rows
+        n_lagrangian += 1
+    cfg = cfg_y(6, 4, 0, -1)
+    for U in enumerate_members(cfg):
+        up, stop = chain_up(U)
+        if stop == "stable" and len(up) > 1:
+            assert component_sign(cfg, up[-1]) == sign_by_intersection(up[-1]), U.rows
+            n_tops += 1
+    assert n_lagrangian == 560 and n_tops > 0
+
+
 def test_signed_counts_balanced():
     counts, _ = stratum_counts(cfg_y(6, 6, 0, 1))
     assert counts[StratumLabel(1, 0, "w", "+")] == counts[StratumLabel(1, 0, "w", "-")] == 280
@@ -391,3 +410,70 @@ def test_worst_point_at_maximal_level():
             assert not bad, (n, k, bad)
             assert rep["counts"] == [{"label": "id(0,0)", "count": 1}]
             assert "kr_cross_locus_empty" not in {c["name"] for c in rep["checks"]}
+
+
+# the ten strata configurations of the benchmark (k = 2 and k = 3) and a
+# k = 4 one whose w members reach v + u = 2
+BENCHMARK_CONFIGS = (
+    cfg_z(4, 2, p=5), cfg_z(4, 0, p=5), cfg_y(6, 4, 0, -1), cfg_y(6, 6, 0, 1),
+    cfg_zy(8, 4, 0), cfg_z(4, 0, k=3), cfg_z(4, 2, k=3), cfg_y(4, 2, 0, -1, k=3),
+    cfg_y(2, 2, 0, 1, k=3), cfg_zy(6, 2, 0, k=3), cfg_z(4, 0, k=4),
+)
+
+
+def test_classifier_matches_chain_reference():
+    # the Krylov walk against the subspace chains: label, chain dimensions
+    # and KR class on every member; the recovery path (no Krylov data) on
+    # a sample of the signed configurations, both on Phi(U) and on U read
+    # back from JSON
+    total = recovered = 0
+    for cfg in BENCHMARK_CONFIGS:
+        signed = cfg.case == "Y" and cfg.n % 2 == 0 and cfg.h >= cfg.n - 2
+        for i, U in enumerate(enumerate_members(cfg)):
+            label, dims = classify_flag(cfg, U)
+            assert (label, dims, kr_class(cfg, U)) == classify_by_chains(cfg, U), (
+                cfg.describe(), U.rows)
+            total += 1
+            if signed and i % 23 == 0:
+                phiU = spc.apply_phi(U)
+                assert classify_flag(cfg, phiU) == classify_by_chains(cfg, phiU)[:2]
+                back = spc.subspace_from_json(spc.subspace_to_json(U))
+                assert not isinstance(back, strata.KrylovMember)
+                assert classify_flag(cfg, back) == (label, dims)
+                recovered += 1
+    assert total == 34802 + 22981 + 8344
+    assert recovered > 500
+
+
+def _frob(ctx, x, j):
+    for _ in range(j):
+        x = ctx.FROB[x]
+    return x
+
+
+def test_orbit_gram_bounds_w_exits():
+    # g_m = form(Phi^m y, y): a w chain exits at its first nonzero entry,
+    # m = v + u, and Phi^k y = y makes g_(k-m) = +-Frob^(k-m)(g_m), which
+    # caps that m at floor(k/2)
+    n_w = 0
+    for cfg in (cfg_z(4, 0, k=4), cfg_z(4, 2, k=3), cfg_y(4, 2, 0, -1, k=3)):
+        k = cfg.k
+        for U in enumerate_members(cfg):
+            label, dims = classify_flag(cfg, U)
+            if label.kind != "w":
+                continue
+            sp, ctx = U.space, U.space.ctx
+            orbit = [U.y]
+            for _ in range(k):
+                orbit.append(spc._phi_vector(sp, orbit[-1]))
+            assert orbit[k] == U.y
+            g = [sp.form(z, U.y) for z in orbit]
+            first = next(m for m, x in enumerate(g) if x)
+            assert first == len(dims) - 1 <= k // 2, (cfg.describe(), U.rows, g)
+            for m in range(k + 1):
+                mirror = _frob(ctx, g[m], k - m)
+                if sp.kind == "symplectic":
+                    mirror = ctx.NEG[mirror]
+                assert g[k - m] == mirror
+            n_w += 1
+    assert n_w > 0
