@@ -16,11 +16,13 @@ and the reduced-locus dimension table live here as well.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gf import _is_probable_prime
 from .report import check, inconclusive
 from .space import BudgetExceeded
 
@@ -43,6 +45,8 @@ class ChartSpec:
     def __post_init__(self):
         if self.family not in ("Z", "Y", "ZY", "pi-modular"):
             raise ChartError(f"unknown chart family {self.family!r}")
+        if not _is_probable_prime(self.q):
+            raise ChartError(f"charts count over a prime field, not q = {self.q}")
         for v in (self.h, self.t1, self.t2):
             if v % 2:
                 raise ChartError("types must be even")
@@ -109,30 +113,21 @@ def chart_count_closed(spec: ChartSpec) -> int:
     return rank1_closed_form(a, b, q)
 
 
-def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:
-    out = np.empty((codes.size, width), dtype=np.int64)
-    tmp = codes.copy()
-    for i in range(width):
-        out[:, i] = tmp % q
-        tmp //= q
-    return out
-
-
 def brute_rank1_count(a: int, b: int, q: int, ad_symmetric_block: int = 0,
                       budget: int | None = None) -> int:
     """Count rank <= 1 matrices of shape a x b by exhaustive enumeration.
 
     When ``ad_symmetric_block`` = m > 0 the trailing m columns form a
     square block constrained by X = H X^T H (entry (i, j) equals entry
-    (m-1-j, m-1-i)).  Vectorized over chunks of matrices.
+    (m-1-j, m-1-i)).  The first ``low`` entries run over the rows of one
+    digit-plane table of all q^low tuples; the rest are Python scalars,
+    one chunk per value of them.
     """
     entries = a * b
     total = q**entries
     limit = MATRIX_ENTRY_BUDGET if budget is None else budget
     if total * entries > limit:
         raise BudgetExceeded(f"{total} matrices x {entries} entries exceeds budget {limit}")
-    count = 0
-    chunk = 1 << 18
     minors = [
         (i1 * b + j1, i1 * b + j2, i2 * b + j1, i2 * b + j2)
         for i1 in range(a)
@@ -150,19 +145,21 @@ def brute_rank1_count(a: int, b: int, q: int, ad_symmetric_block: int = 0,
                 p2 = (m - 1 - j) * b + off + (m - 1 - i)
                 if p1 < p2:
                     sym_pairs.append((p1, p2))
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        M = _digits(codes, q, entries)
-        ok = np.ones(len(codes), dtype=bool)
+    low = min(entries, max(L for L in range(19) if q**L <= 1 << 18))
+    # a signed dtype holding +-q^2 keeps every product, minor and q itself
+    planes = list(np.indices((q,) * low, dtype=np.min_scalar_type(-q * q)).reshape(low, q**low))
+    count = 0
+    for high in itertools.product(range(q), repeat=entries - low):
+        M = planes + list(high)
+        ok = np.ones(q**low, dtype=bool)
         for p1, p2 in sym_pairs:
-            ok &= M[:, p1] == M[:, p2]
+            ok &= M[p1] == M[p2]
         for a1, a2, a3, a4 in minors:
-            det = (M[:, a1] * M[:, a4] - M[:, a2] * M[:, a3]) % q
-            ok &= det == 0
-        count += int(ok.sum())
-        # free this chunk before the next one allocates: otherwise two digit
-        # matrices are alive at once and the peak memory depends on heap layout
-        del codes, M, ok
+            det = M[a1] * M[a4] - M[a2] * M[a3]
+            # det % q == 0; numpy divides an integer array by a scalar
+            # many times faster than it takes the remainder
+            ok &= det == det // q * q
+        count += int(np.count_nonzero(ok))
     return count
 
 
@@ -341,8 +338,7 @@ def reconcile(spec: ChartSpec, budget: int | None = None) -> dict:
     other_q = 5 if spec.q == 3 else 3
     other = ChartSpec(spec.family, other_q, n=spec.n, h=spec.h, t1=spec.t1, t2=spec.t2)
     c1, c2 = chart_count_closed(spec), chart_count_closed(other)
-    lo, hi = (c1, c2) if other_q > spec.q else (c2, c1)
-    growth = round(math.log(hi / lo) / math.log(5 / 3))
+    growth = round(math.log(c1 / c2) / math.log(spec.q / other_q))
     checks.append(check("growth_exponent_matches_dimension", ok=growth == dim,
                         data={"growth": growth, "dimension": dim}))
 

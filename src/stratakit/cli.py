@@ -111,6 +111,8 @@ def cmd_weyl_audit(args) -> int:
 
 def cmd_charts_reconcile(args) -> int:
     def body():
+        if args.e != 1:
+            raise charts.ChartError("charts count over a prime field: --e must be 1")
         if args.family:
             specs = [charts.ChartSpec(args.family, args.q, n=args.n, h=args.h,
                                       t1=args.t1, t2=args.t2)]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from stratakit import charts
@@ -20,8 +22,11 @@ from stratakit.charts import (
 )
 
 
+# (2, 4, 5), (3, 3, 5) and (3, 4, 3) have more entries than one digit-plane
+# table holds, so they run the kernel's loop over the high entries
 @pytest.mark.parametrize("a,b,q", [
     (1, 1, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 5), (1, 2, 5),
+    (2, 4, 5), (3, 3, 5), (3, 4, 3),
 ])
 def test_rank1_closed_form_against_brute_force(a, b, q):
     assert rank1_closed_form(a, b, q) == brute_rank1_count(a, b, q)
@@ -33,10 +38,44 @@ def test_rank1_known_values():
     assert rank1_closed_form(1, 4, 3) == 3**4  # a row vector: all of them
 
 
-@pytest.mark.parametrize("m,a,q", [(1, 2, 3), (2, 0, 3), (2, 1, 3), (2, 2, 3), (2, 1, 5)])
+# (3, 0, 5) and (2, 2, 5) cross the digit-plane table; in the second the
+# symmetric pairs straddle the split between table rows and high scalars
+@pytest.mark.parametrize("m,a,q", [
+    (1, 2, 3), (2, 0, 3), (2, 1, 3), (2, 2, 3), (2, 1, 5), (3, 0, 5), (2, 2, 5),
+])
 def test_sym_block_count_against_brute_force(m, a, q):
     assert sym_block_rank1_count(m, a, q) == brute_rank1_count(
         m, m + a, q, ad_symmetric_block=m)
+
+
+def reference_rank1_count(a, b, q, block=0):
+    """Rank <= 1 count by a second enumeration: one tuple of entries per
+    matrix, read as rows, every 2 x 2 minor and every block symmetry
+    tested in pure Python."""
+    off = b - block
+    count = 0
+    for entries in itertools.product(range(q), repeat=a * b):
+        X = [entries[i * b:(i + 1) * b] for i in range(a)]
+        if any(X[i][off + j] != X[block - 1 - j][off + block - 1 - i]
+               for i in range(block) for j in range(block)):
+            continue
+        if all((X[i1][j1] * X[i2][j2] - X[i1][j2] * X[i2][j1]) % q == 0
+               for i1 in range(a) for i2 in range(i1 + 1, a)
+               for j1 in range(b) for j2 in range(j1 + 1, b)):
+            count += 1
+    return count
+
+
+# q = 11 is the largest field whose digit planes are int8, q = 13 the smallest
+# on int16: products and minors must not wrap on either side of that line
+@pytest.mark.parametrize("a,b,q,block", [
+    (2, 3, 3, 0), (3, 3, 3, 0), (2, 2, 5, 0), (1, 4, 5, 0), (2, 2, 7, 0),
+    (2, 2, 11, 0), (2, 2, 13, 0), (1, 3, 3, 1), (2, 3, 3, 2), (3, 3, 3, 3),
+    (2, 3, 5, 2), (2, 4, 5, 2), (2, 2, 13, 2),
+])
+def test_kernel_against_reference_enumeration(a, b, q, block):
+    assert brute_rank1_count(a, b, q, ad_symmetric_block=block) == \
+        reference_rank1_count(a, b, q, block)
 
 
 def test_chart_examples():
@@ -58,6 +97,9 @@ def test_chart_spec_validation():
         ChartSpec("pi-modular", 3, n=5, h=5, t2=0)
     with pytest.raises(ChartError):
         ChartSpec("ZY", 3, h=3, t1=5, t2=1)
+    for q in (0, 1, 4, 9):
+        with pytest.raises(ChartError):
+            ChartSpec("Y", q, n=4, h=2, t2=0)
 
 
 def test_budget_gate():
@@ -163,3 +205,14 @@ def test_reconcile_all_small_charts():
     for spec in specs:
         rep = reconcile(spec)
         assert all(c["status"] == "pass" for c in rep["checks"]), (spec, rep)
+
+
+@pytest.mark.parametrize("q", [2, 7, 11])
+def test_growth_exponent_over_other_fields(q):
+    # the growth exponent divides by the log of the two field sizes compared
+    for spec in (ChartSpec("Y", q, n=5, h=2, t2=0), ChartSpec("Z", q, h=0, t1=6),
+                 ChartSpec("ZY", q, h=4, t1=8, t2=0)):
+        rep = reconcile(spec)
+        growth = next(c for c in rep["checks"]
+                      if c["name"] == "growth_exponent_matches_dimension")
+        assert growth["status"] == "pass", (spec, growth)

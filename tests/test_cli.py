@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stratakit.cli import main
 from stratakit.report import emit_stable_json
 
@@ -24,6 +26,14 @@ def test_parity_error_exits_two(capsys):
     code, _ = run(capsys, "strata", "verify", "--case", "z", "--q", "3",
                   "--t", "3", "--h", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("field", [("--q", "1"), ("--q", "4"), ("--e", "2")])
+def test_charts_reject_non_prime_fields(field, capsys):
+    # q = 1 used to divide by zero, q = 4 counted modulo 4 and --e 2 was ignored
+    code, out = run(capsys, "charts", "reconcile", "--family", "Y", "--n", "4",
+                    "--h", "2", "--t2", "0", *field)
+    assert code == 2 and out == ""
 
 
 def test_budget_exit_three(capsys):
