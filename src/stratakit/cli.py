@@ -110,14 +110,17 @@ def cmd_weyl_audit(args) -> int:
 
 
 def cmd_charts_reconcile(args) -> int:
+    # without --q one family counts over GF(3) and the sweep over GF(3) and GF(5)
+    qs = (3, 5) if args.q is None else (args.q,)
+
     def body():
         if args.e != 1:
             raise charts.ChartError("charts count over a prime field: --e must be 1")
         if args.family:
-            specs = [charts.ChartSpec(args.family, args.q, n=args.n, h=args.h,
+            specs = [charts.ChartSpec(args.family, qs[0], n=args.n, h=args.h,
                                       t1=args.t1, t2=args.t2)]
         else:
-            specs = charts.all_chart_specs(args.max_entries, qs=(3, 5))
+            specs = charts.all_chart_specs(args.max_entries, qs=qs)
         parts = [charts.reconcile(spec, budget=args.budget) for spec in specs]
         return report.merge_reports(parts, {"command": "charts reconcile",
                                             "max_entries": args.max_entries})
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=int, default=0)
     p.add_argument("--t2", type=int, default=0)
     p.add_argument("--max-entries", type=int, default=10)
-    p.set_defaults(func=cmd_charts_reconcile)
+    p.set_defaults(func=cmd_charts_reconcile, q=None)
     p = ch_sub.add_parser("rzdim")
     _add_common(p, budget=False)
     p.add_argument("--n", type=int, required=True)

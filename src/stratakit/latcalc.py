@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 from .gf import FieldCtx
 from . import linalg
@@ -49,6 +50,7 @@ class TruncRing:
         self.width = 2 * N
         self.zero = (0,) * self.width
         self.one = (1,) + (0,) * (self.width - 1)
+        self._neg_mul = [ctx.MUL[ctx.NEG[x]] for x in range(ctx.size)]
 
     def elem(self, coeffs) -> tuple[int, ...]:
         c = [int(x) for x in coeffs][: self.width]
@@ -72,15 +74,26 @@ class TruncRing:
         return tuple(NEG[x] for x in a)
 
     def mul(self, a, b):
-        ADD, MUL = self.ctx.ADD, self.ctx.MUL
-        w = self.width
-        out = [0] * w
+        return self._mul_into(self.zero, a, b, self.ctx.MUL)
+
+    def sub_mul(self, acc, a, b):
+        """acc - a * b in one pass."""
+        return self._mul_into(acc, a, b, self._neg_mul)
+
+    def _mul_into(self, acc, a, b, rows):
+        """acc plus rows[a_i][b_j] pi^(i+j) over the nonzero terms of a and
+        b, up to the width (``rows`` is MUL, or MUL of the negated a_i)."""
+        ADD, w = self.ctx.ADD, self.width
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        if not terms:
+            return acc
+        out = list(acc)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            row = MUL[x]
-            for j, y in enumerate(b):
-                if y and i + j < w:
+            if x:
+                row = rows[x]
+                for j, y in terms:
+                    if i + j >= w:
+                        break
                     out[i + j] = ADD[out[i + j]][row[y]]
         return tuple(out)
 
@@ -105,16 +118,18 @@ class TruncRing:
         """Inverse of a unit (valuation 0), by power-series recursion."""
         if a[0] == 0:
             raise LatticeError("not a unit")
-        ctx = self.ctx
-        inv0 = ctx.inv(a[0])
+        ADD, MUL, NEG = self.ctx.ADD, self.ctx.MUL, self.ctx.NEG
+        inv0 = self.ctx.INV[a[0]]
         out = [inv0] + [0] * (self.width - 1)
+        if not any(a[1:]):
+            return tuple(out)
         # Newton-free forward substitution: (a * out)_j = delta_{0j}
         for j in range(1, self.width):
             s = 0
             for i in range(1, j + 1):
                 if a[i] and out[j - i]:
-                    s = ctx.add(s, ctx.mul(a[i], out[j - i]))
-            out[j] = ctx.mul(ctx.neg(s), inv0)
+                    s = ADD[s][MUL[a[i]][out[j - i]]]
+            out[j] = MUL[NEG[s]][inv0]
         return tuple(out)
 
     def shift(self, a, j: int):
@@ -146,17 +161,6 @@ def mat_mul(R: TruncRing, A, B):
                 b = B[k][j]
                 if not R.is_zero(b):
                     out[i][j] = R.add(out[i][j], R.mul(a, b))
-    return [row[:] for row in out]
-
-
-def mat_vec(R: TruncRing, A, v):
-    out = [R.zero] * len(A)
-    for i, row in enumerate(A):
-        acc = R.zero
-        for a, x in zip(row, v):
-            if not (R.is_zero(a) or R.is_zero(x)):
-                acc = R.add(acc, R.mul(a, x))
-        out[i] = acc
     return out
 
 
@@ -206,8 +210,9 @@ def column_hnf(R: TruncRing, cols, n: int):
         work[r], work[best] = work[best], work[r]
         # normalize pivot column so the pivot entry is exactly pi^a
         unit = R.shift(work[r][r], -bestv)
-        uinv = R.unit_inv(unit)
-        work[r] = [R.mul(uinv, x) for x in work[r]]
+        if unit != R.one:
+            uinv = R.unit_inv(unit)
+            work[r] = [R.mul(uinv, x) for x in work[r]]
         piv = work[r]
         for j in range(len(work)):
             if j == r or R.is_zero(work[j][r]):
@@ -217,7 +222,7 @@ def column_hnf(R: TruncRing, cols, n: int):
             q = work[j][r][bestv:] + (0,) * bestv
             if R.is_zero(q):
                 continue
-            work[j] = [R.add(work[j][i], R.neg(R.mul(q, piv[i]))) for i in range(n)]
+            work[j] = [R.sub_mul(work[j][i], q, piv[i]) for i in range(n)]
         pivs.append(bestv)
     for j in range(n, len(work)):
         if any(not R.is_zero(x) for x in work[j]):
@@ -229,7 +234,7 @@ def column_hnf(R: TruncRing, cols, n: int):
             a = pivs[i]
             q = work[j][i][a:] + (0,) * a
             if not R.is_zero(q):
-                work[j] = [R.add(work[j][t], R.neg(R.mul(q, work[i][t]))) for t in range(n)]
+                work[j] = [R.sub_mul(work[j][t], q, work[i][t]) for t in range(n)]
     return pivs, _from_columns([tuple(c) for c in work[:n]])
 
 
@@ -245,7 +250,7 @@ class Lattice:
     @staticmethod
     def from_columns(ring: TruncRing, cols, vfloor: int = 0) -> "Lattice":
         n = len(cols[0])
-        pivs, mat = column_hnf(ring, cols, n)
+        _, mat = column_hnf(ring, cols, n)
         # pull a common pi power into the floor
         g = min(ring.val(x) for row in mat for x in row if not ring.is_zero(x))
         if g > 0:
@@ -256,7 +261,7 @@ class Lattice:
         return Lattice(ring, n, vfloor, tuple(tuple(row) for row in mat))
 
     def columns(self):
-        return _columns([list(r) for r in self.basis])
+        return _columns(self.basis)
 
     def key(self) -> tuple:
         return (self.vfloor, self.basis)
@@ -297,7 +302,7 @@ def _solve_lower(R: TruncRing, basis, pivs, b):
         acc = b[r]
         for j in range(r):
             if not (R.is_zero(basis[r][j]) or R.is_zero(x[j])):
-                acc = R.add(acc, R.neg(R.mul(basis[r][j], x[j])))
+                acc = R.sub_mul(acc, basis[r][j], x[j])
         if R.val(acc) < pv:
             return None
         x[r] = R.shift(acc, -pv)
@@ -353,11 +358,13 @@ class HermSpace:
     n: int
     gram: tuple
     tau_matrix: tuple
+    # (op, vfloor, basis) -> lattice while an audit_scope is open, else None
+    memo: dict | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def build(ring: TruncRing, gram, tau_matrix) -> "HermSpace":
-        H = [list(r) for r in gram]
-        A = [list(r) for r in tau_matrix]
+        H = tuple(tuple(r) for r in gram)
+        A = tuple(tuple(r) for r in tau_matrix)
         n = len(H)
         Hct = mat_conj_T(ring, H)
         if any(H[i][j] != Hct[i][j] for i in range(n) for j in range(n)):
@@ -367,8 +374,7 @@ class HermSpace:
         rhs = mat_sigma(ring, H)
         if any(lhs[i][j] != rhs[i][j] for i in range(n) for j in range(n)):
             raise LatticeError("tau matrix is not unitary for this Gram")
-        return HermSpace(ring, n, tuple(tuple(r) for r in H),
-                         tuple(tuple(r) for r in A))
+        return HermSpace(ring, n, H, A)
 
     def herm(self, x, y):
         """h(x, y), conjugate-linear in the first argument."""
@@ -386,19 +392,47 @@ class HermSpace:
 
     def tau_vec(self, v):
         R = self.ring
-        return mat_vec(R, [list(r) for r in self.tau_matrix], [R.sigma(x) for x in v])
+        return [row[0] for row in mat_mul(R, self.tau_matrix, [[R.sigma(x)] for x in v])]
+
+    @contextmanager
+    def audit_scope(self):
+        """Within the block, :meth:`tau`, :meth:`tau_step` and :func:`dual_sharp`
+        compute each lattice of this space once (one audit's memo)."""
+        object.__setattr__(self, "memo", {})
+        try:
+            yield
+        finally:
+            object.__setattr__(self, "memo", None)
+
+    def _memoized(self, op: str, compute, L: Lattice) -> Lattice:
+        if self.memo is None:
+            return compute(self, L)
+        key = (op, L.vfloor, L.basis)
+        out = self.memo.get(key)
+        if out is None:  # a raising compute stores nothing
+            out = self.memo[key] = compute(self, L)
+        return out
 
     def tau(self, L: Lattice) -> Lattice:
-        R = self.ring
-        cols = [tuple(self.tau_vec(list(c))) for c in L.columns()]
-        return Lattice.from_columns(R, cols, L.vfloor)
+        return self._memoized("tau", HermSpace._tau, L)
+
+    def _tau(self, L: Lattice) -> Lattice:
+        cols = [tuple(self.tau_vec(c)) for c in L.columns()]
+        return Lattice.from_columns(self.ring, cols, L.vfloor)
+
+    def tau_step(self, L: Lattice) -> Lattice:
+        """L + tau L, one step of the tau-chain."""
+        return self._memoized("step", lambda sp, L: lattice_sum(L, sp.tau(L)), L)
 
 
 def dual_sharp(space: HermSpace, L: Lattice) -> Lattice:
     """The hermitian dual {v : h(v, L) integral}."""
+    return space._memoized("dual", _dual_sharp, L)
+
+
+def _dual_sharp(space: HermSpace, L: Lattice) -> Lattice:
     R = space.ring
-    pivs = list(L.pivot_valuations())
-    HB = mat_mul(R, [list(r) for r in space.gram], [list(r) for r in L.basis])
+    HB = mat_mul(R, space.gram, L.basis)
     hnf_pivs, HBn = column_hnf(R, _columns(HB), L.n)
     shift, C = triangular_inverse(R, HBn, hnf_pivs)
     # dual basis = conj((H B)^{-T}): columns of conj(C)^T / pi^shift
@@ -421,7 +455,7 @@ def tau_chain(space: HermSpace, M: Lattice):
     chain = [M]
     cur = M
     while True:
-        nxt = lattice_sum(cur, space.tau(cur))
+        nxt = space.tau_step(cur)
         if lattice_eq(nxt, cur):
             return len(chain) - 1, chain
         if index_in(nxt, cur) != 1:
@@ -436,8 +470,7 @@ def check_hypotheses(space: HermSpace, M: Lattice) -> bool:
     """pi M-sharp <= M <= M-sharp and [M + tau M : M] <= 1."""
     if vertex_type(space, M) is None:
         return False
-    s = lattice_sum(M, space.tau(M))
-    return index_in(s, M) <= 1
+    return index_in(space.tau_step(M), M) <= 1
 
 
 def crucial_dichotomy(space: HermSpace, M: Lattice) -> dict:
@@ -448,7 +481,6 @@ def crucial_dichotomy(space: HermSpace, M: Lattice) -> dict:
     flags for the full containment chains.  A False flag is a
     counterexample report, the most important possible output.
     """
-    R = space.ring
     Ms = dual_sharp(space, M)
     h = index_in(Ms, M)
     cond1 = not contains(M, space.tau(Ms.scale(1)))   # tau(pi M#) not in M
@@ -537,11 +569,12 @@ def smith_form(R: TruncRing, X, n: int):
         for row in work:
             row[t], row[bj] = row[bj], row[t]
         unit = R.shift(work[t][t], -bestv)
-        uinv = R.unit_inv(unit)
-        # scale row t by uinv; E^{-1} scales column t of Pinv by unit
-        work[t] = [R.mul(uinv, x) for x in work[t]]
-        for row in Pinv:
-            row[t] = R.mul(unit, row[t])
+        if unit != R.one:
+            # scale row t by 1/unit; E^{-1} scales column t of Pinv by unit
+            uinv = R.unit_inv(unit)
+            work[t] = [R.mul(uinv, x) for x in work[t]]
+            for row in Pinv:
+                row[t] = R.mul(unit, row[t])
         # clear the pivot column with row ops (E = I - q e_{it});
         # E^{-1} = I + q e_{it} adds q * col_i of Pinv to its col_t
         for i in range(n):
@@ -552,7 +585,7 @@ def smith_form(R: TruncRing, X, n: int):
                 continue
             q = R.shift(x, -bestv)
             for j in range(m):
-                work[i][j] = R.add(work[i][j], R.neg(R.mul(q, work[t][j])))
+                work[i][j] = R.sub_mul(work[i][j], q, work[t][j])
             for row in Pinv:
                 row[t] = R.add(row[t], R.mul(q, row[i]))
         # clear the pivot row with column ops (not tracked)
@@ -564,7 +597,7 @@ def smith_form(R: TruncRing, X, n: int):
                 continue
             q = R.shift(x, -bestv)
             for i in range(n):
-                work[i][j] = R.add(work[i][j], R.neg(R.mul(q, work[i][t])))
+                work[i][j] = R.sub_mul(work[i][j], q, work[i][t])
         divs.append(bestv)
     return Pinv, divs
 
@@ -588,8 +621,7 @@ def quotient_basis(space: HermSpace, big: Lattice, small: Lattice):
     Xmat = _from_columns(X)
     P, divs = smith_form(R, Xmat, big.n)
     out = []
-    Bmat = [list(r) for r in big.basis]
-    S = mat_mul(R, Bmat, P)
+    S = mat_mul(R, big.basis, P)
     for i, dv in enumerate(divs):
         if dv == 0:
             continue
@@ -851,11 +883,10 @@ def random_instance(window: _Window, rng: random.Random):
 
 def same_index_lemma_holds(space: HermSpace, M: Lattice) -> bool:
     """[M + tau M : M] = 1 implies [M# + tau M# : M#] = 1."""
-    left = index_in(lattice_sum(M, space.tau(M)), M)
-    if left != 1:
+    if index_in(space.tau_step(M), M) != 1:
         return True
     Ms = dual_sharp(space, M)
-    return index_in(lattice_sum(Ms, space.tau(Ms)), Ms) == 1
+    return index_in(space.tau_step(Ms), Ms) == 1
 
 
 def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
@@ -935,13 +966,14 @@ def _dichotomy_audit(p: int, e: int, s: int, n: int, seed: int, N: int,
     for space, draw in draws(spaces):
         stats[counter] += 1
         try:
-            M = draw()
-            if not check_hypotheses(space, M):
-                stats["hypothesis_rejected"] += 1
-                continue
-            if not same_index_lemma_holds(space, M):
-                stats["same_index_failures"] += 1
-            res = crucial_dichotomy(space, M)
+            with space.audit_scope():
+                M = draw()
+                if not check_hypotheses(space, M):
+                    stats["hypothesis_rejected"] += 1
+                    continue
+                if not same_index_lemma_holds(space, M):
+                    stats["same_index_failures"] += 1
+                res = crucial_dichotomy(space, M)
         except GuardError:
             stats["inconclusive"] += 1
             continue

@@ -36,6 +36,14 @@ def test_charts_reject_non_prime_fields(field, capsys):
     assert code == 2 and out == ""
 
 
+def test_charts_sweep_uses_the_given_field(capsys):
+    # --q without --family used to be ignored: the sweep ran over q = 3 and 5
+    code, out = run(capsys, "charts", "reconcile", "--max-entries", "2", "--q", "7")
+    assert code == 0
+    labels = [c["label"] for c in json.loads(out)["stable"]["counts"]]
+    assert labels and all("q=7" in label for label in labels)
+
+
 def test_budget_exit_three(capsys):
     code, out = run(capsys, "strata", "verify", "--case", "z", "--q", "3",
                     "--k", "2", "--t", "6", "--h", "2", "--budget", "10")

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratakit.gf import FieldCtx
 from stratakit import latcalc as lc
@@ -58,16 +61,72 @@ def test_ring_arithmetic():
         R.shift(R.one, R.width)
 
 
-def test_ring_associativity_sampled():
-    R = TruncRing(CTX3, 3)
-    rng = random.Random(0)
-    for _ in range(60):
-        a = R.elem([rng.randrange(3) for _ in range(R.width)])
-        b = R.elem([rng.randrange(3) for _ in range(R.width)])
-        c = R.elem([rng.randrange(3) for _ in range(R.width)])
-        assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
-        assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
-        assert R.conj(R.mul(a, b)) == R.mul(R.conj(a), R.conj(b))
+# the kernel's products skip zero terms; the reference walks every pair
+RINGS = [TruncRing(ctx, N) for ctx in (CTX3, CTX9) for N in (2, 3, 8)]
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def schoolbook_mul(R, a, b):
+    """Dense reference product: every coefficient pair below the width."""
+    ctx = R.ctx
+    out = [0] * R.width
+    for i in range(R.width):
+        for j in range(R.width - i):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(a[i], b[j]))
+    return tuple(out)
+
+
+@st.composite
+def ring_elements(draw, R, kind=None):
+    """A zero, constant, monomial c pi^j or dense element of R."""
+    kind = kind or draw(st.sampled_from(("zero", "constant", "monomial", "dense")))
+    q = R.ctx.size
+    if kind == "zero":
+        return R.zero
+    if kind == "dense":
+        return tuple(draw(st.lists(st.integers(0, q - 1), min_size=R.width,
+                                   max_size=R.width)))
+    j = 0 if kind == "constant" else draw(st.integers(0, R.width - 1))
+    c = draw(st.integers(1, q - 1))
+    return tuple(c if i == j else 0 for i in range(R.width))
+
+
+rings = st.sampled_from(RINGS)
+
+
+@PROPERTY
+@given(st.data(), rings)
+def test_mul_matches_schoolbook(data, R):
+    a, b = data.draw(ring_elements(R)), data.draw(ring_elements(R))
+    assert R.mul(a, b) == schoolbook_mul(R, a, b)
+
+
+@PROPERTY
+@given(st.data(), rings)
+def test_sub_mul_matches_schoolbook(data, R):
+    acc, a, b = (data.draw(ring_elements(R)) for _ in range(3))
+    ab = schoolbook_mul(R, a, b)
+    assert R.sub_mul(acc, a, b) == tuple(R.ctx.add(x, R.ctx.neg(y)) for x, y in zip(acc, ab))
+
+
+@PROPERTY
+@given(st.data(), rings, st.sampled_from(("constant", "dense")))
+def test_unit_inverse(data, R, kind):
+    a0 = data.draw(st.integers(1, R.ctx.size - 1))
+    a = (a0,) + data.draw(ring_elements(R, kind))[1:]
+    inv = R.unit_inv(a)
+    assert R.mul(a, inv) == R.one == schoolbook_mul(R, inv, a)
+    with pytest.raises(LatticeError):
+        R.unit_inv((0,) + a[1:])
+
+
+@PROPERTY
+@given(st.data(), rings)
+def test_ring_associativity_sampled(data, R):
+    a, b, c = (data.draw(ring_elements(R)) for _ in range(3))
+    assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
+    assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
+    assert R.conj(R.mul(a, b)) == R.mul(R.conj(a), R.conj(b))
 
 
 def test_hnf_canonical_under_generator_changes():
@@ -296,3 +355,129 @@ def test_is_zero_is_the_zero_tuple(monkeypatch, capsys):
     for ring, a in seen:
         assert type(a) is tuple and len(a) == ring.width
         assert fast(ring, a) == all(x == 0 for x in a)
+
+
+def _without_counterexamples(stats):
+    return {k: v for k, v in stats.items() if k != "counterexamples"}
+
+
+@pytest.mark.parametrize("audit", [
+    lambda N: lc.exhaustive_dichotomy(3, 1, 1, n=2, N=N),
+    lambda N: lc.exhaustive_dichotomy(3, 1, 2, n=2, N=N),
+    lambda N: lc.dichotomy_trials(3, 1, 2, 3, 150, seed=5, N=N),
+], ids=["exhaustive-s1", "exhaustive-s2", "trials-n3"])
+def test_dichotomy_stats_independent_of_truncation(audit):
+    # a guard N that no valuation reaches is invisible in the statistics;
+    # counterexample records carry width-2N coefficient tuples
+    assert _without_counterexamples(audit(6)) == _without_counterexamples(audit(8))
+
+
+@pytest.mark.parametrize("n,h,s", [(2, 0, 2), (2, 2, 2), (3, 2, 2)])
+def test_inclusion_report_independent_of_truncation(n, h, s):
+    reports = [lc.inclusion_report(3, 1, s, n=n, h=h, N=N) for N in (6, 8)]
+    for rep in reports:
+        assert rep.pop("config")["N"] in (6, 8)
+    assert reports[0] == reports[1]
+
+
+def _count_bodies(monkeypatch):
+    """Count, per audit scope, the runs of the unmemoized dual, tau and
+    tau-step bodies keyed by (op, vfloor, basis), and the memo lookups."""
+    audits, current = [], []
+    open_scope, memoized = HermSpace.audit_scope, HermSpace._memoized
+
+    @contextmanager
+    def audit_scope(self):
+        audits.append((Counter(), Counter()))
+        current.append(audits[-1])
+        try:
+            with open_scope(self):
+                yield
+        finally:
+            current.pop()
+
+    def counted(op, body, lattice_arg):
+        def run(*args):
+            if current:
+                L = args[lattice_arg]
+                current[-1][0][op, L.vfloor, L.basis] += 1
+            return body(*args)
+        return run
+
+    def looked_up(self, op, compute, L):
+        if current:
+            current[-1][1][op] += 1
+        return memoized(self, op, compute, L)
+
+    monkeypatch.setattr(HermSpace, "audit_scope", audit_scope)
+    monkeypatch.setattr(HermSpace, "_memoized", looked_up)
+    monkeypatch.setattr(lc, "_dual_sharp", counted("dual", lc._dual_sharp, 1))
+    monkeypatch.setattr(HermSpace, "_tau", counted("tau", HermSpace._tau, 1))
+    # inside an audit, lattice_sum runs only as the body of tau_step
+    monkeypatch.setattr(lc, "lattice_sum", counted("step", lc.lattice_sum, 0))
+    return audits
+
+
+def test_audit_computes_each_lattice_once(monkeypatch):
+    audits = _count_bodies(monkeypatch)
+    stats = lc.dichotomy_trials(3, 1, 2, 3, 50, seed=0)
+    assert len(audits) == stats["trials"] == 50
+    computed = Counter(op for runs, _ in audits for op, _, _ in runs)
+    asked = sum((lookups for _, lookups in audits), Counter())
+    assert all(c == 1 for runs, _ in audits for c in runs.values())
+    assert set(computed) == {"dual", "tau", "step"}
+    # the memo is what saves the work: each op is asked for more often
+    assert all(asked[op] > computed[op] for op in computed)
+
+
+def test_memoized_results_equal_fresh_computations(monkeypatch):
+    served = []
+    memoized = HermSpace._memoized
+
+    def recording(self, op, compute, L):
+        out = memoized(self, op, compute, L)
+        if self.memo is not None:
+            served.append((self, compute, L, out))
+        return out
+
+    monkeypatch.setattr(HermSpace, "_memoized", recording)
+    lc.dichotomy_trials(3, 1, 2, 3, 50, seed=0)
+    assert served
+    for space, compute, L, out in served:
+        assert space.memo is None
+        assert compute(space, L) == out
+
+
+def test_no_space_keeps_a_memo_after_the_audits(monkeypatch):
+    built = []
+    build = HermSpace.build
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(HermSpace, "build", staticmethod(recording))
+    lc.dichotomy_trials(3, 1, 2, 3, 50, seed=0)
+    lc.inclusion_report(3, 1, 2, n=2, h=2)
+    assert built and all(sp.memo is None for sp in built)
+
+
+def test_guard_trip_is_not_memoized(monkeypatch):
+    calls = []
+
+    def tripping(space, L):
+        calls.append(L)
+        raise GuardError("forced trip")
+
+    monkeypatch.setattr(lc, "_dual_sharp", tripping)
+    sp, L0 = id_space(ring9(), 2), standard_lattice(ring9(), 2)
+    with sp.audit_scope():
+        for _ in range(2):
+            with pytest.raises(GuardError):
+                dual_sharp(sp, L0)
+        assert len(calls) == 2 and sp.memo == {}
+    assert sp.memo is None
+    with pytest.raises(GuardError):
+        with sp.audit_scope():
+            dual_sharp(sp, L0)
+    assert sp.memo is None
