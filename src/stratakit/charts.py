@@ -17,7 +17,6 @@ and the reduced-locus dimension table live here as well.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .gf import _is_probable_prime
 from .report import check, inconclusive
 from .space import BudgetExceeded
 
-MATRIX_ENTRY_BUDGET = int(os.environ.get("STRATAKIT_MATRIX_BUDGET", 10**8))
+MATRIX_ENTRY_BUDGET = 10**8
 
 
 class ChartError(ValueError):

@@ -28,16 +28,8 @@ from .space import BudgetExceeded, subspace_from_json
 
 def _strata_config(args) -> strata.StrataConfig:
     case = args.case.upper()
-    kwargs = dict(case=case, p=args.q, e=args.e, k=args.k)
-    if case == "Z":
-        kwargs.update(t=args.t, h=args.h)
-    elif case == "Y":
-        kwargs.update(n=args.n, h=args.h, t=args.t, eps=args.eps)
-    elif case == "ZY":
-        kwargs.update(t1=args.t1, h=args.h, t2=args.t2)
-    else:
-        raise strata.ConfigError(f"unknown case {args.case!r}")
-    return strata.StrataConfig(**kwargs)
+    return strata.StrataConfig(case, args.q, args.e, args.k,
+                               **{name: getattr(args, name) for name in strata.CASE_PARAMS[case]})
 
 
 def _run(args, body, config=None, seeded=True) -> int:

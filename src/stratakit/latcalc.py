@@ -76,6 +76,10 @@ class TruncRing:
     def mul(self, a, b):
         return self._mul_into(self.zero, a, b, self.ctx.MUL)
 
+    def add_mul(self, acc, a, b):
+        """acc + a * b in one pass."""
+        return self._mul_into(acc, a, b, self.ctx.MUL)
+
     def sub_mul(self, acc, a, b):
         """acc - a * b in one pass."""
         return self._mul_into(acc, a, b, self._neg_mul)
@@ -149,18 +153,15 @@ class TruncRing:
 # -- matrices over the ring ------------------------------------------------
 
 def mat_mul(R: TruncRing, A, B):
-    n, m = len(A), len(B[0])
-    inner = len(B)
-    out = [[R.zero] * m for _ in range(n)]
-    for i in range(n):
-        for k in range(inner):
+    out = [[R.zero] * len(B[0]) for _ in A]
+    for i in range(len(A)):
+        for k in range(len(B)):
             a = A[i][k]
             if R.is_zero(a):
                 continue
-            for j in range(m):
-                b = B[k][j]
+            for j, b in enumerate(B[k]):
                 if not R.is_zero(b):
-                    out[i][j] = R.add(out[i][j], R.mul(a, b))
+                    out[i][j] = R.add_mul(out[i][j], a, b)
     return out
 
 
@@ -309,19 +310,28 @@ def _solve_lower(R: TruncRing, basis, pivs, b):
     return x
 
 
-def contains(big: Lattice, small: Lattice) -> bool:
-    """small subset of big, by forward substitution in the triangular form."""
+def _coordinates(big: Lattice, small: Lattice):
+    """small's columns in big's basis (big.basis . X = small, X a list of
+    columns), by forward substitution; None when small is not inside big."""
     R = big.ring
     shift = small.vfloor - big.vfloor
     piv = big.pivot_valuations()
+    X = []
     for col in small.columns():
         try:
             b = [R.shift(x, shift) for x in col]
         except LatticeError:
-            return False
-        if _solve_lower(R, big.basis, piv, b) is None:
-            return False
-    return True
+            return None
+        x = _solve_lower(R, big.basis, piv, b)
+        if x is None:
+            return None
+        X.append(x)
+    return X
+
+
+def contains(big: Lattice, small: Lattice) -> bool:
+    """small subset of big."""
+    return _coordinates(big, small) is not None
 
 
 def index_in(big: Lattice, small: Lattice) -> int:
@@ -377,18 +387,10 @@ class HermSpace:
         return HermSpace(ring, n, H, A)
 
     def herm(self, x, y):
-        """h(x, y), conjugate-linear in the first argument."""
+        """h(x, y) = conj(x)^T H y, conjugate-linear in the first argument."""
         R = self.ring
-        acc = R.zero
-        for i, xi in enumerate(x):
-            if R.is_zero(xi):
-                continue
-            s = R.zero
-            for j, yj in enumerate(y):
-                if not (R.is_zero(self.gram[i][j]) or R.is_zero(yj)):
-                    s = R.add(s, R.mul(self.gram[i][j], yj))
-            acc = R.add(acc, R.mul(R.conj(xi), s))
-        return acc
+        Hy = mat_mul(R, self.gram, [[yj] for yj in y])
+        return mat_mul(R, [[R.conj(xi) for xi in x]], Hy)[0][0]
 
     def tau_vec(self, v):
         R = self.ring
@@ -587,7 +589,7 @@ def smith_form(R: TruncRing, X, n: int):
             for j in range(m):
                 work[i][j] = R.sub_mul(work[i][j], q, work[t][j])
             for row in Pinv:
-                row[t] = R.add(row[t], R.mul(q, row[i]))
+                row[t] = R.add_mul(row[t], q, row[i])
         # clear the pivot row with column ops (not tracked)
         for j in range(m):
             if j == t:
@@ -609,17 +611,10 @@ def quotient_basis(space: HermSpace, big: Lattice, small: Lattice):
     vectors; only pi-elementary quotients are supported.
     """
     R = space.ring
-    # write small = big * X
-    shift = small.vfloor - big.vfloor
-    pivs = big.pivot_valuations()
-    X = []
-    for col in small.columns():
-        xcol = _solve_lower(R, big.basis, pivs, [R.shift(x, shift) for x in col])
-        if xcol is None:
-            raise LatticeError("not contained")
-        X.append(xcol)
-    Xmat = _from_columns(X)
-    P, divs = smith_form(R, Xmat, big.n)
+    X = _coordinates(big, small)  # small = big * X
+    if X is None:
+        raise LatticeError("not contained")
+    P, divs = smith_form(R, _from_columns(X), big.n)
     out = []
     S = mat_mul(R, big.basis, P)
     for i, dv in enumerate(divs):
@@ -707,8 +702,8 @@ class _Window:
     def lift(self, rows) -> Lattice:
         """bot plus the span of the lifts of the coefficient rows."""
         R, shift = self.ring, self.vfloor - self.base
-        cols = [tuple(R.shift(x, shift) for x in _combine_vec(R, self.vecs, row))
-                for row in rows]
+        coeffs = [[R.const(c) for c in row] for row in rows]
+        cols = [tuple(R.shift(x, shift) for x in v) for v in mat_mul(R, coeffs, self.vecs)]
         return Lattice.from_columns(R, self.bot_cols + cols, self.base)
 
     def lattices(self, budget: int | None = None):
@@ -736,17 +731,6 @@ def enumerate_between(space: HermSpace, bot: Lattice, top: Lattice,
     """All lattices between bot and top (pi-elementary quotient), as in
     :meth:`_Window.lattices`."""
     return _Window(space, bot, top).lattices(budget)
-
-
-def _combine_vec(R: TruncRing, vecs, coeffs):
-    out = [R.zero] * len(vecs[0])
-    for c, v in zip(coeffs, vecs):
-        if c:
-            cc = R.const(c)
-            for i, x in enumerate(v):
-                if not R.is_zero(x):
-                    out[i] = R.add(out[i], R.mul(cc, x))
-    return out
 
 
 # -- point sets of the stratification ---------------------------------------
@@ -820,7 +804,7 @@ def tau_generator_set(ring: TruncRing, n: int, seed: int = 0, gram=None):
     rng = random.Random(seed)
     ctx = ring.ctx
     if gram is None:
-        gram = identity_gram(ring, n)
+        gram = mixed_gram(ring, n, 0)
     cands = _orthogonal_constants(ctx, rng, n)
     for _ in range(4):
         diag = [rng.randrange(1, ctx.size) for _ in range(n)]
@@ -847,10 +831,6 @@ def tau_generator_set(ring: TruncRing, n: int, seed: int = 0, gram=None):
     if len(out) < 2:
         raise LatticeError("tau generator set is too thin for this Gram")
     return out
-
-
-def identity_gram(ring: TruncRing, n: int):
-    return tuple(tuple(r) for r in mat_identity(ring, n))
 
 
 def mixed_gram(ring: TruncRing, n: int, pi_blocks: int):
@@ -899,7 +879,7 @@ def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
     """
     ctx = FieldCtx(p, e, s)
     ring = TruncRing(ctx, N)
-    space = HermSpace.build(ring, identity_gram(ring, n),
+    space = HermSpace.build(ring, mixed_gram(ring, n, 0),
                             tau_generator_set(ring, n, seed)[1])
     catalog = vertex_lattices_in_window(space, budget=budget)
     types = {L: vertex_type(space, L) for L in catalog}

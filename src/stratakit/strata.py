@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -42,7 +41,11 @@ from .space import (
     sum_spaces,
 )
 
-SUBSPACE_BUDGET = int(os.environ.get("STRATAKIT_SUBSPACE_BUDGET", 10**7))
+SUBSPACE_BUDGET = 10**7
+
+# The parameters each case reads besides (p, e, k), in report order; all
+# but the dimension n and the sign eps are vertex-lattice types.
+CASE_PARAMS = {"Z": ("t", "h"), "Y": ("n", "h", "t", "eps"), "ZY": ("t1", "h", "t2")}
 
 
 class ConfigError(ValueError):
@@ -89,29 +92,24 @@ class StrataConfig:
     eps: int = -1
 
     def __post_init__(self):
-        if self.case not in ("Z", "Y", "ZY"):
+        if self.case not in CASE_PARAMS:
             raise ConfigError(f"unknown case {self.case!r}")
         if self.k < 1:
             raise ConfigError("extension degree k must be >= 1")
-        if self.case == "Z":
-            if self.t % 2 or self.h % 2:
-                raise ConfigError("types must be even integers")
-            if not 0 <= self.h <= self.t:
-                raise ConfigError("case Z needs 0 <= h <= t")
-        elif self.case == "Y":
-            if self.t % 2 or self.h % 2:
-                raise ConfigError("types must be even integers")
+        if any(getattr(self, name) % 2 for name in CASE_PARAMS[self.case]
+               if name not in ("n", "eps")):
+            raise ConfigError("types must be even integers")
+        if self.case == "Z" and not 0 <= self.h <= self.t:
+            raise ConfigError("case Z needs 0 <= h <= t")
+        if self.case == "ZY" and not 0 <= self.t2 <= self.h <= self.t1:
+            raise ConfigError("case ZY needs t2 <= h <= t1")
+        if self.case == "Y":
             if not 0 <= self.t <= self.h <= self.n:
                 raise ConfigError("case Y needs 0 <= t <= h <= n")
             if self.eps not in (-1, 1):
                 raise ConfigError("eps must be +-1")
             if self.n % 2 == 0 and self.h == self.n and self.eps == -1:
                 raise ConfigError("a maximal level forces eps = +1")
-        else:
-            if self.t1 % 2 or self.t2 % 2 or self.h % 2:
-                raise ConfigError("types must be even integers")
-            if not 0 <= self.t2 <= self.h <= self.t1:
-                raise ConfigError("case ZY needs t2 <= h <= t1")
 
     # -- derived quantities ---------------------------------------------
 
@@ -184,30 +182,23 @@ class StrataConfig:
 
     def describe(self) -> dict:
         d = {"case": self.case, "p": self.p, "e": self.e, "k": self.k}
-        if self.case == "Z":
-            d.update(t=self.t, h=self.h)
-        elif self.case == "Y":
-            d.update(n=self.n, h=self.h, t=self.t, eps=self.eps)
-        else:
-            d.update(t1=self.t1, h=self.h, t2=self.t2)
+        d.update((name, getattr(self, name)) for name in CASE_PARAMS[self.case])
         return d
 
 
 # -- membership and classification ---------------------------------------
 
 def member(cfg: StrataConfig, U: Subspace) -> bool:
+    """U has the member dimension d, is isotropic unless the case is
+    formless, and meets Phi(U) in dimension >= d - 1; as dim Phi(U) = d,
+    that is dim(U + Phi(U)) <= d + 1."""
     sp = U.space
     if sp.dim != cfg.space_dim or sp.kind != cfg.space_kind:
         raise ConfigError("subspace does not live in the configured space")
     d = cfg.member_dim
     if U.dim != d:
         return False
-    phiU = apply_phi(U)
-    if cfg.case == "Z":
-        return is_isotropic(U) and intersect(U, phiU).dim >= d - 1
-    if cfg.case == "Y":
-        return is_isotropic(U) and sum_spaces(U, phiU).dim <= d + 1
-    return intersect(U, phiU).dim >= d - 1
+    return (cfg.case == "ZY" or is_isotropic(U)) and sum_spaces(U, apply_phi(U)).dim <= d + 1
 
 
 def _phi_stable(U: Subspace) -> bool:

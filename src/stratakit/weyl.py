@@ -20,6 +20,7 @@ sign flip at the last letter.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .report import check
@@ -138,31 +139,23 @@ def act(w: WeylElem, vector: tuple[str, int]) -> tuple[str, int]:
 
 # -- length by root inversion counting ----------------------------------
 
-def _positive_roots(ctx: WeylCtx):
-    k, t = ctx.rank, ctx.lie_type
+@functools.lru_cache(maxsize=None)
+def _positive_roots(lie_type: str, rank: int):
     roots = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
+    for i in range(1, rank + 1):
+        for j in range(i + 1, rank + 1):
             roots.append((i, j, -1))  # e_i - e_j
-            if t in ("B", "C", "D"):
+            if lie_type in ("B", "C", "D"):
                 roots.append((i, j, +1))  # e_i + e_j
-        if t in ("B", "C"):
+        if lie_type in ("B", "C"):
             roots.append((i, 0, 0))  # e_i (or 2e_i; same inversion count)
     return tuple(roots)
 
 
-_ROOT_CACHE: dict[tuple, tuple] = {}
-
-
 def length(w: WeylElem) -> int:
-    key = (w.ctx.lie_type, w.ctx.rank)
-    roots = _ROOT_CACHE.get(key)
-    if roots is None:
-        roots = _positive_roots(w.ctx)
-        _ROOT_CACHE[key] = roots
     im = w.images
     count = 0
-    for i, j, s in roots:
+    for i, j, s in _positive_roots(w.ctx.lie_type, w.ctx.rank):
         a = im[i - 1]
         if j == 0:
             if a < 0:
@@ -322,8 +315,10 @@ def enumerate_group(ctx: WeylCtx):
 # -- the explicit word families on formed spaces ------------------------
 #
 # Symplectic conventions: rank t = half the space dimension, parameter h
-# with 0 <= s <= h <= r <= t.  Orthogonal even/odd: rank k = half the
-# space dimension (rounded down), parameter hp with 0 <= s <= hp < r <= k.
+# with 0 <= s <= h <= r <= t.  Orthogonal even: rank k = half the space
+# dimension, parameter hp with 0 <= s <= hp < r <= k.  Types B and C have
+# the same simple reflections and positive roots here, so the odd
+# orthogonal words are the symplectic words read in WeylCtx("B", k).
 # Linear: rank m letters, parameter hh with 0 <= s <= hh <= r <= m.
 
 
@@ -345,10 +340,15 @@ def symplectic_g_word(i: int, t: int) -> list[int]:
     return _rng(i, t - 1) + [t] + _rng_desc(t - 1, i)
 
 
+def _w_word(rank: int, h: int, r: int, s: int, g_word: list[int]) -> list[int]:
+    """The w_(r,s) word around its middle part g_word = g_(rank-s)."""
+    return _rng(rank - h, rank - s - 1) + g_word + _rng_desc(rank - h - 1, rank - r + 1)
+
+
 def symplectic_w_word(t: int, h: int, r: int, s: int) -> list[int]:
     if not (0 <= s <= h < r <= t):
         raise WeylError(f"bad symplectic parameters r={r}, s={s} for (t={t}, h={h})")
-    return _rng(t - h, t - s - 1) + symplectic_g_word(t - s, t) + _rng_desc(t - h - 1, t - r + 1)
+    return _w_word(t, h, r, s, symplectic_g_word(t - s, t))
 
 
 def symplectic_wprime_word(t: int, h: int, r: int, s: int) -> list[int]:
@@ -386,43 +386,7 @@ def orthogonal_even_g_word(i: int, k: int, delta: str = "+") -> list[int]:
 def orthogonal_even_w_word(k: int, hp: int, r: int, s: int, delta: str = "+") -> list[int]:
     if not (0 <= s <= hp < r <= k):
         raise WeylError(f"bad orthogonal parameters r={r}, s={s} for (k={k}, hp={hp})")
-    return (
-        _rng(k - hp, k - s - 1)
-        + orthogonal_even_g_word(k - s, k, delta)
-        + _rng_desc(k - hp - 1, k - r + 1)
-    )
-
-
-def orthogonal_odd_ctx(k: int) -> WeylCtx:
-    return WeylCtx("B", k)
-
-
-def orthogonal_odd_g_word(i: int, k: int) -> list[int]:
-    return _rng(i, k - 1) + [k] + _rng_desc(k - 1, i)
-
-
-def orthogonal_odd_w_word(k: int, hp: int, r: int, s: int) -> list[int]:
-    if not (0 <= s <= hp < r <= k):
-        raise WeylError(f"bad orthogonal parameters r={r}, s={s} for (k={k}, hp={hp})")
-    return _rng(k - hp, k - s - 1) + orthogonal_odd_g_word(k - s, k) + _rng_desc(k - hp - 1, k - r + 1)
-
-
-def orthogonal_odd_wprime_word(k: int, hp: int, r: int, s: int) -> list[int]:
-    if not (0 <= s < hp < r <= k):
-        raise WeylError(f"bad orthogonal parameters r={r}, s={s} for (k={k}, hp={hp})")
-    return _rng_desc(k - hp, k - r + 1) + _rng(k - hp + 1, k - s - 1)
-
-
-def orthogonal_index_set(k: int, hp: int, r: int, s: int, near_maximal: bool) -> frozenset[int]:
-    """I_rs for both orthogonal flavors.
-
-    ``near_maximal`` selects the h >= n-2 convention where only the left
-    chain survives; otherwise all reflections outside s_{k-r} .. s_{k-s}.
-    """
-    if near_maximal:
-        return frozenset(range(1, k - r))
-    gap = set(range(k - r, k - s + 1))
-    return frozenset(i for i in range(1, k + 1) if i not in gap)
+    return _w_word(k, hp, r, s, orthogonal_even_g_word(k - s, k, delta))
 
 
 def expected_w_action(t: int, h: int, r: int, s: int) -> dict:

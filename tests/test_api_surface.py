@@ -15,10 +15,6 @@ ALLOWED = {
     "weyl.linear_w_word": _WEYL_FAMILIES,
     "weyl.orthogonal_even_ctx": _WEYL_FAMILIES,
     "weyl.orthogonal_even_w_word": _WEYL_FAMILIES,
-    "weyl.orthogonal_index_set": _WEYL_FAMILIES,
-    "weyl.orthogonal_odd_ctx": _WEYL_FAMILIES,
-    "weyl.orthogonal_odd_w_word": _WEYL_FAMILIES,
-    "weyl.orthogonal_odd_wprime_word": _WEYL_FAMILIES,
     "weyl.symplectic_w_lambda_word": _WEYL_FAMILIES,
     "weyl.symplectic_wprime_lambda_word": _WEYL_FAMILIES,
     "weyl.enumerate_group": "word lengths by brute-force BFS, the oracle of the length tests",

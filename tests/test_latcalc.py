@@ -16,7 +16,6 @@ from stratakit.latcalc import (
     crucial_dichotomy,
     dual_sharp,
     enumerate_between,
-    identity_gram,
     index_in,
     induced_forms,
     lattice_eq,
@@ -38,7 +37,7 @@ def ring9(N=8):
 
 
 def id_space(ring, n, tau_index=0):
-    return HermSpace.build(ring, identity_gram(ring, n),
+    return HermSpace.build(ring, mixed_gram(ring, n, 0),
                            tau_generator_set(ring, n, 0)[tau_index])
 
 
@@ -102,11 +101,13 @@ def test_mul_matches_schoolbook(data, R):
 
 
 @PROPERTY
-@given(st.data(), rings)
-def test_sub_mul_matches_schoolbook(data, R):
+@given(st.data(), rings, st.sampled_from(("add_mul", "sub_mul")))
+def test_fused_mul_matches_schoolbook(data, R, op):
     acc, a, b = (data.draw(ring_elements(R)) for _ in range(3))
     ab = schoolbook_mul(R, a, b)
-    assert R.sub_mul(acc, a, b) == tuple(R.ctx.add(x, R.ctx.neg(y)) for x, y in zip(acc, ab))
+    if op == "sub_mul":
+        ab = tuple(R.ctx.neg(y) for y in ab)
+    assert getattr(R, op)(acc, a, b) == tuple(R.ctx.add(x, y) for x, y in zip(acc, ab))
 
 
 @PROPERTY
@@ -192,7 +193,7 @@ def test_tau_chain_examples():
     # a rank-2 instance where tau moves one line: c = 1
     swap = tuple(tuple(R.const(1) if i + j == 1 else R.zero for j in range(2))
                  for i in range(2))
-    sp2 = HermSpace.build(R, identity_gram(R, 2), swap)
+    sp2 = HermSpace.build(R, mixed_gram(R, 2, 0), swap)
     g = CTX9.gen_code
     col1 = (R.const(g), R.pi_pow(1))
     col2 = (R.zero, R.mul(R.pi_pow(1), R.pi_pow(0)))
@@ -293,16 +294,26 @@ def test_guard_trips_are_loud():
 
 def test_tau_axioms_on_vectors():
     # sigma-semilinearity and compatibility with the hermitian form,
-    # sampled over random vectors for every generator
+    # sampled over random vectors for every generator; the form itself
+    # against the direct sum of conj(x_i) H_ij y_j
     R = ring9(6)
     rng = random.Random(7)
-    for H in (identity_gram(R, 3), mixed_gram(R, 3, 1)):
+
+    def direct_herm(H, x, y):
+        acc = R.zero
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                acc = R.add(acc, schoolbook_mul(R, schoolbook_mul(R, R.conj(xi), H[i][j]), yj))
+        return acc
+
+    for H in (mixed_gram(R, 3, 0), mixed_gram(R, 3, 1)):
         for A in tau_generator_set(R, 3, 0, H):
             sp = HermSpace.build(R, H, A)
             for _ in range(6):
                 x = [R.elem([rng.randrange(9) for _ in range(4)]) for _ in range(3)]
                 y = [R.elem([rng.randrange(9) for _ in range(4)]) for _ in range(3)]
                 c = R.elem([rng.randrange(9) for _ in range(3)])
+                assert sp.herm(x, y) == direct_herm(H, x, y)
                 assert sp.herm(sp.tau_vec(x), sp.tau_vec(y)) == R.sigma(sp.herm(x, y))
                 cx = [R.mul(c, xi) for xi in x]
                 assert sp.tau_vec(cx) == [R.mul(R.sigma(c), t) for t in sp.tau_vec(x)]
@@ -332,7 +343,7 @@ def test_rejects_non_unitary_tau():
     bad = tuple(tuple(R.const(g) if i == j else R.zero for j in range(2))
                 for i in range(2))
     with pytest.raises(LatticeError):
-        HermSpace.build(R, identity_gram(R, 2), bad)
+        HermSpace.build(R, mixed_gram(R, 2, 0), bad)
 
 
 def test_is_zero_is_the_zero_tuple(monkeypatch, capsys):

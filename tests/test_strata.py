@@ -65,6 +65,16 @@ def test_member_rejects_wrong_dimension_and_deficiency():
     U = spc.Subspace.from_rows(sp, [(1, 3, 0, 0), (0, 0, 1, 6)])
     if member(cfg, U):
         assert spc.intersect(U, spc.apply_phi(U)).dim >= 1
+    # member() against the intersection predicate on every d-subspace of
+    # the coordinate scan, members and non-members alike
+    for cfg in (cfg_z(4, 0), cfg_y(5, 2, 0, -1), cfg_zy(8, 4, 0)):
+        d, verdicts = cfg.member_dim, set()
+        for U in enumerate_subspaces(cfg.build_space(), d):
+            want = ((cfg.case == "ZY" or spc.is_isotropic(U))
+                    and spc.intersect(U, spc.apply_phi(U)).dim >= d - 1)
+            assert member(cfg, U) == want, (cfg.describe(), U.rows)
+            verdicts.add(want)
+        assert verdicts == {True, False}, cfg.describe()
 
 
 def test_classifier_stable_member_is_id():

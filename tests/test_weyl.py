@@ -186,19 +186,19 @@ def test_action_diagram_patterns():
 
 def test_odd_orthogonal_words_are_coherent():
     # lengths, minimality and the dimension formula agree with the closed
-    # table in the odd case
+    # table in the odd case, whose words are the symplectic ones in type B
     for (k, hp) in [(3, 1), (4, 2)]:
-        ctx = weyl.orthogonal_odd_ctx(k)
+        ctx = WeylCtx("B", k)
         for r in range(hp + 1, k + 1):
             for s in range(0, hp + 1):
-                w = from_word(ctx, weyl.orthogonal_odd_w_word(k, hp, r, s))
-                I = parabolic(ctx, weyl.orthogonal_index_set(k, hp, r, s, False))
+                w = from_word(ctx, weyl.symplectic_w_word(k, hp, r, s))
+                I = parabolic(ctx, weyl.symplectic_index_set(k, hp, r, s))
                 assert length(w) == r + s
                 assert is_min_double_coset(w, I.gens, I.gens)
                 assert dl_dimension(I, w) == r + s
             for s in range(0, hp):
-                w = from_word(ctx, weyl.orthogonal_odd_wprime_word(k, hp, r, s))
-                I = parabolic(ctx, weyl.orthogonal_index_set(k, hp, r, s, False))
+                w = from_word(ctx, weyl.symplectic_wprime_word(k, hp, r, s))
+                I = parabolic(ctx, weyl.symplectic_index_set(k, hp, r, s))
                 assert length(w) == r - s - 1
                 assert dl_dimension(I, w) == r - s - 1
 
