@@ -71,8 +71,15 @@ def intersect(ctx: FieldCtx, a: Mat, b: Mat, ncols: int) -> Mat:
 
 
 def nullspace(ctx: FieldCtx, rows, ncols: int) -> Mat:
-    """Canonical basis of the right kernel {x : rows . x = 0}."""
-    red, pivots = rref(ctx, rows)
+    """Canonical basis of the right kernel {x : rows . x = 0}.
+
+    The rows are reduced pivoting from the right, so every pivot column
+    lies right of the free columns its row involves: the kernel vector of
+    free column f has its leading 1 at f and zeros at the other free
+    columns, which is reduced echelon form already.
+    """
+    red, rpiv = rref(ctx, [r[::-1] for r in rows])
+    pivots = [ncols - 1 - j for j in rpiv]
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     basis = []
@@ -81,10 +88,9 @@ def nullspace(ctx: FieldCtx, rows, ncols: int) -> Mat:
         vec = [0] * ncols
         vec[f] = 1
         for i, pc in enumerate(pivots):
-            vec[pc] = NEG[red[i][f]]
+            vec[pc] = NEG[red[i][ncols - 1 - f]]
         basis.append(tuple(vec))
-    out, _ = rref(ctx, basis)
-    return out
+    return tuple(basis)
 
 
 def residual(ctx: FieldCtx, rows, pivots, vec) -> list[int]:
@@ -107,45 +113,27 @@ def contains_vector(ctx: FieldCtx, red_rows: Mat, pivots, vec) -> bool:
     return not any(residual(ctx, red_rows, pivots, vec))
 
 
-def enumerate_echelon(ctx: FieldCtx, ncols: int, dim: int, scalars=None, row_filter=None):
+def enumerate_echelon(ctx: FieldCtx, ncols: int, dim: int):
     """Stream all dim-dimensional row spaces in canonical echelon form.
 
     Pivot sets run lexicographically, free entries in field enumeration
-    order (slowest index varies last), entries drawn from ``scalars``
-    (defaults to the whole field).  ``row_filter(rows_so_far)`` may prune
-    a partial matrix as soon as its last row is filled; it must be a
-    condition on the row span prefix for the enumeration to stay exact.
+    order (slowest index varies last).
     """
-    if scalars is None:
-        scalars = range(ctx.size)
-    scalars = list(scalars)
-    if dim == 0:
-        yield ()
-        return
+    scalars = range(ctx.size)
     for pivots in itertools.combinations(range(ncols), dim):
         pivset = set(pivots)
-        base = []
-        slots_per_row = []
-        for i, pc in enumerate(pivots):
-            row = [0] * ncols
-            row[pc] = 1
-            base.append(row)
-            slots_per_row.append([c for c in range(pc + 1, ncols) if c not in pivset])
-
-        def rec(i, rows):
-            if i == dim:
-                yield tuple(rows)
-                return
-            for values in itertools.product(scalars, repeat=len(slots_per_row[i])):
-                row = base[i][:]
-                for c, v in zip(slots_per_row[i], values):
+        choices = []
+        for pc in pivots:
+            slots = [c for c in range(pc + 1, ncols) if c not in pivset]
+            rows = []
+            for values in itertools.product(scalars, repeat=len(slots)):
+                row = [0] * ncols
+                row[pc] = 1
+                for c, v in zip(slots, values):
                     row[c] = v
-                nxt = rows + (tuple(row),)
-                if row_filter is not None and not row_filter(nxt):
-                    continue
-                yield from rec(i + 1, nxt)
-
-        yield from rec(0, ())
+                rows.append(tuple(row))
+            choices.append(rows)
+        yield from itertools.product(*choices)
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:

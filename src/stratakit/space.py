@@ -194,13 +194,26 @@ def intersect(U: Subspace, W: Subspace) -> Subspace:
     return Subspace(U.space, rows, tuple(_pivots_of(rows)))
 
 
+def _functional(ctx: FieldCtx, gram_nz, r) -> list[int]:
+    """The row vector r G for a Gram matrix G given by the nonzero entries
+    (j, g_ij) of each row i, as in ``FormedSpace._gram_nz``."""
+    ADD, MUL = ctx.ADD, ctx.MUL
+    out = [0] * len(gram_nz)
+    for x, nz in zip(r, gram_nz):
+        if x:
+            m = MUL[x]
+            for j, g in nz:
+                out[j] = ADD[out[j]][m[g]]
+    return out
+
+
 def perp(U: Subspace) -> Subspace:
     space = U.space
     if space.gram is None:
         raise SpaceError("perp needs a formed space")
-    n = space.dim
-    mat = [tuple(space.form(r, space.e(j + 1)) for j in range(n)) for r in U.rows]
-    basis = linalg.nullspace(space.ctx, mat, n)
+    # row r's functional form(r, .) is r G, read off the sparse Gram rows
+    mat = [_functional(space.ctx, space._gram_nz, r) for r in U.rows]
+    basis = linalg.nullspace(space.ctx, mat, space.dim)
     return Subspace(space, basis, tuple(_pivots_of(basis)))
 
 

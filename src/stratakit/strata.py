@@ -21,6 +21,7 @@ closure identities, Kottwitz-Rapoport fibers and sign-class statistics.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -529,19 +530,70 @@ def _combine(ctx: FieldCtx, n: int, basis, coeffs) -> tuple[int, ...]:
 def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
     """Every Frobenius-stable d-subspace (isotropic ones only when asked),
     once: the spans of the echelon GF(q) coefficient rows over
-    ``rational_form_basis``.  In the untwisted kinds that basis is the
-    standard one, so these are the GF(q)-rational echelon matrices."""
+    ``rational_form_basis``, pivot sets lexicographically and the free
+    entries of each row in product order.  In the untwisted kinds that
+    basis is the standard one, so these are the GF(q)-rational echelon
+    matrices themselves.
+
+    Isotropic rows are solved for, not drawn and rejected.  With H the
+    Gram matrix of the basis (its entries are Frobenius-fixed, so in
+    GF(q)), a new row x is orthogonal to the rows r above it exactly when
+    (r H) x = 0, a linear system in x's free entries; each r H is computed
+    once and carried down.  The system's solutions with x's pivot entry 1
+    are spanned by its canonical kernel, whose free columns are the
+    earliest slots (``linalg.nullspace`` pivots from the right), so product
+    order over them is the order above.  Only the row's own isotropy
+    x H x = 0 is then tested, in the symmetric kinds.
+    """
     ctx = sp.ctx
-    basis, n = _nonzero(rational_form_basis(sp)), sp.dim
-    row_filter = None
+    ADD, MUL = ctx.ADD, ctx.MUL
+    scalars = ctx.subfield_codes(1)
+    basis, n = rational_form_basis(sp), sp.dim
+    gram = None
     if isotropic_only:
+        # the nonzero entries (j, H_ij) of each row i of H
+        gram = [[(j, g) for j, b in enumerate(basis) if (g := sp.form(a, b))] for a in basis]
+    symmetric = sp.kind.startswith("symmetric")
+    twisted = sp.kind == "symmetric-even-nonsplit"
+    nzbasis = _nonzero(basis)
 
-        def row_filter(coeff_rows):
-            vecs = [_combine(ctx, n, basis, r) for r in coeff_rows]
-            return spc.isotropic_extension(sp, vecs[:-1], vecs[-1])
+    def solutions(pc, slots, funcs):
+        """The rows e_pc + sum of x_c e_c over ``slots`` that every
+        functional in ``funcs`` kills, in product order over the free slots."""
+        cols = (pc, *slots)
+        kernel = linalg.nullspace(ctx, [[f[c] for c in cols] for f in funcs], len(cols))
+        if not kernel or not kernel[0][0]:
+            return  # every solution has x_pc = 0
+        spans = [[(cols[j], x) for j, x in enumerate(vec) if x] for vec in kernel]
+        for values in itertools.product(scalars, repeat=len(kernel) - 1):
+            yield _combine(ctx, n, spans, (1, *values))
 
-    for rows in linalg.enumerate_echelon(ctx, n, d, ctx.subfield_codes(1), row_filter):
-        yield Subspace.from_rows(sp, [_combine(ctx, n, basis, r) for r in rows])
+    for pivots in itertools.combinations(range(n), d):
+        pivset = set(pivots)
+        slots = [[c for c in range(pc + 1, n) if c not in pivset] for pc in pivots]
+
+        def rec(i, rows, funcs):
+            if i == d:
+                if twisted:
+                    yield Subspace.from_rows(sp, [_combine(ctx, n, nzbasis, r) for r in rows])
+                else:
+                    yield Subspace(sp, rows, pivots)
+                return
+            for row in solutions(pivots[i], slots[i], funcs):
+                if gram is None:
+                    yield from rec(i + 1, rows + (row,), funcs)
+                    continue
+                f = spc._functional(ctx, gram, row)
+                if symmetric:
+                    q = 0
+                    for x, fx in zip(row, f):
+                        if x and fx:
+                            q = ADD[q][MUL[x][fx]]
+                    if q:
+                        continue
+                yield from rec(i + 1, rows + (row,), funcs + (f,))
+
+        yield from rec(0, (), ())
 
 
 def enumerate_members(cfg: StrataConfig, budget: int | None = None):
@@ -560,14 +612,28 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
     as pairs (B, y), the stable ones (v = 0) first; the others come as
     ``KrylovMember`` values that carry (y, v).  Since Phi^-k y = y,
     v <= k - 1: at v = k the span would contain Phi^-v y, and past k it
-    would have dimension below d.  ``budget`` (default ``SUBSPACE_BUDGET``)
-    bounds the stable members plus the (B, y) candidates, counted in closed
-    form before the scan starts.
+    would have dimension below d.
+
+    What is drawn and what is solved: the stable scans solve their
+    orthogonality conditions (``rational_subspaces``).  The lines <y> of
+    the complement are drawn in the symplectic and formless kinds, where
+    every line is isotropic; in the symmetric kinds only the isotropic
+    ones are enumerated, each solved for its last coordinate
+    (``_isotropic_line_reps``).  Where Phi^k fixes every vector (all but the
+    non-split kind at odd k, which keeps a trace basis), the complement is
+    the rows of rref(B^perp) whose pivots are not B's, so y is zero at B's
+    pivots with a leading 1, and a v = 1 member's echelon form is B with
+    y's pivot column cleared, plus y.
+
+    ``budget`` (default ``SUBSPACE_BUDGET``) bounds the stable members
+    plus the (B, line of its complement) candidates, isotropic or not,
+    counted in closed form before the scan starts.
     """
     sp = cfg.build_space()
     ctx = sp.ctx
     d, k = cfg.member_dim, cfg.k
     iso = cfg.case in ("Z", "Y")
+    symmetric = sp.kind.startswith("symmetric")
     scalars = ctx.subfield_codes(k)
     vmax = min(d, k - 1)
     limit = SUBSPACE_BUDGET if budget is None else budget
@@ -581,25 +647,54 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
         raise BudgetExceeded(f"estimated {estimate} member candidates exceeds budget {limit}")
     yield from rational_subspaces(sp, d, iso)
     form = sp.form
+    fixed = cfg.ambient_degree == k  # Phi^k fixes every vector
     for v in range(1, vmax + 1):
         for B in rational_subspaces(sp, d - v, iso):
             amb = perp(B) if iso else spc.full_subspace(sp)
-            comp = _nonzero(_extend_basis(ctx, B.rows, _fixed_vectors(sp, amb.rows, k)))
-            for coeffs in _line_reps(scalars, len(comp)):
-                y = _combine(ctx, sp.dim, comp, coeffs)
-                if iso and not spc.isotropic_extension(sp, (), y):
-                    continue
-                rows = [*B.rows, y]
+            if fixed:
+                comp = [r for r, pc in zip(amb.rows, amb.pivots) if pc not in B.pivots]
+            else:
+                comp = _extend_basis(ctx, B.rows, _fixed_vectors(sp, amb.rows, k))
+            if symmetric:
+                gram = [[form(a, b) for b in comp] for a in comp]
+                lines = _isotropic_line_reps(ctx, scalars, gram)
+            else:
+                lines = _line_reps(scalars, len(comp))
+            nzcomp = _nonzero(comp)
+            for coeffs in lines:
+                y = _combine(ctx, sp.dim, nzcomp, coeffs)
                 z = spc._phi_vector(sp, y, True)  # the next Krylov vector
-                for _ in range(v - 1):
-                    if iso and form(y, z):
-                        break
-                    rows.append(z)
-                    z = spc._phi_vector(sp, z, True)
+                if v == 1 and fixed:
+                    (red, piv), last = _adjoin(ctx, B, y), y
                 else:
+                    rows = [*B.rows, y]
+                    while len(rows) < d and not (iso and form(y, z)):
+                        rows.append(z)
+                        z = spc._phi_vector(sp, z, True)
+                    if len(rows) < d:
+                        continue
                     red, piv = linalg.rref(ctx, rows)
-                    if len(red) == d and not linalg.contains_vector(ctx, red, piv, z):
-                        yield KrylovMember(sp, red, piv, y, v, rows[-1])
+                    if len(red) < d:
+                        continue
+                    last = rows[-1]
+                if not linalg.contains_vector(ctx, red, piv, z):
+                    yield KrylovMember(sp, red, piv, y, v, last)
+
+
+def _adjoin(ctx: FieldCtx, B: Subspace, y) -> tuple:
+    """Echelon data of B + <y> for y zero at B's pivots with a leading 1:
+    B's rows with y's pivot column cleared, and y, in pivot order."""
+    ADD, MUL, NEG = ctx.ADD, ctx.MUL, ctx.NEG
+    p = next(j for j, x in enumerate(y) if x)
+    rows = []
+    for r in B.rows:
+        if r[p]:
+            m = MUL[NEG[r[p]]]
+            r = tuple(ADD[a][m[b]] for a, b in zip(r, y))
+        rows.append(r)
+    at = bisect.bisect(B.pivots, p)
+    rows.insert(at, y)
+    return tuple(rows), B.pivots[:at] + (p,) + B.pivots[at:]
 
 
 def _line_reps(scalars, m: int):
@@ -607,6 +702,59 @@ def _line_reps(scalars, m: int):
     for lead in range(m):
         for tail in itertools.product(scalars, repeat=m - lead - 1):
             yield (0,) * lead + (1,) + tail
+
+
+def _isotropic_line_reps(ctx: FieldCtx, scalars, gram):
+    """The ``_line_reps`` x with x G x = 0 for the symmetric matrix
+    G = ``gram`` over the field of ``scalars``, each once, solved rather
+    than filtered: the last entry t of a representative with prefix x'
+    solves a t^2 + b t + c = 0, where a = G_ll, b = 2 (x' G)_l and
+    c = x' G x'.  The prefix sums are carried down the prefix entries."""
+    ADD, MUL = ctx.ADD, ctx.MUL
+    m = len(gram)
+    if not m:
+        return
+    last = m - 1
+    a = gram[last][last]
+    roots = {MUL[s][s]: s for s in scalars}
+
+    def extend(x, j, c, l):
+        # c = x G x and l = x G for the prefix x = (x_0, ..., x_(j-1))
+        if j == last:
+            for t in _quadratic_roots(ctx, roots, scalars, a, ADD[l[last]][l[last]], c):
+                yield x + (t,)
+            return
+        row, gjj = gram[j], gram[j][j]
+        for s in scalars:
+            if s:
+                ms = MUL[s]
+                # (x + s e_j) G (x + s e_j) = c + s (2 l_j + s G_jj)
+                yield from extend(x + (s,), j + 1, ADD[c][ms[ADD[ADD[l[j]][l[j]]][ms[gjj]]]],
+                                  [ADD[u][ms[g]] for u, g in zip(l, row)])
+            else:
+                yield from extend(x + (0,), j + 1, c, l)
+
+    for lead in range(last):
+        yield from extend((0,) * lead + (1,), lead + 1, gram[lead][lead], list(gram[lead]))
+    if a == 0:
+        yield (0,) * last + (1,)
+
+
+def _quadratic_roots(ctx: FieldCtx, roots: dict, scalars, a: int, b: int, c: int):
+    """The t in ``scalars`` with a t^2 + b t + c = 0, where ``roots`` maps
+    each square of the scalars to one of its square roots (p is odd)."""
+    ADD, MUL, NEG, INV = ctx.ADD, ctx.MUL, ctx.NEG, ctx.INV
+    if a:
+        two_a = ADD[a][a]
+        r = roots.get(ADD[MUL[b][b]][NEG[MUL[ADD[two_a][two_a]][c]]])
+        if r is None:
+            return ()
+        inv = INV[two_a]
+        t = MUL[ADD[NEG[b]][r]][inv]
+        return (t,) if r == 0 else (t, MUL[ADD[NEG[b]][NEG[r]]][inv])
+    if b:
+        return (MUL[NEG[c]][INV[b]],)
+    return scalars if c == 0 else ()
 
 
 def _tally(cfg: StrataConfig, budget: int | None, kr: bool) -> Counter:

@@ -1,19 +1,33 @@
 """Coordinate-scan reference: every subspace of a given dimension with
 entries in the whole working field, independent of the Frobenius."""
 
-from stratakit import linalg, space as spc
+import itertools
+
+from stratakit import space as spc
 
 
 def enumerate_subspaces(space: spc.FormedSpace, d: int, isotropic_only: bool = False):
     """Stream every d-dimensional subspace with entries in the working
     field once, isotropic ones only when asked.  Deterministic order:
     echelon pivot patterns lexicographically, free entries in field
-    enumeration order."""
-    row_filter = None
-    if isotropic_only:
+    enumeration order.  An isotropic scan drops a partial matrix as soon
+    as its last row breaks isotropy, so it stays exhaustive."""
+    n, scalars = space.dim, range(space.ctx.size)
+    for pivots in itertools.combinations(range(n), d):
+        pivset = set(pivots)
+        slots = [[c for c in range(pc + 1, n) if c not in pivset] for pc in pivots]
 
-        def row_filter(rows):
-            return spc.isotropic_extension(space, rows[:-1], rows[-1])
+        def rec(i, rows):
+            if i == d:
+                yield spc.Subspace.from_rows(space, rows)
+                return
+            for values in itertools.product(scalars, repeat=len(slots[i])):
+                row = [0] * n
+                row[pivots[i]] = 1
+                for c, v in zip(slots[i], values):
+                    row[c] = v
+                row = tuple(row)
+                if not isotropic_only or spc.isotropic_extension(space, rows, row):
+                    yield from rec(i + 1, rows + (row,))
 
-    for rows in linalg.enumerate_echelon(space.ctx, space.dim, d, None, row_filter):
-        yield spc.Subspace.from_rows(space, rows)
+        yield from rec(0, ())

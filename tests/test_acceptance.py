@@ -8,6 +8,8 @@ over budget is reported as SKIP(budget) and never counted as a pass.
 import json
 import math
 
+import pytest
+
 from stratakit import charts, latcalc, strata, weyl
 from stratakit.report import emit_stable_json, make_report
 from stratakit.strata import StrataConfig, StratumLabel
@@ -36,6 +38,7 @@ def _report_lines(tag, results):
     return ran, failed
 
 
+@pytest.mark.slow
 def test_criterion_1_symplectic_decomposition():
     results = []
     growth_data = {}
@@ -78,6 +81,7 @@ def test_criterion_1_symplectic_decomposition():
           f"residual vs pure power {c3 / (c2 * 27):.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_2_orthogonal_decomposition():
     results = []
     signed_wprime_seen = signed_w_seen = 0

@@ -127,6 +127,32 @@ def test_perp_involution_and_reversal():
         assert all(sp.form(v, r) == 0 for r in U.rows)
 
 
+@pytest.mark.parametrize("kind,dim", [
+    ("symplectic", 4), ("symmetric-even-split", 4),
+    ("symmetric-even-nonsplit", 4), ("symmetric-odd", 5),
+])
+def test_perp_is_the_kernel_of_the_form_matrix(kind, dim):
+    # perp reads each functional r G off the sparse Gram; against the
+    # kernel of the explicit matrix of form(r, e_j) values, and over GF(3)
+    # against every vector the rows of U pair to zero
+    rng = random.Random(f"{kind}-{dim}")
+    for ctx in (F3, F9):
+        sp = FormedSpace(ctx, kind, dim)
+        for _ in range(20):
+            d = rng.randrange(dim + 1)
+            U = Subspace.from_rows(sp, [[rng.randrange(ctx.size) for _ in range(dim)]
+                                        for _ in range(d)])
+            mat = [[sp.form(r, sp.e(j + 1)) for j in range(dim)] for r in U.rows]
+            P = perp(U)
+            assert P == Subspace.from_rows(sp, linalg.nullspace(ctx, mat, dim))
+            assert P == Subspace.from_rows(sp, P.rows)  # canonical as returned
+            assert P.dim == dim - U.dim
+            if ctx is F3:
+                assert all_vectors(sp, P) == {
+                    v for v in itertools.product(range(3), repeat=dim)
+                    if all(sp.form(r, v) == 0 for r in U.rows)}
+
+
 def test_isotropy():
     sp = FormedSpace(F3, "symplectic", 4)
     assert is_isotropic(Subspace.from_rows(sp, [(1, 2, 0, 1)]))

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from stratakit import space as spc, strata
+from stratakit import linalg, space as spc, strata
 from stratakit.gf import FieldCtx
 from stratakit.strata import (
     ConfigError,
@@ -109,6 +110,20 @@ def _coordinate_scan(cfg):
             if _phi_power(U, cfg.k).rows == U.rows and member(cfg, U)}
 
 
+def _rational_scan(cfg):
+    """Reference members where the coordinate scan is out of reach: the
+    isotropic d-subspaces rational over GF(q^k), as the stable scan of the
+    same space over the base field GF(q^k), that pass ``member``.  The two
+    contexts share one modulus, so their codes agree."""
+    sp = cfg.build_space()
+    base = spc.FormedSpace(FieldCtx(cfg.p, cfg.e * cfg.k, cfg.ambient_degree // cfg.k),
+                           sp.kind, sp.dim)
+    assert base.ctx.modulus == sp.ctx.modulus
+    iso = cfg.case in ("Z", "Y")
+    return {U.rows for U in strata.rational_subspaces(base, cfg.member_dim, iso)
+            if member(cfg, spc.Subspace(sp, U.rows, U.pivots))}
+
+
 def test_fast_path_matches_generic_enumeration():
     # k = 2 (one Krylov step) and k = 3 (up to two, and for the non-split
     # form a GF(q^3)-rational complement inside GF(q^6) coordinates)
@@ -118,6 +133,16 @@ def test_fast_path_matches_generic_enumeration():
         fast = [u.rows for u in enumerate_members(cfg)]
         assert len(fast) == len(set(fast)), cfg.describe()
         assert set(fast) == _coordinate_scan(cfg), cfg.describe()
+    # d = 2 at k = 3 in symmetric spaces, so the scan also tries two Krylov
+    # steps: in the odd 5-space over GF(27) no member takes them (w needs
+    # v + u <= 1 there, and h' = 0 leaves no wprime label), and no
+    # candidate in the non-split 4-space passes, whose form stays
+    # non-split over GF(27); the flat scan agrees on both
+    for cfg, total in ((cfg_y(5, 4, 0, -1, k=3), 1000), (cfg_y(4, 4, 0, 1, k=3), 0)):
+        assert min(cfg.member_dim, cfg.k - 1) == 2
+        fast = [u.rows for u in enumerate_members(cfg)]
+        assert len(fast) == len(set(fast)) == total, cfg.describe()
+        assert set(fast) == _rational_scan(cfg), cfg.describe()
 
 
 def test_nonsplit_quadric_points_at_odd_k():
@@ -154,6 +179,108 @@ def test_rational_subspaces_are_the_rational_coordinate_scan(kind, dim):
                     if all(x in base for row in U.rows for x in row)]
             got = [(U.rows, U.pivots) for U in strata.rational_subspaces(sp, d, iso)]
             assert got == want
+
+
+@pytest.mark.parametrize("p,kind,d", [
+    (3, "symplectic", 2), (3, "symplectic", 3), (3, "symmetric-even-split", 2),
+    (3, "symmetric-even-split", 3), (5, "symmetric-even-split", 2), (5, "symmetric-even-split", 3),
+])
+def test_rational_subspaces_solve_in_the_coordinate_scan_order(p, kind, d):
+    # in dimension 6 the orthogonality systems have several equations and
+    # prune most rows; over GF(p) itself the stable scan is the whole
+    # isotropic coordinate scan, rows, pivots and order alike
+    sp = spc.FormedSpace(FieldCtx(p, 1, 1), kind, 6)
+    want = [(U.rows, U.pivots) for U in enumerate_subspaces(sp, d, True)]
+    got = [(U.rows, U.pivots) for U in strata.rational_subspaces(sp, d, True)]
+    assert got == want
+    assert len(got) == spc.count_oracle(sp, d, True)
+
+
+# isotropic lines of a quadratic space: scalars of GF(3), GF(5) and the
+# GF(3) inside GF(9)
+LINE_FIELDS = {"GF(3)": FieldCtx(3, 1, 1), "GF(5)": FieldCtx(5, 1, 1),
+               "GF(3) in GF(9)": FieldCtx(3, 1, 2)}
+QUADRIC_DIMS = {"symmetric-even-split": (2, 4, 6), "symmetric-even-nonsplit": (2, 4, 6),
+                "symmetric-odd": (1, 3, 5)}
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _quadric_gram(ctx, kind, dim):
+    """The standard Gram matrix of the kind over GF(p): hyperbolic pairs
+    (e_i, f_i); for the non-split kind the last pair replaced by the
+    anisotropic plane diag(1, -delta), delta a non-square; for the odd kind
+    a last diagonal 1."""
+    m = dim // 2
+    g = [[0] * dim for _ in range(dim)]
+    for i in range(m):
+        g[i][m + i] = g[m + i][i] = 1
+    if kind == "symmetric-even-nonsplit":
+        squares = {ctx.MUL[s][s] for s in range(ctx.p)}
+        delta = min(set(range(ctx.p)) - squares)
+        g[m - 1][dim - 1] = g[dim - 1][m - 1] = 0
+        g[m - 1][m - 1], g[dim - 1][dim - 1] = 1, ctx.NEG[delta]
+    if kind == "symmetric-odd":
+        g[dim - 1][dim - 1] = 1
+    return g
+
+
+def _bilinear(ctx, g, x, y):
+    """x G y, summed over every entry of G."""
+    out = 0
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out = ctx.add(out, ctx.mul(xi, ctx.mul(g[i][j], yj)))
+    return out
+
+
+def _isotropic_lines_by_filter(ctx, scalars, g):
+    return {x for x in strata._line_reps(scalars, len(g)) if _bilinear(ctx, g, x, x) == 0}
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(sorted(LINE_FIELDS)), st.sampled_from(sorted(QUADRIC_DIMS)))
+def test_isotropic_line_reps_are_the_quadric_points(data, field, kind):
+    # in the standard basis or a random one P (Gram P G P^T), each
+    # isotropic line once, as many as the closed-form point count of the
+    # kind over GF(p)
+    ctx = LINE_FIELDS[field]
+    scalars = ctx.subfield_codes(1)
+    dim = data.draw(st.sampled_from(QUADRIC_DIMS[kind]))
+    P = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    if data.draw(st.booleans()):
+        P = [data.draw(st.lists(st.sampled_from(scalars), min_size=dim, max_size=dim))
+             for _ in range(dim)]
+        assume(linalg.rank(ctx, P) == dim)
+    g0 = _quadric_gram(ctx, kind, dim)
+    g = [[_bilinear(ctx, g0, P[a], P[b]) for b in range(dim)] for a in range(dim)]
+    reps = list(strata._isotropic_line_reps(ctx, scalars, g))
+    assert len(reps) == len(set(reps))
+    assert set(reps) == _isotropic_lines_by_filter(ctx, scalars, g)
+    base = spc.FormedSpace(FieldCtx(ctx.p, 1, 1), kind, dim)
+    assert len(reps) == spc.count_oracle(base, 1, True)
+
+
+def test_isotropic_line_reps_take_every_quadratic_branch(monkeypatch):
+    # in the standard bases the last basis vector is isotropic in the split
+    # kind (a = 0), and e_1 + t f_m has b = 0 there; the non-split and odd
+    # kinds end on an anisotropic vector (a != 0)
+    seen = set()
+    solve = strata._quadratic_roots
+
+    def spy(ctx, roots, scalars, a, b, c):
+        seen.add(("a=0" if a == 0 else "a!=0") + (", b=0" if a == b == 0 else ""))
+        return solve(ctx, roots, scalars, a, b, c)
+
+    monkeypatch.setattr(strata, "_quadratic_roots", spy)
+    for ctx in LINE_FIELDS.values():
+        scalars = ctx.subfield_codes(1)
+        for kind, dims in QUADRIC_DIMS.items():
+            for dim in dims:
+                g = _quadric_gram(ctx, kind, dim)
+                reps = list(strata._isotropic_line_reps(ctx, scalars, g))
+                assert len(reps) == len(set(reps))
+                assert set(reps) == _isotropic_lines_by_filter(ctx, scalars, g)
+    assert seen == {"a=0", "a=0, b=0", "a!=0"}
 
 
 def test_phi_equivariance_of_labels():
