@@ -202,14 +202,15 @@ def member(cfg: StrataConfig, U: Subspace) -> bool:
     return (cfg.case == "ZY" or is_isotropic(U)) and sum_spaces(U, apply_phi(U)).dim <= d + 1
 
 
-def _phi_stable(U: Subspace) -> bool:
+def _phi_stable(U: Subspace, phi_U: Subspace | None = None) -> bool:
     """Frobenius stability; a canonical matrix of an untwisted space is
-    stable exactly when all its entries are Frobenius-fixed."""
+    stable exactly when all its entries are Frobenius-fixed.  A caller
+    that already holds ``phi_U = apply_phi(U)`` passes it."""
     sp = U.space
     if sp.kind != "symmetric-even-nonsplit":
         FROB = sp.ctx.FROB
         return all(FROB[x] == x for row in U.rows for x in row)
-    return apply_phi(U).rows == U.rows
+    return (phi_U or apply_phi(U)).rows == U.rows
 
 
 @dataclass(frozen=True)
@@ -294,12 +295,13 @@ def kr_class(cfg: StrataConfig, U: Subspace) -> str:
     A member U and its image are isotropic, so U + Phi(U) is isotropic
     exactly when every row of U is orthogonal to every row of Phi(U).
     """
-    if _phi_stable(U):
+    phi_U = apply_phi(U) if U.space.kind == "symmetric-even-nonsplit" else None
+    if _phi_stable(U, phi_U):
         return "id"
     if cfg.case == "ZY":
         return "wprime"
     form = U.space.form
-    phi_rows = apply_phi(U).rows
+    phi_rows = (phi_U or apply_phi(U)).rows
     return "w" if any(form(u, v) for u in U.rows for v in phi_rows) else "wprime"
 
 

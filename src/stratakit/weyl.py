@@ -13,7 +13,12 @@ formed spaces in :mod:`stratakit.space`:
 
 Length is the number of positive roots made negative, which agrees with
 minimal word length (checked against breadth-first word search in the
-tests).  The only nontrivial diagram automorphism supported is the type-D
+tests).  Nothing else evaluates a length: w s_i is shorter than w exactly
+when w makes alpha_i negative, so a descent is one root's sign (a left
+descent one of w^-1), and the longest element of a standard parabolic
+W_K has as many inversions as there are positive roots whose simple-root
+support lies in K (Humphreys, Reflection Groups and Coxeter Groups,
+1.8).  The only nontrivial diagram automorphism supported is the type-D
 twist swapping the two terminal nodes, realized as conjugation by the
 sign flip at the last letter.
 """
@@ -137,51 +142,74 @@ def act(w: WeylElem, vector: tuple[str, int]) -> tuple[str, int]:
     return ("e", j) if j > 0 else ("f", -j)
 
 
-# -- length by root inversion counting ----------------------------------
+# -- length, descents and parabolic lengths from the root data ----------
 
 @functools.lru_cache(maxsize=None)
 def _positive_roots(lie_type: str, rank: int):
+    """Positive roots as (i, j, s): e_i + s e_j for i < j, s = +-1, and
+    (i, 0, 0) for e_i (or 2e_i; same inversion count)."""
     roots = []
     for i in range(1, rank + 1):
         for j in range(i + 1, rank + 1):
-            roots.append((i, j, -1))  # e_i - e_j
+            roots.append((i, j, -1))
             if lie_type in ("B", "C", "D"):
-                roots.append((i, j, +1))  # e_i + e_j
+                roots.append((i, j, +1))
         if lie_type in ("B", "C"):
-            roots.append((i, 0, 0))  # e_i (or 2e_i; same inversion count)
+            roots.append((i, 0, 0))
     return tuple(roots)
+
+
+@functools.lru_cache(maxsize=None)
+def _root_supports(lie_type: str, rank: int) -> tuple[int, ...]:
+    """Simple-root support of each positive root, bit i standing for
+    alpha_i: {i..j-1} for e_i - e_j; {i..k} for e_i and for e_i + e_j,
+    except {i..k-2} + {k} for e_i + e_k in type D."""
+    k = rank
+
+    def span(a, b):
+        return (1 << (b + 1)) - (1 << a) if a <= b else 0
+
+    return tuple(span(i, j - 1) if s == -1
+                 else span(i, k - 2) | 1 << k if lie_type == "D" and j == k
+                 else span(i, k)
+                 for i, j, s in _positive_roots(lie_type, rank))
+
+
+def _inverts(images: tuple[int, ...], root: tuple[int, int, int]) -> bool:
+    """Whether w sends the positive root to a negative one.  Its image is
+    sgn(a) e_|a| + sgn(b) e_|b| with |a| != |b|, negative exactly when the
+    term of the smaller letter is."""
+    i, j, s = root
+    a = images[i - 1]
+    if not j:
+        return a < 0
+    b = s * images[j - 1]
+    return (a if abs(a) < abs(b) else b) < 0
 
 
 def length(w: WeylElem) -> int:
     im = w.images
-    count = 0
-    for i, j, s in _positive_roots(w.ctx.lie_type, w.ctx.rank):
-        a = im[i - 1]
-        if j == 0:
-            if a < 0:
-                count += 1
-            continue
-        b = im[j - 1] if s == -1 else -im[j - 1]
-        # root image is sgn(a) e_|a| - sgn(b) e_|b|; decide its sign
-        if abs(a) == abs(b):
-            # coefficients add on one letter: 2e or 0 never occurs for
-            # distinct i<j in these types unless signs align
-            c = (1 if a > 0 else -1) - (1 if b > 0 else -1)
-            if c < 0:
-                count += 1
-            continue
-        if abs(a) < abs(b):
-            if a < 0:
-                count += 1
-        else:
-            if b > 0:
-                count += 1
-    return count
+    return sum(1 for root in _positive_roots(w.ctx.lie_type, w.ctx.rank) if _inverts(im, root))
+
+
+@functools.lru_cache(maxsize=None)
+def _simple_root(ctx: WeylCtx, i: int) -> tuple[int, int, int]:
+    """alpha_i: e_i - e_(i+1) for i < rank, then e_k (B/C) or e_(k-1) + e_k (D)."""
+    k = ctx.rank
+    if i not in ctx.simple_indices:
+        raise WeylError(f"s_{i} is not a simple reflection of {ctx}")
+    if i < k:
+        return (i, i + 1, -1)
+    return (k, 0, 0) if ctx.lie_type in ("B", "C") else (k - 1, k, +1)
+
+
+def _is_right_descent(w: WeylElem, i: int) -> bool:
+    """len(w s_i) < len(w) exactly when w inverts alpha_i."""
+    return _inverts(w.images, _simple_root(w.ctx, i))
 
 
 def right_descents(w: WeylElem) -> list[int]:
-    lw = length(w)
-    return [i for i in w.ctx.simple_indices if length(mul(w, simple(w.ctx, i))) < lw]
+    return [i for i in w.ctx.simple_indices if _is_right_descent(w, i)]
 
 
 def reduced_word(w: WeylElem) -> tuple[int, ...]:
@@ -206,35 +234,18 @@ def support(w: WeylElem) -> frozenset[int]:
 
 
 def longest_parabolic_length(ctx: WeylCtx, K) -> int:
-    """Length of the longest element of the standard parabolic W_K.
-
-    Greedy ascent: repeatedly multiply by any generator in K that raises
-    length; the unique element of W_K with no ascent in K is its longest.
-    """
-    w = identity(ctx)
-    lw = 0
-    while True:
-        for i in K:
-            cand = mul(w, simple(ctx, i))
-            lc = length(cand)
-            if lc > lw:
-                w, lw = cand, lc
-                break
-        else:
-            return lw
+    """Length of the longest element of the standard parabolic W_K: the
+    number of positive roots whose simple-root support lies in K."""
+    outside = ~sum(1 << i for i in parabolic(ctx, K).gens)
+    return sum(1 for m in _root_supports(ctx.lie_type, ctx.rank) if not m & outside)
 
 
 def is_min_double_coset(w: WeylElem, I, J) -> bool:
-    """Distinguished double-coset representative test: no left descent in I,
-    no right descent in J."""
-    lw = length(w)
-    for i in I:
-        if length(mul(simple(w.ctx, i), w)) < lw:
-            return False
-    for j in J:
-        if length(mul(w, simple(w.ctx, j))) < lw:
-            return False
-    return True
+    """Distinguished double-coset representative test: no left descent in I
+    (a right descent of w^-1), no right descent in J."""
+    winv = inverse(w)
+    return (not any(_is_right_descent(winv, i) for i in I)
+            and not any(_is_right_descent(w, j) for j in J))
 
 
 @dataclass(frozen=True)
@@ -252,6 +263,7 @@ def parabolic(ctx: WeylCtx, gens) -> ParabolicIndex:
     return ParabolicIndex(ctx, frozenset(gens))
 
 
+@functools.lru_cache(maxsize=None)
 def _simple_lookup(ctx: WeylCtx) -> dict[tuple[int, ...], int]:
     return {simple(ctx, i).images: i for i in ctx.simple_indices}
 
@@ -292,24 +304,6 @@ def is_irreducible(I: ParabolicIndex, w: WeylElem) -> bool:
             break
         J = J2
     return frozenset(J) == frozenset(ctx.simple_indices)
-
-
-def enumerate_group(ctx: WeylCtx):
-    """BFS over words; returns {images: distance}.  Small ranks only."""
-    gens = [simple(ctx, i) for i in ctx.simple_indices]
-    e = identity(ctx)
-    dist = {e.images: 0}
-    frontier = [e]
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                u = mul(w, g)
-                if u.images not in dist:
-                    dist[u.images] = dist[w.images] + 1
-                    new.append(u)
-        frontier = new
-    return dist
 
 
 # -- the explicit word families on formed spaces ------------------------

@@ -17,7 +17,6 @@ ALLOWED = {
     "weyl.orthogonal_even_w_word": _WEYL_FAMILIES,
     "weyl.symplectic_w_lambda_word": _WEYL_FAMILIES,
     "weyl.symplectic_wprime_lambda_word": _WEYL_FAMILIES,
-    "weyl.enumerate_group": "word lengths by brute-force BFS, the oracle of the length tests",
     "latcalc.induced_forms": "the residue forms of a vertex lattice, checked but not yet audited",
     "report.emit_stable_json": "the compact stable section, the view the round-trip tests compare",
     "charts.predicates": "the paper's smoothness and Gorenstein criteria, no CLI command yet",

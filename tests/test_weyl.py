@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from stratakit import weyl
@@ -6,7 +8,6 @@ from stratakit.weyl import (
     WeylError,
     act,
     dl_dimension,
-    enumerate_group,
     from_word,
     identity,
     inverse,
@@ -20,6 +21,19 @@ from stratakit.weyl import (
     simple,
     support,
 )
+from weyl_oracle import (
+    conjugate_images,
+    elements,
+    enumerate_group,
+    greedy_longest_parabolic_length,
+    left_descents_by_length,
+    longest_in,
+    right_descents_by_length,
+)
+
+
+def _subsets(indices):
+    return [set(c) for r in range(len(indices) + 1) for c in itertools.combinations(indices, r)]
 
 
 def test_simple_reflection_actions():
@@ -83,22 +97,74 @@ def test_reduced_word_and_support():
 
 
 def test_longest_parabolic_against_group_search():
-    c3 = weyl.symplectic_ctx(3)
-    for K in ([], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]):
-        gens = [simple(c3, i) for i in K]
-        seen = {identity(c3).images: 0}
-        frontier = [identity(c3)]
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in gens:
-                    u = mul(w, g)
-                    if u.images not in seen:
-                        seen[u.images] = 0
-                        new.append(u)
-            frontier = new
-        brute = max(length(weyl.WeylElem(c3, im)) for im in seen)
-        assert longest_parabolic_length(c3, K) == brute
+    # root-support count against greedy ascent and against the longest
+    # element found by searching the subgroup generated by K, for every K
+    for lie_type, ranks in (("A", (3, 4)), ("B", (3,)), ("C", (2, 3, 4)), ("D", (2, 3, 4, 5))):
+        for rank in ranks:
+            ctx = WeylCtx(lie_type, rank)
+            for K in _subsets(ctx.simple_indices):
+                by_support = longest_parabolic_length(ctx, K)
+                assert by_support == greedy_longest_parabolic_length(ctx, sorted(K))
+                assert by_support == longest_in(ctx, enumerate_group(ctx, sorted(K)))
+            with pytest.raises(WeylError):
+                longest_parabolic_length(ctx, {rank + 1})
+
+
+_RANK_AT_MOST_4 = [(t, k) for t in "ABC" for k in range(1, 5)] + [("D", k) for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("lie_type,rank", _RANK_AT_MOST_4)
+def test_descents_and_minimality_match_lengths(lie_type, rank):
+    # one-root descent tests against len(ws) < len(w) and len(sw) < len(w),
+    # and the double-coset test for every pair of index sets
+    ctx = WeylCtx(lie_type, rank)
+    subsets = _subsets(ctx.simple_indices)
+    for w in elements(ctx):
+        right, left = right_descents_by_length(w), left_descents_by_length(w)
+        assert weyl.right_descents(w) == sorted(right)
+        for I in subsets:
+            for J in subsets:
+                assert is_min_double_coset(w, I, J) == (not left & I and not right & J)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_dl_dimension_twisted_d_against_subgroup_search(rank):
+    # len(w) + len(w0(Phi I)) - len(w0(W_I cap w W_(Phi I) w^-1)), each
+    # longest length found by searching the subgroup itself
+    ctx = weyl.orthogonal_even_ctx(rank, twisted=True)
+    group = elements(ctx)
+    checked = 0
+    for I in _subsets(ctx.simple_indices):
+        phi_I = ctx.twist_set(I)
+        W_I, W_phi = set(enumerate_group(ctx, sorted(I))), enumerate_group(ctx, sorted(phi_I))
+        for w in group:
+            if left_descents_by_length(w) & I or right_descents_by_length(w) & phi_I:
+                with pytest.raises(WeylError):
+                    dl_dimension(parabolic(ctx, I), w)
+                continue
+            meet = W_I & conjugate_images(w, W_phi)
+            expect = length(w) + longest_in(ctx, W_phi) - longest_in(ctx, meet)
+            assert dl_dimension(parabolic(ctx, I), w) == expect
+            checked += 1
+    assert checked > len(group)
+
+
+def test_symplectic_audit_length_calls(monkeypatch):
+    # a deterministic cost guard: the audit evaluates at most two lengths
+    # per audited word (its own and the one inside dl_dimension)
+    calls = 0
+    real = weyl.length
+
+    def counting(w):
+        nonlocal calls
+        calls += 1
+        return real(w)
+
+    monkeypatch.setattr(weyl, "length", counting)
+    rep = weyl.symplectic_audit(8)
+    words = len(rep["counts"]) + sum(c["name"].startswith("w") for c in rep["checks"])
+    assert all(c["status"] == "pass" for c in rep["checks"])
+    assert 0 < calls <= 2 * words
 
 
 def test_min_double_coset_against_brute_force():
