@@ -17,6 +17,7 @@ and the reduced-locus dimension table live here as well.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,8 +331,6 @@ def reconcile(spec: ChartSpec, budget: int | None = None) -> dict:
     except BudgetExceeded as exc:
         brute = None
         checks.append(inconclusive("count_matches_closed_form", witness=str(exc)))
-
-    import math
 
     dim = spec.dimension()
     other_q = 5 if spec.q == 3 else 3

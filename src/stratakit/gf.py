@@ -268,9 +268,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         return self.INV[a]
 
-    def frobenius(self, a: int) -> int:
-        return self.FROB[a]
-
     def pow(self, a: int, n: int) -> int:
         if a == 0:
             if n == 0:

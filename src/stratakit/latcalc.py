@@ -52,11 +52,6 @@ class TruncRing:
         self.one = (1,) + (0,) * (self.width - 1)
         self._neg_mul = [ctx.MUL[ctx.NEG[x]] for x in range(ctx.size)]
 
-    def elem(self, coeffs) -> tuple[int, ...]:
-        c = [int(x) for x in coeffs][: self.width]
-        c += [0] * (self.width - len(c))
-        return tuple(c)
-
     def const(self, code: int) -> tuple[int, ...]:
         return (code,) + (0,) * (self.width - 1)
 
@@ -539,91 +534,26 @@ def crucial_dichotomy(space: HermSpace, M: Lattice) -> dict:
 
 # -- residue quotients and induced forms -----------------------------------
 
-def smith_form(R: TruncRing, X, n: int):
-    """Diagonalize X by row and column operations; X = Pinv D (col ops).
+def quotient_basis(big: Lattice, small: Lattice):
+    """(vectors, floor): columns of big's basis that lift a basis of the
+    residue space big/small, which must be pi-elementary (pi big <= small
+    <= big); the lattices between are its subspaces, lifted through them.
 
-    Returns (Pinv, diag valuations) where Pinv accumulates the inverses
-    of the row operations, so that the columns of B . Pinv adapted to the
-    nonzero divisors give a basis of the quotient (B the ambient basis).
+    With small = big . X, the constant terms of X span small/pi big inside
+    big/pi big = kappa^n; the columns at the non-pivot positions of their
+    echelon form span a complement, and they are a basis of big/small
+    exactly when their number is the index.  The actual vectors are
+    pi^floor times the returned coefficient vectors.
     """
-    work = [[x for x in row] for row in X]
-    m = len(work[0])
-    Pinv = mat_identity(R, n)  # updated by right-multiplication with E^{-1}
-    divs = []
-    for t in range(min(n, m)):
-        best = None
-        bestv = R.width
-        for i in range(t, n):
-            for j in range(t, m):
-                v = R.val(work[i][j])
-                if v < bestv:
-                    bestv, best = v, (i, j)
-        if best is None or bestv == R.width:
-            divs.extend([R.width] * (min(n, m) - t))
-            break
-        if bestv > R.N:
-            raise GuardError("elementary divisor beyond the guard")
-        bi, bj = best
-        if bi != t:
-            work[t], work[bi] = work[bi], work[t]
-            for row in Pinv:  # E = E^{-1} = swap: swap columns t, bi
-                row[t], row[bi] = row[bi], row[t]
-        for row in work:
-            row[t], row[bj] = row[bj], row[t]
-        unit = R.shift(work[t][t], -bestv)
-        if unit != R.one:
-            # scale row t by 1/unit; E^{-1} scales column t of Pinv by unit
-            uinv = R.unit_inv(unit)
-            work[t] = [R.mul(uinv, x) for x in work[t]]
-            for row in Pinv:
-                row[t] = R.mul(unit, row[t])
-        # clear the pivot column with row ops (E = I - q e_{it});
-        # E^{-1} = I + q e_{it} adds q * col_i of Pinv to its col_t
-        for i in range(n):
-            if i == t:
-                continue
-            x = work[i][t]
-            if R.is_zero(x):
-                continue
-            q = R.shift(x, -bestv)
-            for j in range(m):
-                work[i][j] = R.sub_mul(work[i][j], q, work[t][j])
-            for row in Pinv:
-                row[t] = R.add_mul(row[t], q, row[i])
-        # clear the pivot row with column ops (not tracked)
-        for j in range(m):
-            if j == t:
-                continue
-            x = work[t][j]
-            if R.is_zero(x):
-                continue
-            q = R.shift(x, -bestv)
-            for i in range(n):
-                work[i][j] = R.sub_mul(work[i][j], q, work[i][t])
-        divs.append(bestv)
-    return Pinv, divs
-
-
-def quotient_basis(space: HermSpace, big: Lattice, small: Lattice):
-    """(vectors, floor): lifts in ``big`` spanning big/small.
-
-    The actual vectors are pi^floor times the returned coefficient
-    vectors; only pi-elementary quotients are supported.
-    """
-    R = space.ring
-    X = _coordinates(big, small)  # small = big * X
+    X = _coordinates(big, small)
     if X is None:
         raise LatticeError("not contained")
-    P, divs = smith_form(R, _from_columns(X), big.n)
-    out = []
-    S = mat_mul(R, big.basis, P)
-    for i, dv in enumerate(divs):
-        if dv == 0:
-            continue
-        if dv != 1:
-            raise LatticeError("quotient is not pi-elementary")
-        out.append(tuple(S[r][i] for r in range(big.n)))
-    return out, big.vfloor
+    _, pivots = linalg.rref(big.ring.ctx, [[x[0] for x in col] for col in X])
+    free = [i for i in range(big.n) if i not in pivots]
+    if index_in(big, small) != len(free):
+        raise LatticeError("quotient is not pi-elementary")
+    cols = big.columns()
+    return [cols[i] for i in free], big.vfloor
 
 
 def _residue(R: TruncRing, h0, pi_offset: int) -> int:
@@ -667,9 +597,9 @@ def induced_forms(space: HermSpace, lam: Lattice):
             rows.append(tuple(row))
         return tuple(rows)
 
-    symp_vecs, f1 = quotient_basis(space, lam_s, lam)
+    symp_vecs, f1 = quotient_basis(lam_s, lam)
     gram1 = gram_of(symp_vecs, f1, extra_pi=1)  # residue of pi * h
-    symm_vecs, f2 = quotient_basis(space, lam, lam_s.scale(1))
+    symm_vecs, f2 = quotient_basis(lam, lam_s.scale(1))
     gram2 = gram_of(symm_vecs, f2, extra_pi=0)  # residue of h
     for name, g, want in (("alternating", gram1, -1), ("symmetric", gram2, +1)):
         d = len(g)
@@ -688,23 +618,24 @@ def induced_forms(space: HermSpace, lam: Lattice):
 # -- enumeration of intermediate lattices ----------------------------------
 
 class _Window:
-    """The lattices between ``bot`` and ``top`` (a pi-elementary quotient),
-    each the lift of a subspace of top/bot over the coefficient field."""
+    """The lattices between ``bot`` and ``top`` (pi top <= bot <= top): the
+    residue-field subspaces of top/bot, each lifted through top's basis
+    and added to bot."""
 
-    def __init__(self, space: HermSpace, bot: Lattice, top: Lattice):
-        R = self.ring = space.ring
-        self.vecs, self.vfloor = quotient_basis(space, top, bot)
+    def __init__(self, bot: Lattice, top: Lattice):
+        R = self.ring = top.ring
+        self.vecs, self.vfloor = quotient_basis(top, bot)
         self.dim = len(self.vecs)
-        self.base = min(bot.vfloor, self.vfloor)
-        self.bot_cols = [tuple(R.shift(x, bot.vfloor - self.base) for x in c)
+        # bot <= top, so bot's floor is at least top's
+        self.bot_cols = [tuple(R.shift(x, bot.vfloor - self.vfloor) for x in c)
                          for c in bot.columns()]
 
     def lift(self, rows) -> Lattice:
         """bot plus the span of the lifts of the coefficient rows."""
-        R, shift = self.ring, self.vfloor - self.base
+        R = self.ring
         coeffs = [[R.const(c) for c in row] for row in rows]
-        cols = [tuple(R.shift(x, shift) for x in v) for v in mat_mul(R, coeffs, self.vecs)]
-        return Lattice.from_columns(R, self.bot_cols + cols, self.base)
+        return Lattice.from_columns(R, self.bot_cols + mat_mul(R, coeffs, self.vecs),
+                                    self.vfloor)
 
     def lattices(self, budget: int | None = None):
         """Every lattice of the window; more than ``budget`` of them
@@ -723,14 +654,7 @@ def _standard_window(space: HermSpace) -> _Window:
     """The window between pi L0-sharp and L0-sharp, L0 the standard
     lattice; every Gram entry is integral, so L0 <= L0-sharp."""
     top = dual_sharp(space, standard_lattice(space.ring, space.n))
-    return _Window(space, top.scale(1), top)
-
-
-def enumerate_between(space: HermSpace, bot: Lattice, top: Lattice,
-                      budget: int | None = None):
-    """All lattices between bot and top (pi-elementary quotient), as in
-    :meth:`_Window.lattices`."""
-    return _Window(space, bot, top).lattices(budget)
+    return _Window(top.scale(1), top)
 
 
 # -- point sets of the stratification ---------------------------------------
@@ -752,7 +676,7 @@ def _point_set(space: HermSpace, bot: Lattice, top: Lattice, h: int,
     closed stratum of a vertex lattice lam of type >= h is the set between
     lam and lam#, the dual-side one of type <= h the set between pi lam#
     and lam."""
-    return frozenset(M.key() for M in enumerate_between(space, bot, top, budget=budget)
+    return frozenset(M.key() for M in _Window(bot, top).lattices(budget)
                      if n_point_conditions(space, M, h))
 
 

@@ -226,8 +226,12 @@ class KrylovMember(Subspace):
 def _krylov_data(U: Subspace):
     """(y, v, last) from one down chain to B: y is any vector of U_(v-1) - B."""
     above, cur, v = None, U, 0
-    while not _phi_stable(cur):
-        above, cur, v = cur, intersect(cur, apply_phi(cur)), v + 1
+    twisted = U.space.kind == "symmetric-even-nonsplit"
+    while True:
+        phi = apply_phi(cur) if twisted else None
+        if _phi_stable(cur, phi):
+            break
+        above, cur, v = cur, intersect(cur, phi or apply_phi(cur)), v + 1
         if cur.dim != above.dim - 1:
             raise ChainError(f"down step dropped {above.dim - cur.dim} dimensions")
     if not v:

@@ -1,5 +1,6 @@
-"""No test-only API in src/: every public module-level function of
-stratakit has a caller in src/ or perfbench/, or a reason to wait here."""
+"""No test-only API in src/: every public module-level function and every
+public method of a class in stratakit has a caller in src/ or perfbench/,
+or a reason to wait here."""
 
 import ast
 from pathlib import Path
@@ -23,25 +24,39 @@ ALLOWED = {
 }
 
 
+def _functions(body, prefix):
+    """(own name, qualified name, node) of the functions in a module or
+    class body, descending into class bodies."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, f"{prefix}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}.{node.name}")
+
+
 def _public_functions():
     for path in SRC:
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                yield f"{path.stem}.{node.name}", node.name
+        for name, full, _ in _functions(ast.parse(path.read_text()).body, path.stem):
+            if not name.startswith("_"):
+                yield full, name
 
 
 def _referenced_names():
     """Names and attributes used anywhere except inside the definition of
-    the module-level function of the same name (recursion is no caller)."""
+    the function or method of the same name (recursion is no caller)."""
     seen = set()
     for path in SRC + BENCH:
-        for top in ast.parse(path.read_text()).body:
-            own = top.name if isinstance(top, ast.FunctionDef) else None
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute) else None)
-                if name is not None and name != own:
-                    seen.add(name)
+        tree = ast.parse(path.read_text())
+        own = {id(node): name for name, _, node in _functions(tree.body, path.stem)}
+        stack = [(tree, None)]
+        while stack:
+            node, inside = stack.pop()
+            inside = own.get(id(node), inside)
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != inside:
+                seen.add(name)
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
     return seen
 
 

@@ -1,12 +1,14 @@
+import functools
 import random
 from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from stratakit.gf import FieldCtx
 from stratakit import latcalc as lc
+from stratakit.linalg import gaussian_binomial
 from stratakit.latcalc import (
     GuardError,
     HermSpace,
@@ -15,7 +17,6 @@ from stratakit.latcalc import (
     TruncRing,
     crucial_dichotomy,
     dual_sharp,
-    enumerate_between,
     index_in,
     induced_forms,
     lattice_eq,
@@ -36,6 +37,11 @@ def ring9(N=8):
     return TruncRing(CTX9, N)
 
 
+def elem(R, coeffs):
+    """The ring element with the given low coefficients."""
+    return tuple(coeffs) + (0,) * (R.width - len(coeffs))
+
+
 def id_space(ring, n, tau_index=0):
     return HermSpace.build(ring, mixed_gram(ring, n, 0),
                            tau_generator_set(ring, n, 0)[tau_index])
@@ -48,8 +54,8 @@ def pi_block_space(ring, n, blocks, tau_index=0):
 
 def test_ring_arithmetic():
     R = ring9()
-    a = R.elem([1, 2, 0, 1])
-    b = R.elem([2, 1])
+    a = elem(R, [1, 2, 0, 1])
+    b = elem(R, [2, 1])
     assert R.mul(a, b) == R.mul(b, a)
     assert R.mul(a, R.unit_inv(a)) == R.one
     assert R.conj(R.conj(a)) == a
@@ -130,25 +136,70 @@ def test_ring_associativity_sampled(data, R):
     assert R.conj(R.mul(a, b)) == R.mul(R.conj(a), R.conj(b))
 
 
-def test_hnf_canonical_under_generator_changes():
-    R = ring9()
-    rng = random.Random(1)
-    for _ in range(15):
-        cols = []
-        for _ in range(3):
-            col = tuple(R.elem([rng.randrange(9) for _ in range(4)]) for _ in range(3))
-            cols.append(col)
-        try:
-            L = Lattice.from_columns(R, cols)
-        except LatticeError:
-            continue
-        # scramble: column ops (swap, add pi-multiple of another column)
-        mixed = [list(c) for c in cols]
-        mixed[0], mixed[2] = mixed[2], mixed[0]
-        f = R.pi_pow(1)
-        mixed[1] = [R.add(x, R.mul(f, y)) for x, y in zip(mixed[1], mixed[0])]
-        L2 = Lattice.from_columns(R, [tuple(c) for c in mixed])
-        assert L.key() == L2.key()
+@functools.cache
+def herm_spaces(Ns):
+    """Every space of gram_family x tau_generator_set (seeds 0-2) for
+    n = 2..4 over GF(3) and GF(9) at the guards Ns."""
+    out = []
+    for ctx in (CTX3, CTX9):
+        for N in Ns:
+            R = TruncRing(ctx, N)
+            for n in (2, 3, 4):
+                for H in lc.gram_family(R, n):
+                    for seed in (0, 1, 2):
+                        out += [HermSpace.build(R, H, A)
+                                for A in tau_generator_set(R, n, seed, H)]
+    return out
+
+
+@st.composite
+def window_lattices(draw):
+    """A space and a lattice of its standard window, the lift of drawn
+    coefficient rows; a lift that trips the guard is rejected."""
+    sp = draw(st.sampled_from(herm_spaces((2, 3, 8))))
+    window = lc._standard_window(sp)
+    row = st.lists(st.integers(0, sp.ring.ctx.size - 1), min_size=window.dim,
+                   max_size=window.dim)
+    try:
+        return sp, window.lift(draw(st.lists(row, max_size=window.dim)))
+    except GuardError:
+        reject()
+
+
+@st.composite
+def generator_changes(draw, R, cols):
+    """cols after drawn invertible column operations (swap, unit scale,
+    adding a pi^j multiple of another column), plus at times a redundant
+    generator."""
+    cols = [list(c) for c in cols]
+    n = len(cols)
+    for _ in range(draw(st.integers(0, 6))):
+        op, i = draw(st.sampled_from(("swap", "scale", "add"))), draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 2))
+        j += j >= i
+        if op == "swap":
+            cols[i], cols[j] = cols[j], cols[i]
+        elif op == "scale":
+            u = (draw(st.integers(1, R.ctx.size - 1)),) + draw(ring_elements(R))[1:]
+            cols[i] = [R.mul(u, x) for x in cols[i]]
+        else:
+            c = R.mul(R.pi_pow(draw(st.integers(0, R.width - 1))), draw(ring_elements(R)))
+            cols[i] = [R.add(x, R.mul(c, y)) for x, y in zip(cols[i], cols[j])]
+    if draw(st.booleans()):
+        extra = [R.zero] * len(cols[0])
+        for col in cols:
+            c = draw(ring_elements(R))
+            extra = [R.add(x, R.mul(c, y)) for x, y in zip(extra, col)]
+        cols.append(extra)
+    return [tuple(c) for c in cols]
+
+
+@PROPERTY
+@given(st.data(), window_lattices())
+def test_hnf_canonical_under_generator_changes(data, drawn):
+    _, M = drawn
+    cols = data.draw(generator_changes(M.ring, M.columns()))
+    assert Lattice.from_columns(M.ring, cols, M.vfloor).key() == M.key()
 
 
 def test_dual_examples():
@@ -164,14 +215,14 @@ def test_dual_examples():
     assert vertex_type(sp, piL) is None  # fails the vertex sandwich
 
 
-def test_double_dual_random():
-    R = ring9()
-    sp = id_space(R, 3, tau_index=1)
-    rng = random.Random(2)
-    window = lc._standard_window(sp)
-    for _ in range(10):
-        M = lc.random_instance(window, rng)
+@PROPERTY
+@given(window_lattices())
+def test_double_dual_random(drawn):
+    sp, M = drawn
+    try:
         assert lattice_eq(dual_sharp(sp, dual_sharp(sp, M)), M)
+    except GuardError:
+        reject()
 
 
 def test_vertex_types():
@@ -261,20 +312,74 @@ def test_enumerate_between_counts():
     sp = pi_block_space(R, 2, 1)
     lam = standard_lattice(R, 2)
     lam_s = dual_sharp(sp, lam)
-    singleton = list(enumerate_between(sp, lam, lam))
+    singleton = list(lc._Window(lam, lam).lattices())
     assert len(singleton) == 1 and lattice_eq(singleton[0], lam)
     # between pi lam-sharp and lam-sharp: all subspaces of a 2-dim residue
     # space over F_3: 1 + 4 + 1
-    window = list(enumerate_between(sp, lam_s.scale(1), lam_s))
+    window = list(lc._Window(lam_s.scale(1), lam_s).lattices())
     assert len(window) == 6
 
 
 def test_quotient_basis_dimension():
     R = ring9()
-    sp = id_space(R, 3)
     L0 = standard_lattice(R, 3)
-    vecs, floor = quotient_basis(sp, L0, L0.scale(1))
+    vecs, floor = quotient_basis(L0, L0.scale(1))
     assert len(vecs) == 3 and floor == 0
+
+
+def _window_pairs():
+    """(bot, top), once each: the standard window [pi L0#, L0#] of every
+    space of herm_spaces((2, 8)), and both windows [lam, lam#], [pi lam#,
+    lam] of every catalog lattice of the inclusion configurations of
+    acceptance criterion 8."""
+    pairs = {}
+    for sp in herm_spaces((2, 8)):
+        top = dual_sharp(sp, standard_lattice(sp.ring, sp.n))
+        pairs[sp.ring.ctx.size, sp.ring.N, top.key()] = (top.scale(1), top)
+    for n, s in ((2, 2), (3, 2), (4, 1)):
+        R = TruncRing(FieldCtx(3, 1, s), 8)
+        sp = HermSpace.build(R, mixed_gram(R, n, 0), tau_generator_set(R, n, 0)[1])
+        for lam in lc.vertex_lattices_in_window(sp):
+            lam_s = dual_sharp(sp, lam)
+            for bot, top in ((lam, lam_s), (lam_s.scale(1), lam)):
+                pairs[R.ctx.size, R.N, bot.key(), top.key()] = (bot, top)
+    return list(pairs.values())
+
+
+def test_quotient_basis_lifts_a_residue_basis():
+    # the vectors complete bot to top, one per unit of index, so the
+    # window's lattices are the distinct lifts of the residue subspaces
+    pairs = _window_pairs()
+    assert len(pairs) > 50
+    for bot, top in pairs:
+        R = top.ring
+        vecs, floor = quotient_basis(top, bot)
+        dim = len(vecs)
+        assert floor == top.vfloor and dim == index_in(top, bot)
+        bot_cols = [tuple(R.shift(x, bot.vfloor - floor) for x in c) for c in bot.columns()]
+        assert lattice_eq(Lattice.from_columns(R, bot_cols + vecs, floor), top)
+        keys = [L.key() for L in lc._Window(bot, top).lattices()]
+        assert len(set(keys)) == len(keys) == sum(
+            gaussian_binomial(dim, d, R.ctx.size) for d in range(dim + 1))
+
+
+def test_standard_window_basis_is_the_dual_basis():
+    # the seeded draws lift through L0#'s own columns, in order
+    for sp in herm_spaces((2, 3, 8)):
+        top = dual_sharp(sp, standard_lattice(sp.ring, sp.n))
+        assert quotient_basis(top, top.scale(1)) == (top.columns(), top.vfloor)
+
+
+def test_quotient_basis_rejects_wide_and_uncontained_pairs():
+    R = ring9()
+    L0 = standard_lattice(R, 2)
+    # pi^2 L0 and (pi^2, 0), (0, 1): an elementary divisor pi^2
+    wide = [L0.scale(2), Lattice.from_columns(R, [(R.pi_pow(2), R.zero), (R.zero, R.one)])]
+    for small in wide:
+        with pytest.raises(LatticeError, match="not pi-elementary"):
+            quotient_basis(L0, small)
+    with pytest.raises(LatticeError, match="not contained"):
+        quotient_basis(L0.scale(1), L0)
 
 
 def test_inclusion_reports():
@@ -310,9 +415,9 @@ def test_tau_axioms_on_vectors():
         for A in tau_generator_set(R, 3, 0, H):
             sp = HermSpace.build(R, H, A)
             for _ in range(6):
-                x = [R.elem([rng.randrange(9) for _ in range(4)]) for _ in range(3)]
-                y = [R.elem([rng.randrange(9) for _ in range(4)]) for _ in range(3)]
-                c = R.elem([rng.randrange(9) for _ in range(3)])
+                x = [elem(R, [rng.randrange(9) for _ in range(4)]) for _ in range(3)]
+                y = [elem(R, [rng.randrange(9) for _ in range(4)]) for _ in range(3)]
+                c = elem(R, [rng.randrange(9) for _ in range(3)])
                 assert sp.herm(x, y) == direct_herm(H, x, y)
                 assert sp.herm(sp.tau_vec(x), sp.tau_vec(y)) == R.sigma(sp.herm(x, y))
                 cx = [R.mul(c, xi) for xi in x]
@@ -322,19 +427,11 @@ def test_tau_axioms_on_vectors():
 def test_standard_lattice_inside_its_dual():
     # every Gram entry is integral, so L0 <= L0-sharp and the standard
     # window [pi L0-sharp, L0-sharp] needs no fallback
-    spaces = 0
-    for s in (1, 2):
-        for N in (2, 8):
-            R = TruncRing(FieldCtx(3, 1, s), N)
-            for n in (2, 3, 4):
-                L0 = standard_lattice(R, n)
-                for H in lc.gram_family(R, n):
-                    for seed in (0, 1, 2):
-                        for A in tau_generator_set(R, n, seed, H):
-                            sp = HermSpace.build(R, H, A)
-                            assert lc.contains(dual_sharp(sp, L0), L0)
-                            spaces += 1
-    assert spaces > 300
+    spaces = herm_spaces((2, 8))
+    for sp in spaces:
+        L0 = standard_lattice(sp.ring, sp.n)
+        assert lc.contains(dual_sharp(sp, L0), L0)
+    assert len(spaces) > 300
 
 
 def test_rejects_non_unitary_tau():

@@ -174,7 +174,7 @@ def test_semilinearity_of_form_under_phi():
             if fx.dim == 0 or fy.dim == 0:
                 continue
             phi = spc._phi_vector
-            assert sp.form(phi(sp, x), phi(sp, y)) == F9.frobenius(sp.form(x, y))
+            assert sp.form(phi(sp, x), phi(sp, y)) == F9.FROB[sp.form(x, y)]
 
 
 def test_enumeration_counts():

@@ -327,6 +327,28 @@ def test_kr_class_matches_isotropy_of_first_sum():
     assert len({space for space, _ in kinds}) == 4
 
 
+def test_krylov_data_applies_phi_once_per_down_step(monkeypatch):
+    # a member without Krylov data runs its down chain: one Phi per down
+    # step, plus, in the non-split kind only, the image that the final
+    # stability test compares with
+    calls = []
+
+    def counted(U):
+        calls.append(U)
+        return spc.apply_phi(U)
+
+    monkeypatch.setattr(strata, "apply_phi", counted)
+    steps = 0
+    for cfg, stability_images in ((cfg_y(4, 2, 0, 1), 1), (cfg_y(4, 2, 0, -1), 0)):
+        for U in enumerate_members(cfg):
+            calls.clear()
+            _, v, _ = strata._krylov_data(spc.Subspace(U.space, U.rows, U.pivots))
+            assert v == (U.v if isinstance(U, strata.KrylovMember) else 0)
+            assert len(calls) == v + stability_images
+            steps += v
+    assert steps > 100
+
+
 FROZEN_COUNTS = {
     # exhaustive runs, frozen: (case params, k) -> {label: count}
     ("Z", 4, 0, 1): {"id(0,0)": 40},
