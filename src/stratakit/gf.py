@@ -241,7 +241,6 @@ class FieldCtx:
             log[x] = i
             x = self._mul_codes_slow(x, gen)
         exp[n - 1 :] = exp[: n - 1]
-        self._EXP, self._LOG = exp, log
         # MUL[a][b] = g^(log a + log b); the exponent list is doubled, so no mod
         nz_logs = log[1:]
         self.MUL = [[0] * n] + [[0] + list(map(exp[la : la + n - 1].__getitem__, nz_logs))
@@ -267,15 +266,6 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.INV[a]
-
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 0
-        return self._EXP[self._LOG[a] * n % (self.size - 1)]
 
     def coeffs(self, code: int) -> tuple[int, ...]:
         return tuple(_int_to_digits(code, self.p, self.degree))

@@ -85,11 +85,9 @@ def exit_code(report: dict) -> int:
 
 
 def emit_json(report: dict) -> str:
-    stable = json.dumps(report["stable"], sort_keys=True, separators=(",", ":"))
-    wall = report.get("wall_time_s")
-    return json.dumps(
-        {"stable": json.loads(stable), "wall_time_s": wall}, sort_keys=True, indent=2
-    )
+    stable = json.loads(emit_stable_json(report))
+    return json.dumps({"stable": stable, "wall_time_s": report.get("wall_time_s")},
+                      sort_keys=True, indent=2)
 
 
 def emit_stable_json(report: dict) -> str:

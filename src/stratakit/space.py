@@ -1,15 +1,15 @@
 """Formed F_q-rational vector spaces and their subspace calculus.
 
 A ``FormedSpace`` fixes a standard basis of a symplectic, symmetric
-(hyperbolic-split / non-split twisted / odd) or formless space over a base
-field GF(q), base-changed to a working extension GF(q^k).  The twisted
-Frobenius acts as the entrywise q-power composed with a fixed basis
-permutation; in the non-split even symmetric case that permutation swaps
-the last hyperbolic pair, everywhere else it is the identity.
+(split / non-split / odd) or formless space over a base field GF(q),
+base-changed to a working extension GF(q^k).  Every Gram entry lies in
+GF(q), so the Frobenius is the entrywise q-power in every kind.
 
 Basis layout for even formed kinds of dimension 2m: indices 0..m-1 are
-e_1..e_m, indices m..2m-1 are f_1..f_m, with <e_i, f_j> = delta_ij.  The
-odd symmetric kind appends one anisotropic vector of square norm 1.
+e_1..e_m, indices m..2m-1 are f_1..f_m, with <e_i, f_j> = delta_ij.  In
+the non-split kind the last pair (e_m, f_m) spans the anisotropic plane
+diag(1, -delta) instead, delta the smallest non-square of GF(q).  The odd
+symmetric kind appends one anisotropic vector of square norm 1.
 
 Subspaces are canonical reduced row-echelon matrices; equality of values
 is equality of subspaces.
@@ -37,28 +37,24 @@ class BudgetExceeded(RuntimeError):
 def _standard_gram(ctx: FieldCtx, kind: str, dim: int):
     if kind == "none":
         return None
-    one = 1
-    neg1 = ctx.NEG[1]
+    m = dim // 2
     g = [[0] * dim for _ in range(dim)]
-    if kind == "symplectic":
-        m = dim // 2
-        for i in range(m):
-            g[i][m + i] = one
-            g[m + i][i] = neg1
-    elif kind.startswith("symmetric"):
-        m = dim // 2
-        for i in range(m):
-            g[i][m + i] = one
-            g[m + i][i] = one
-        if kind == "symmetric-odd":
-            g[dim - 1][dim - 1] = one
-    else:
-        raise SpaceError(f"unknown kind {kind!r}")
+    for i in range(m):
+        g[i][m + i] = 1
+        g[m + i][i] = ctx.NEG[1] if kind == "symplectic" else 1
+    if kind == "symmetric-odd":
+        g[dim - 1][dim - 1] = 1
+    if kind == "symmetric-even-nonsplit" and m:
+        scalars = ctx.subfield_codes(1)
+        squares = {ctx.MUL[s][s] for s in scalars}
+        delta = min(s for s in scalars if s not in squares)
+        g[m - 1][dim - 1] = g[dim - 1][m - 1] = 0
+        g[m - 1][m - 1], g[dim - 1][dim - 1] = 1, ctx.NEG[delta]
     return tuple(tuple(row) for row in g)
 
 
 class FormedSpace:
-    """An F_q-rational formed space with its twisted Frobenius."""
+    """An F_q-rational formed space over the working field GF(q^k)."""
 
     def __init__(self, ctx: FieldCtx, kind: str, dim: int):
         if kind not in KINDS:
@@ -77,22 +73,11 @@ class FormedSpace:
         # the nonzero Gram entries (j, g_ij) of each row i
         self._gram_nz = None if self.gram is None else tuple(
             tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
-        perm = list(range(dim))
-        if kind == "symmetric-even-nonsplit" and dim:
-            m = dim // 2
-            perm[m - 1], perm[dim - 1] = perm[dim - 1], perm[m - 1]
-        self.phi_perm = tuple(perm)
 
-    # basis helpers: e_i and f_i are 1-indexed as in the standard layout
+    # basis helper: e_i is 1-indexed as in the standard layout
     def e(self, i: int) -> tuple[int, ...]:
         v = [0] * self.dim
         v[i - 1] = 1
-        return tuple(v)
-
-    def f(self, i: int) -> tuple[int, ...]:
-        m = self.dim // 2
-        v = [0] * self.dim
-        v[m + i - 1] = 1
         return tuple(v)
 
     def form(self, x, y) -> int:
@@ -158,28 +143,17 @@ def full_subspace(space: FormedSpace) -> Subspace:
 
 
 def apply_phi(U: Subspace) -> Subspace:
-    """Twisted Frobenius: entrywise q-power then the basis permutation.
-
-    Without a permutation the result needs no reduction: FROB fixes 0 and
-    1, so it maps a reduced echelon matrix to one with the same pivots.
-    """
-    space = U.space
-    rows = tuple(_phi_vector(space, r) for r in U.rows)
-    if space.kind != "symmetric-even-nonsplit":
-        return Subspace(space, rows, U.pivots)
-    return Subspace.from_rows(space, rows)
+    """Frobenius: the entrywise q-power.  FROB fixes 0 and 1, so it maps a
+    reduced echelon matrix to one with the same pivots, and the result
+    needs no reduction."""
+    rows = tuple(_phi_vector(U.space, r) for r in U.rows)
+    return Subspace(U.space, rows, U.pivots)
 
 
 def _phi_vector(space: FormedSpace, v: tuple[int, ...], inverse: bool = False) -> tuple[int, ...]:
-    """Twisted Frobenius of one coordinate vector, or its inverse (the
-    basis permutation is an involution)."""
+    """Frobenius of one coordinate vector, or its inverse."""
     FROB = space.ctx.FROB_INV if inverse else space.ctx.FROB
-    perm = space.phi_perm
-    out = [0] * space.dim
-    for j, x in enumerate(v):
-        if x:
-            out[perm[j]] = FROB[x]
-    return tuple(out)
+    return tuple([FROB[x] for x in v])
 
 
 def sum_spaces(U: Subspace, W: Subspace) -> Subspace:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -168,15 +167,8 @@ class StrataConfig:
             return self.n - self.t
         return self.th1 - self.th2
 
-    @property
-    def ambient_degree(self) -> int:
-        """Coordinate field degree needed to see all GF(q^k)-points."""
-        if self.space_kind == "symmetric-even-nonsplit" and self.k % 2 == 1:
-            return 2 * self.k
-        return self.k
-
     def field_ctx(self) -> FieldCtx:
-        return FieldCtx(self.p, self.e, self.ambient_degree)
+        return FieldCtx(self.p, self.e, self.k)
 
     def build_space(self) -> FormedSpace:
         return FormedSpace(self.field_ctx(), self.space_kind, self.space_dim)
@@ -202,15 +194,11 @@ def member(cfg: StrataConfig, U: Subspace) -> bool:
     return (cfg.case == "ZY" or is_isotropic(U)) and sum_spaces(U, apply_phi(U)).dim <= d + 1
 
 
-def _phi_stable(U: Subspace, phi_U: Subspace | None = None) -> bool:
-    """Frobenius stability; a canonical matrix of an untwisted space is
-    stable exactly when all its entries are Frobenius-fixed.  A caller
-    that already holds ``phi_U = apply_phi(U)`` passes it."""
-    sp = U.space
-    if sp.kind != "symmetric-even-nonsplit":
-        FROB = sp.ctx.FROB
-        return all(FROB[x] == x for row in U.rows for x in row)
-    return (phi_U or apply_phi(U)).rows == U.rows
+def _phi_stable(U: Subspace) -> bool:
+    """Frobenius stability: a canonical matrix is stable exactly when all
+    its entries are Frobenius-fixed."""
+    FROB = U.space.ctx.FROB
+    return all(FROB[x] == x for row in U.rows for x in row)
 
 
 @dataclass(frozen=True)
@@ -226,12 +214,8 @@ class KrylovMember(Subspace):
 def _krylov_data(U: Subspace):
     """(y, v, last) from one down chain to B: y is any vector of U_(v-1) - B."""
     above, cur, v = None, U, 0
-    twisted = U.space.kind == "symmetric-even-nonsplit"
-    while True:
-        phi = apply_phi(cur) if twisted else None
-        if _phi_stable(cur, phi):
-            break
-        above, cur, v = cur, intersect(cur, phi or apply_phi(cur)), v + 1
+    while not _phi_stable(cur):
+        above, cur, v = cur, intersect(cur, apply_phi(cur)), v + 1
         if cur.dim != above.dim - 1:
             raise ChainError(f"down step dropped {above.dim - cur.dim} dimensions")
     if not v:
@@ -299,30 +283,44 @@ def kr_class(cfg: StrataConfig, U: Subspace) -> str:
     A member U and its image are isotropic, so U + Phi(U) is isotropic
     exactly when every row of U is orthogonal to every row of Phi(U).
     """
-    phi_U = apply_phi(U) if U.space.kind == "symmetric-even-nonsplit" else None
-    if _phi_stable(U, phi_U):
+    if _phi_stable(U):
         return "id"
     if cfg.case == "ZY":
         return "wprime"
     form = U.space.form
-    phi_rows = (phi_U or apply_phi(U)).rows
+    phi_rows = apply_phi(U).rows
     return "w" if any(form(u, v) for u in U.rows for v in phi_rows) else "wprime"
 
 
 def component_sign(cfg: StrataConfig, F: Subspace) -> str:
     """Family of a maximal isotropic in the even symmetric space.
 
-    The reference family is span(e_1..e_m); the sign is ``+`` exactly when
-    dim(F cap L_ref) = m - rank(F's f-columns) is congruent to m modulo 2,
-    that is, when that rank is even.
+    The sign is ``+`` exactly when dim(F cap L_ref) is congruent to m
+    modulo 2 for a reference Lagrangian L_ref.  That dimension is m minus
+    the rank of F's coordinates along an isotropic complement of L_ref, so
+    the sign is ``+`` when that rank is even.  In the split kind L_ref is
+    span(e_1..e_m), with complement span(f_1..f_m).  In the non-split kind
+    the last pair spans diag(1, -delta), and L_ref is
+    span(e_1..e_(m-1), s e_m + f_m) with s^2 = delta (the root of smaller
+    code), which exists only where delta is a square; along the complement
+    span(f_1..f_(m-1), f_m - s e_m) the last coordinate is a multiple of
+    s x_(f_m) - x_(e_m).
     """
     if cfg.case != "Y" or cfg.n % 2 != 0:
         raise ConfigError("component signs only exist in even symmetric Y cases")
-    sp = F.space
+    sp, ctx = F.space, F.space.ctx
     m = sp.dim // 2
     if F.dim != m:
         raise ConfigError("component sign needs a maximal isotropic subspace")
-    return "-" if linalg.rank(sp.ctx, [r[m:] for r in F.rows]) % 2 else "+"
+    cols = [r[m:] for r in F.rows]
+    if sp.kind == "symmetric-even-nonsplit" and m:
+        delta = ctx.NEG[sp.gram[-1][-1]]
+        s = next((x for x in range(ctx.size) if ctx.MUL[x][x] == delta), None)
+        if s is None:
+            raise ConfigError("no maximal isotropic exists where delta is not a square")
+        ms = ctx.MUL[s]
+        cols = [c[:-1] + (ctx.ADD[ms[c[-1]]][ctx.NEG[r[m - 1]]],) for c, r in zip(cols, F.rows)]
+    return "-" if linalg.rank(ctx, cols) % 2 else "+"
 
 
 # -- expected index sets, reachability, reference dimensions -------------
@@ -468,55 +466,6 @@ def top_label(cfg: StrataConfig) -> StratumLabel:
 
 # -- member enumeration ---------------------------------------------------
 
-def _fixed_vectors(sp: FormedSpace, rows, power: int = 1):
-    """Phi^power-fixed vectors spanning the span of ``rows``, which must be
-    Phi^power-stable (Galois descent).
-
-    The echelon rows of a stable subspace of an untwisted space are fixed
-    already.  In the twisted kind sigma = Phi^power has order r on vectors,
-    and the traces cv + sigma(cv) + ... + sigma^(r-1)(cv) span the fixed
-    vectors when c runs over the basis 1, g, ..., g^(r-1) of the field
-    over the fixed field of sigma (g primitive).
-    """
-    if sp.kind != "symmetric-even-nonsplit":
-        yield from rows
-        return
-    ctx = sp.ctx
-    ADD, MUL = ctx.ADD, ctx.MUL
-    order = ctx.k // math.gcd(ctx.k, power)
-    for i in range(order):
-        c = MUL[ctx.pow(ctx.gen_code, i)]
-        for v in rows:
-            w = acc = tuple(c[x] for x in v)
-            for _ in range(order - 1):
-                for _ in range(power):
-                    w = spc._phi_vector(sp, w)
-                acc = tuple(ADD[a][b] for a, b in zip(acc, w))
-            yield acc
-
-
-def rational_form_basis(sp: FormedSpace) -> list[tuple[int, ...]]:
-    """A basis of Frobenius-fixed vectors: the standard basis in the
-    untwisted kinds, traces of scaled standard vectors in the twisted one."""
-    basis = _extend_basis(sp.ctx, [], _fixed_vectors(sp, spc.full_subspace(sp).rows))
-    if len(basis) != sp.dim:
-        raise RuntimeError("failed to build a fixed basis (bug)")
-    return basis
-
-
-def _extend_basis(ctx: FieldCtx, rows, candidates) -> list[tuple[int, ...]]:
-    """Greedy basis extension: the candidates, in order, that are
-    independent of the basis ``rows`` and of the candidates taken before."""
-    rows = list(rows)
-    out = []
-    for vec in candidates:
-        red, _ = linalg.rref(ctx, rows + [vec])
-        if len(red) > len(rows):
-            rows.append(vec)
-            out.append(vec)
-    return out
-
-
 def _nonzero(rows) -> list[list[tuple[int, int]]]:
     return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
 
@@ -535,33 +484,25 @@ def _combine(ctx: FieldCtx, n: int, basis, coeffs) -> tuple[int, ...]:
 
 def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
     """Every Frobenius-stable d-subspace (isotropic ones only when asked),
-    once: the spans of the echelon GF(q) coefficient rows over
-    ``rational_form_basis``, pivot sets lexicographically and the free
-    entries of each row in product order.  In the untwisted kinds that
-    basis is the standard one, so these are the GF(q)-rational echelon
-    matrices themselves.
+    once: the echelon matrices with GF(q) entries, pivot sets
+    lexicographically and the free entries of each row in product order.
 
     Isotropic rows are solved for, not drawn and rejected.  With H the
-    Gram matrix of the basis (its entries are Frobenius-fixed, so in
-    GF(q)), a new row x is orthogonal to the rows r above it exactly when
-    (r H) x = 0, a linear system in x's free entries; each r H is computed
-    once and carried down.  The system's solutions with x's pivot entry 1
-    are spanned by its canonical kernel, whose free columns are the
-    earliest slots (``linalg.nullspace`` pivots from the right), so product
-    order over them is the order above.  Only the row's own isotropy
-    x H x = 0 is then tested, in the symmetric kinds.
+    Gram matrix (its entries lie in GF(q)), a new row x is orthogonal to
+    the rows r above it exactly when (r H) x = 0, a linear system in x's
+    free entries; each r H is computed once and carried down.  The
+    system's solutions with x's pivot entry 1 are spanned by its canonical
+    kernel, whose free columns are the earliest slots (``linalg.nullspace``
+    pivots from the right), so product order over them is the order
+    above.  Only the row's own isotropy x H x = 0 is then tested, in the
+    symmetric kinds.
     """
     ctx = sp.ctx
     ADD, MUL = ctx.ADD, ctx.MUL
     scalars = ctx.subfield_codes(1)
-    basis, n = rational_form_basis(sp), sp.dim
-    gram = None
-    if isotropic_only:
-        # the nonzero entries (j, H_ij) of each row i of H
-        gram = [[(j, g) for j, b in enumerate(basis) if (g := sp.form(a, b))] for a in basis]
+    n = sp.dim
+    gram = sp._gram_nz if isotropic_only else None
     symmetric = sp.kind.startswith("symmetric")
-    twisted = sp.kind == "symmetric-even-nonsplit"
-    nzbasis = _nonzero(basis)
 
     def solutions(pc, slots, funcs):
         """The rows e_pc + sum of x_c e_c over ``slots`` that every
@@ -580,10 +521,7 @@ def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
 
         def rec(i, rows, funcs):
             if i == d:
-                if twisted:
-                    yield Subspace.from_rows(sp, [_combine(ctx, n, nzbasis, r) for r in rows])
-                else:
-                    yield Subspace(sp, rows, pivots)
+                yield Subspace(sp, rows, pivots)
                 return
             for row in solutions(pivots[i], slots[i], funcs):
                 if gram is None:
@@ -625,11 +563,10 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
     the complement are drawn in the symplectic and formless kinds, where
     every line is isotropic; in the symmetric kinds only the isotropic
     ones are enumerated, each solved for its last coordinate
-    (``_isotropic_line_reps``).  Where Phi^k fixes every vector (all but the
-    non-split kind at odd k, which keeps a trace basis), the complement is
-    the rows of rref(B^perp) whose pivots are not B's, so y is zero at B's
-    pivots with a leading 1, and a v = 1 member's echelon form is B with
-    y's pivot column cleared, plus y.
+    (``_isotropic_line_reps``).  Phi^k fixes every vector of the working
+    field, so the complement is the rows of rref(B^perp) whose pivots are
+    not B's: y is zero at B's pivots with a leading 1, and a v = 1
+    member's echelon form is B with y's pivot column cleared, plus y.
 
     ``budget`` (default ``SUBSPACE_BUDGET``) bounds the stable members
     plus the (B, line of its complement) candidates, isotropic or not,
@@ -653,14 +590,10 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
         raise BudgetExceeded(f"estimated {estimate} member candidates exceeds budget {limit}")
     yield from rational_subspaces(sp, d, iso)
     form = sp.form
-    fixed = cfg.ambient_degree == k  # Phi^k fixes every vector
     for v in range(1, vmax + 1):
         for B in rational_subspaces(sp, d - v, iso):
             amb = perp(B) if iso else spc.full_subspace(sp)
-            if fixed:
-                comp = [r for r, pc in zip(amb.rows, amb.pivots) if pc not in B.pivots]
-            else:
-                comp = _extend_basis(ctx, B.rows, _fixed_vectors(sp, amb.rows, k))
+            comp = [r for r, pc in zip(amb.rows, amb.pivots) if pc not in B.pivots]
             if symmetric:
                 gram = [[form(a, b) for b in comp] for a in comp]
                 lines = _isotropic_line_reps(ctx, scalars, gram)
@@ -670,7 +603,7 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
             for coeffs in lines:
                 y = _combine(ctx, sp.dim, nzcomp, coeffs)
                 z = spc._phi_vector(sp, y, True)  # the next Krylov vector
-                if v == 1 and fixed:
+                if v == 1:
                     (red, piv), last = _adjoin(ctx, B, y), y
                 else:
                     rows = [*B.rows, y]

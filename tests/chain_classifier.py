@@ -3,9 +3,9 @@
 The down chain intersects U with its Frobenius image until the span is
 stable; the up chain adds the image until the span is stable or, in a
 formed space, stops being isotropic.  The component sign intersects the
-top with span(e_1..e_m).  Every step is a separate ``intersect`` or
-``sum_spaces``, so this is independent of the Krylov walk of
-``strata.classify_flag``.
+top with the kind's reference Lagrangian.  Every step is a separate
+``intersect`` or ``sum_spaces``, so this is independent of the Krylov
+walk of ``strata.classify_flag``.
 """
 
 from stratakit import space as spc
@@ -44,11 +44,26 @@ def chain_up(U):
     return chain, "stable"
 
 
-def sign_by_intersection(F):
-    """``+`` exactly when dim(F cap span(e_1..e_m)) is congruent to m mod 2."""
-    sp = F.space
+def reference_lagrangian(sp):
+    """span(e_1..e_m) in the split kind.  In the non-split kind, whose last
+    pair spans an anisotropic plane, e_m gives way to s e_m + f_m for the
+    scalar s of smallest code that makes that vector isotropic."""
     m = sp.dim // 2
-    lref = spc.Subspace.from_rows(sp, [sp.e(i + 1) for i in range(m)])
+    rows = [sp.e(i + 1) for i in range(m)]
+    if sp.kind == "symmetric-even-nonsplit":
+        ctx, e_m, f_m = sp.ctx, rows[-1], sp.e(sp.dim)
+        candidates = (tuple(ctx.add(ctx.mul(s, a), b) for a, b in zip(e_m, f_m))
+                      for s in range(ctx.size))
+        rows[-1] = next(v for v in candidates if sp.form(v, v) == 0)
+    return spc.Subspace.from_rows(sp, rows)
+
+
+def sign_by_intersection(F, lref=None):
+    """``+`` exactly when dim(F cap lref) is congruent to m mod 2, lref the
+    reference Lagrangian unless given."""
+    m = F.space.dim // 2
+    if lref is None:
+        lref = reference_lagrangian(F.space)
     return "+" if (spc.intersect(F, lref).dim - m) % 2 == 0 else "-"
 
 

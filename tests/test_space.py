@@ -25,6 +25,11 @@ F3 = FieldCtx(3, 1, 1)
 F9 = FieldCtx(3, 1, 2)
 
 
+def f(space, i):
+    """f_i, 1-indexed as in the standard layout: basis index m + i - 1."""
+    return space.e(space.dim // 2 + i)
+
+
 def all_vectors(space, U):
     """Brute-force vector membership oracle: the set of vectors in U."""
     ctx = space.ctx
@@ -40,8 +45,8 @@ def all_vectors(space, U):
 
 def test_build_space_grams():
     sp = FormedSpace(F3, "symplectic", 4)
-    assert sp.form(sp.e(1), sp.f(1)) == 1
-    assert sp.form(sp.f(1), sp.e(1)) == F3.neg(1)
+    assert sp.form(sp.e(1), f(sp, 1)) == 1
+    assert sp.form(f(sp, 1), sp.e(1)) == F3.neg(1)
     assert sp.form(sp.e(1), sp.e(2)) == 0
     so = FormedSpace(F3, "symmetric-odd", 5)
     v = so.e(5)  # highest index is the anisotropic vector
@@ -55,15 +60,8 @@ def test_build_space_grams():
 
 def test_phi_fixes_rational_subspaces():
     sp = FormedSpace(F9, "symplectic", 4)
-    U = Subspace.from_rows(sp, [sp.e(1), sp.f(2)])
+    U = Subspace.from_rows(sp, [sp.e(1), f(sp, 2)])
     assert apply_phi(U).rows == U.rows
-
-
-def test_phi_nonsplit_swaps_last_pair():
-    sp = FormedSpace(F9, "symmetric-even-nonsplit", 4)
-    U = Subspace.from_rows(sp, [sp.e(2)])
-    V = apply_phi(U)
-    assert V.rows == Subspace.from_rows(sp, [sp.f(2)]).rows
 
 
 def test_phi_order():
@@ -106,9 +104,9 @@ def test_perp_examples():
     assert perp(full).dim == 0
     P = perp(Subspace.from_rows(sp, [sp.e(1)]))
     assert P.dim == 3
-    for v in (sp.e(1), sp.e(2), sp.f(2)):
+    for v in (sp.e(1), sp.e(2), f(sp, 2)):
         assert P.contains(v)
-    assert not P.contains(sp.f(1))
+    assert not P.contains(f(sp, 1))
 
 
 def test_perp_involution_and_reversal():
@@ -157,7 +155,7 @@ def test_isotropy():
     sp = FormedSpace(F3, "symplectic", 4)
     assert is_isotropic(Subspace.from_rows(sp, [(1, 2, 0, 1)]))
     se = FormedSpace(F3, "symmetric-even-split", 4)
-    e1f1 = tuple(F3.add(a, b) for a, b in zip(se.e(1), se.f(1)))
+    e1f1 = tuple(F3.add(a, b) for a, b in zip(se.e(1), f(se, 1)))
     assert not is_isotropic(Subspace.from_rows(se, [e1f1]))
     assert is_isotropic(Subspace.from_rows(se, [se.e(1), se.e(2)]))
 
@@ -215,17 +213,32 @@ def test_budget():
     ("symmetric-even-nonsplit", 6, 2), ("symmetric-even-nonsplit", 6, 3),
 ])
 def test_count_oracle_against_enumeration(kind, dim, d):
-    # the oracle counts Frobenius-stable subspaces: in the untwisted kinds
-    # the coordinate subspaces over GF(q); in the non-split kind the ones
-    # the twisted Frobenius fixes, seen over the ambient field GF(q^2)
-    if kind == "symmetric-even-nonsplit":
-        sp = FormedSpace(F9, kind, dim)
-        scan = lambda d, iso: strata.rational_subspaces(sp, d, iso)
-    else:
-        sp = FormedSpace(F3, kind, dim)
-        scan = lambda d, iso: enumerate_subspaces(sp, d, iso)
-    assert count_oracle(sp, d, isotropic_only=True) == sum(1 for _ in scan(d, True))
-    assert count_oracle(sp, d) == sum(1 for _ in scan(d, False))
+    # the oracle counts Frobenius-stable subspaces: the coordinate
+    # subspaces over GF(q)
+    sp = FormedSpace(F3, kind, dim)
+    assert count_oracle(sp, d, isotropic_only=True) == sum(
+        1 for _ in enumerate_subspaces(sp, d, True))
+    assert count_oracle(sp, d) == sum(1 for _ in enumerate_subspaces(sp, d))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_nonsplit_gram_is_elliptic_over_gf_q(p, e):
+    # the last pair spans diag(1, -delta), delta the smallest non-square of
+    # GF(q): the 4-space has q^2 + 1 isotropic lines, the plane none over
+    # GF(q) and two over GF(q^2), where delta becomes a square
+    ctx = FieldCtx(p, e, 1)
+    q = ctx.q
+    sp = FormedSpace(ctx, "symmetric-even-nonsplit", 4)
+    squares = {ctx.mul(x, x) for x in range(q)}
+    delta = ctx.neg(sp.gram[3][3])
+    assert sp.gram[1][1] == 1 and sp.gram[1][3] == sp.gram[3][1] == 0
+    assert delta not in squares and all(x in squares for x in range(delta))
+    lines = sum(1 for _ in enumerate_subspaces(sp, 1, True))
+    assert lines == count_oracle(sp, 1, True) == q**2 + 1 == {3: 10, 5: 26, 9: 82}[q]
+    plane = FormedSpace(ctx, "symmetric-even-nonsplit", 2)
+    assert sum(1 for _ in enumerate_subspaces(plane, 1, True)) == 0
+    plane2 = FormedSpace(FieldCtx(p, e, 2), "symmetric-even-nonsplit", 2)
+    assert sum(1 for _ in enumerate_subspaces(plane2, 1, True)) == 2
 
 
 def test_count_oracle_trivia():
@@ -248,8 +261,6 @@ def test_kernel_outputs_are_plain_ints():
     U = Subspace.from_rows(sp, rows[:2])
     W = Subspace.from_rows(sp, rows[1:])
     outputs = {"rref": red, "apply_phi": apply_phi(U).rows, "intersect": intersect(U, W).rows}
-    untwisted = FormedSpace(F9, "symplectic", 4)
-    outputs["apply_phi untwisted"] = apply_phi(Subspace.from_rows(untwisted, rows[:2])).rows
     for name, mat in outputs.items():
         assert mat and all(type(x) is int for row in mat for x in row), name
 
@@ -257,9 +268,10 @@ def test_kernel_outputs_are_plain_ints():
 @pytest.mark.parametrize("cfg", [
     strata.StrataConfig(case="Z", p=3, k=2, t=4, h=2),
     strata.StrataConfig(case="Y", p=3, k=2, n=4, h=2, t=0, eps=-1),
-], ids=["Z-t4-h2", "Y-split-n4-h2"])
+    strata.StrataConfig(case="Y", p=3, k=2, n=6, h=4, t=0, eps=1),
+], ids=["Z-t4-h2", "Y-split-n4-h2", "Y-nonsplit-n6-h4"])
 def test_untwisted_apply_phi_equals_reduced_frobenius_rows(cfg):
-    """The no-reduction fast path against a full re-reduction."""
+    """apply_phi, which never reduces, against a full re-reduction."""
     members = list(strata.enumerate_members(cfg))
     assert members
     for U in members:

@@ -19,7 +19,12 @@ from stratakit.strata import (
     top_label,
     verify_decomposition,
 )
-from chain_classifier import chain_up, classify_by_chains, sign_by_intersection
+from chain_classifier import (
+    chain_up,
+    classify_by_chains,
+    reference_lagrangian,
+    sign_by_intersection,
+)
 from subspace_scan import enumerate_subspaces
 
 
@@ -114,19 +119,19 @@ def _rational_scan(cfg):
     """Reference members where the coordinate scan is out of reach: the
     isotropic d-subspaces rational over GF(q^k), as the stable scan of the
     same space over the base field GF(q^k), that pass ``member``.  The two
-    contexts share one modulus, so their codes agree."""
+    contexts share one modulus, so their codes agree, and the Grams must
+    agree too (the non-split kind's delta is the smallest non-square of
+    each base field)."""
     sp = cfg.build_space()
-    base = spc.FormedSpace(FieldCtx(cfg.p, cfg.e * cfg.k, cfg.ambient_degree // cfg.k),
-                           sp.kind, sp.dim)
-    assert base.ctx.modulus == sp.ctx.modulus
+    base = spc.FormedSpace(FieldCtx(cfg.p, cfg.e * cfg.k, 1), sp.kind, sp.dim)
+    assert base.ctx.modulus == sp.ctx.modulus and base.gram == sp.gram
     iso = cfg.case in ("Z", "Y")
     return {U.rows for U in strata.rational_subspaces(base, cfg.member_dim, iso)
             if member(cfg, spc.Subspace(sp, U.rows, U.pivots))}
 
 
 def test_fast_path_matches_generic_enumeration():
-    # k = 2 (one Krylov step) and k = 3 (up to two, and for the non-split
-    # form a GF(q^3)-rational complement inside GF(q^6) coordinates)
+    # k = 2 (one Krylov step) and k = 3 (up to two)
     for cfg in (cfg_z(4, 2), cfg_y(5, 2, 0, -1), cfg_y(6, 4, 2, 1), cfg_zy(6, 2, 0),
                 cfg_z(4, 0, k=3), cfg_z(4, 2, k=3), cfg_zy(6, 2, 0, k=3),
                 cfg_y(4, 2, 0, -1, k=3), cfg_y(4, 4, 2, 1, k=3)):
@@ -149,28 +154,26 @@ def test_nonsplit_quadric_points_at_odd_k():
     # members of Y n6 h4 t2 are the isotropic lines of the non-split
     # 4-space; over GF(27) the elliptic quadric has 27^2 + 1 points
     cfg = cfg_y(6, 4, 2, 1, k=3)
-    assert cfg.member_dim == 1 and cfg.ambient_degree == 6
+    assert cfg.member_dim == 1 and cfg.build_space().ctx.size == 27
     assert sum(1 for _ in enumerate_members(cfg)) == 27**2 + 1
 
 
-def test_rational_form_basis_is_fixed_beyond_degree_two():
-    # over GF(729) the twisted Frobenius has order 6, so v + Phi(v) is not
-    # fixed; the trace over the whole orbit is
+def test_stable_isotropic_lines_beyond_degree_two():
+    # over GF(729), where the Frobenius has order 6, the stable isotropic
+    # lines of the non-split 4-space are still its 3^2 + 1 rational ones
     sp = spc.FormedSpace(FieldCtx(3, 1, 6), "symmetric-even-nonsplit", 4)
-    basis = strata.rational_form_basis(sp)
-    assert len(basis) == 4
-    assert all(spc._phi_vector(sp, v) == v for v in basis)
-    lines = {U.rows for U in strata.rational_subspaces(sp, 1, True)}
-    assert len(lines) == 3**2 + 1
-    assert all(spc.apply_phi(spc.Subspace.from_rows(sp, rows)).rows == rows for rows in lines)
+    lines = list(strata.rational_subspaces(sp, 1, True))
+    assert len({U.rows for U in lines}) == len(lines) == 3**2 + 1
+    assert all(spc.apply_phi(U).rows == U.rows and spc.is_isotropic(U) for U in lines)
 
 
 @pytest.mark.parametrize("kind,dim", [
-    ("symplectic", 4), ("symmetric-even-split", 4), ("symmetric-odd", 3), ("none", 3),
+    ("symplectic", 4), ("symmetric-even-split", 4), ("symmetric-even-nonsplit", 4),
+    ("symmetric-odd", 3), ("none", 3),
 ])
 def test_rational_subspaces_are_the_rational_coordinate_scan(kind, dim):
-    # untwisted kinds: the stable subspaces are the echelon matrices with
-    # GF(q) entries, in the coordinate scan's order
+    # the stable subspaces are the echelon matrices with GF(q) entries, in
+    # the coordinate scan's order
     sp = spc.FormedSpace(FieldCtx(3, 1, 2), kind, dim)
     base = set(sp.ctx.subfield_codes(1))
     for iso in (False, True) if sp.gram else (False,):
@@ -184,6 +187,8 @@ def test_rational_subspaces_are_the_rational_coordinate_scan(kind, dim):
 @pytest.mark.parametrize("p,kind,d", [
     (3, "symplectic", 2), (3, "symplectic", 3), (3, "symmetric-even-split", 2),
     (3, "symmetric-even-split", 3), (5, "symmetric-even-split", 2), (5, "symmetric-even-split", 3),
+    (3, "symmetric-even-nonsplit", 2), (3, "symmetric-even-nonsplit", 3),
+    (5, "symmetric-even-nonsplit", 2),
 ])
 def test_rational_subspaces_solve_in_the_coordinate_scan_order(p, kind, d):
     # in dimension 6 the orthogonality systems have several equations and
@@ -329,8 +334,7 @@ def test_kr_class_matches_isotropy_of_first_sum():
 
 def test_krylov_data_applies_phi_once_per_down_step(monkeypatch):
     # a member without Krylov data runs its down chain: one Phi per down
-    # step, plus, in the non-split kind only, the image that the final
-    # stability test compares with
+    # step, and the stability tests read entries, not images
     calls = []
 
     def counted(U):
@@ -339,12 +343,12 @@ def test_krylov_data_applies_phi_once_per_down_step(monkeypatch):
 
     monkeypatch.setattr(strata, "apply_phi", counted)
     steps = 0
-    for cfg, stability_images in ((cfg_y(4, 2, 0, 1), 1), (cfg_y(4, 2, 0, -1), 0)):
+    for cfg in (cfg_y(4, 2, 0, 1), cfg_y(4, 2, 0, -1)):
         for U in enumerate_members(cfg):
             calls.clear()
             _, v, _ = strata._krylov_data(spc.Subspace(U.space, U.rows, U.pivots))
             assert v == (U.v if isinstance(U, strata.KrylovMember) else 0)
-            assert len(calls) == v + stability_images
+            assert len(calls) == v
             steps += v
     assert steps > 100
 
@@ -433,23 +437,32 @@ def test_union_over_k_exhausts_index_set_on_small_configs():
 
 
 def test_component_sign():
-    cfg = cfg_y(6, 6, 2, 1)
+    # the reference Lagrangian is +, and one that meets it in codimension
+    # one (its e_1 swapped for f_1) is -, in both even kinds
+    for cfg in (cfg_y(6, 6, 2, 1), cfg_y(6, 4, 2, -1)):
+        sp = cfg.build_space()
+        m = sp.dim // 2
+        lref = reference_lagrangian(sp)
+        assert component_sign(cfg, lref) == "+"
+        neighbor = spc.Subspace.from_rows(sp, [sp.e(m + 1)] + list(lref.rows[1:]))
+        assert spc.is_isotropic(neighbor) and spc.intersect(neighbor, lref).dim == m - 1
+        assert component_sign(cfg, neighbor) == "-"
+        with pytest.raises(ConfigError):
+            component_sign(cfg, spc.Subspace.from_rows(sp, [sp.e(1)]))
+        with pytest.raises(ConfigError):
+            component_sign(cfg_z(4, 2), lref)
+    # over GF(3) delta is no square and the non-split 4-space has no
+    # Lagrangian to sign
+    cfg = cfg_y(6, 6, 2, 1, k=1)
     sp = cfg.build_space()
-    m = sp.dim // 2
-    lref = spc.Subspace.from_rows(sp, [sp.e(i + 1) for i in range(m)])
-    assert component_sign(cfg, lref) == "+"
-    neighbor = spc.Subspace.from_rows(sp, [sp.e(1), sp.f(2)])
-    assert component_sign(cfg, neighbor) == "-"
     with pytest.raises(ConfigError):
-        component_sign(cfg, spc.Subspace.from_rows(sp, [sp.e(1)]))
-    with pytest.raises(ConfigError):
-        component_sign(cfg_z(4, 2), lref)
+        component_sign(cfg, spc.Subspace.from_rows(sp, [sp.e(1), sp.e(2)]))
 
 
 def test_component_sign_matches_intersection():
-    # the one-rank sign against dim(F cap span(e_1..e_m)), on every
-    # Lagrangian member of the non-split 6-space and every stable top of a
-    # wprime chain of the split 6-space
+    # the one-rank sign against dim(F cap L_ref), on every Lagrangian
+    # member of the non-split 6-space and every stable top of a wprime
+    # chain of the split 6-space
     n_lagrangian = n_tops = 0
     cfg = cfg_y(6, 6, 0, 1)
     for U in enumerate_members(cfg):
@@ -462,6 +475,33 @@ def test_component_sign_matches_intersection():
             assert component_sign(cfg, up[-1]) == sign_by_intersection(up[-1]), U.rows
             n_tops += 1
     assert n_lagrangian == 560 and n_tops > 0
+
+
+def test_frobenius_swaps_the_rulings_only_when_nonsplit():
+    # Phi keeps the form, so it permutes the two families of Lagrangians: a
+    # non-split form is non-split over GF(q), so Phi swaps them on every
+    # member of the non-split 6-space; the split form's families are
+    # rational, so Phi keeps them, also on Lagrangians that are not stable.
+    # span(e_1..e_m) is not isotropic under the non-split Gram, and its
+    # intersection parity shows no swap
+    cfg = cfg_y(6, 6, 0, 1)
+    sp = cfg.build_space()
+    naive = spc.Subspace.from_rows(sp, [sp.e(i + 1) for i in range(3)])
+    assert not spc.is_isotropic(naive)
+    members = naive_kept = 0
+    for U in enumerate_members(cfg):
+        phiU = spc.apply_phi(U)
+        assert component_sign(cfg, phiU) != component_sign(cfg, U), U.rows
+        naive_kept += sign_by_intersection(phiU, naive) == sign_by_intersection(U, naive)
+        members += 1
+    assert members == 560 and naive_kept > 0
+    cfg = cfg_y(6, 4, 2, -1)
+    moved = 0
+    for F in enumerate_subspaces(cfg.build_space(), 2, isotropic_only=True):
+        phiF = spc.apply_phi(F)
+        assert component_sign(cfg, phiF) == component_sign(cfg, F), F.rows
+        moved += phiF != F
+    assert moved > 0
 
 
 def test_signed_counts_balanced():
@@ -536,9 +576,9 @@ def test_verify_budget_inconclusive():
     assert rep["checks"][0]["status"] == "inconclusive"
 
 
-def test_nonsplit_ambient_degree():
+def test_nonsplit_stable_lines_at_k1():
+    # the 3^2 + 1 isotropic lines of the non-split 4-space over GF(3)
     cfg = cfg_y(6, 4, 2, 1, k=1)
-    assert cfg.ambient_degree == 2
     counts, total = stratum_counts(cfg)
     assert set(counts) == {StratumLabel(1, 1, "id")}
     assert total == 10
