@@ -15,7 +15,11 @@ Members are enumerated as Frobenius-Krylov spans B + <y, Phi^-1 y, ...>
 over a Frobenius-stable bottom B and classified from that data: one walk
 adds Phi y, Phi^2 y, ... until the span turns non-isotropic (kind ``w``)
 or stabilizes while isotropic (kind ``wprime``; ``id`` for stable members).
-The label (r, s, kind, sign) is compared against the predicted index sets,
+Each case places its labels in one frame (top, level, bottom), the
+(rank, level) that the ``weyl`` word families take (``StrataConfig.frame``):
+members have dimension top - level, and a member whose chain runs v steps
+down and u steps up has the label (r, s) = (level + v, level - u).  The
+label (r, s, kind, sign) is compared against the predicted index sets,
 closure identities, Kottwitz-Rapoport fibers and sign-class statistics.
 """
 
@@ -114,40 +118,22 @@ class StrataConfig:
     # -- derived quantities ---------------------------------------------
 
     @property
-    def th(self) -> int:
-        return self.t // 2
-
-    @property
-    def hh(self) -> int:
-        return self.h // 2
-
-    @property
-    def nh(self) -> int:
-        return self.n // 2
-
-    @property
-    def hp(self) -> int:
-        return self.nh - self.hh
-
-    @property
-    def tp(self) -> int:
-        return self.nh - self.th
-
-    @property
-    def th1(self) -> int:
-        return self.t1 // 2
-
-    @property
-    def th2(self) -> int:
-        return self.t2 // 2
+    def frame(self) -> tuple[int, int, int]:
+        """(top, level, bottom): the labels sit around the level, members
+        have dimension top - level, and their chains run between the bottom
+        and the top.  These are the (rank, level) that the ``weyl`` word
+        families take: Z is (t/2, h/2, 0), Y in primed coordinates is
+        ((n - t)//2, (n - h)//2, 0), and ZY is (t1/2, h/2, t2/2)."""
+        if self.case == "Z":
+            return self.t // 2, self.h // 2, 0
+        if self.case == "Y":
+            return (self.n - self.t) // 2, (self.n - self.h) // 2, 0
+        return self.t1 // 2, self.h // 2, self.t2 // 2
 
     @property
     def member_dim(self) -> int:
-        if self.case == "Z":
-            return self.th - self.hh
-        if self.case == "Y":
-            return self.hh - self.th
-        return self.th1 - self.hh
+        top, level, _ = self.frame
+        return top - level
 
     @property
     def space_kind(self) -> str:
@@ -165,7 +151,7 @@ class StrataConfig:
             return self.t
         if self.case == "Y":
             return self.n - self.t
-        return self.th1 - self.th2
+        return (self.t1 - self.t2) // 2
 
     def field_ctx(self) -> FieldCtx:
         return FieldCtx(self.p, self.e, self.k)
@@ -184,9 +170,11 @@ class StrataConfig:
 def member(cfg: StrataConfig, U: Subspace) -> bool:
     """U has the member dimension d, is isotropic unless the case is
     formless, and meets Phi(U) in dimension >= d - 1; as dim Phi(U) = d,
-    that is dim(U + Phi(U)) <= d + 1."""
-    sp = U.space
-    if sp.dim != cfg.space_dim or sp.kind != cfg.space_kind:
+    that is dim(U + Phi(U)) <= d + 1.  U must live in the configured
+    space over the configured field GF(q^k)."""
+    sp, ctx = U.space, U.space.ctx
+    if (sp.kind, sp.dim, ctx.p, ctx.e, ctx.k) != (cfg.space_kind, cfg.space_dim,
+                                                  cfg.p, cfg.e, cfg.k):
         raise ConfigError("subspace does not live in the configured space")
     d = cfg.member_dim
     if U.dim != d:
@@ -230,11 +218,12 @@ def classify_flag(cfg: StrataConfig, U: Subspace) -> tuple[StratumLabel, list[in
     """Stratum label of a member plus the dimensions of its flag chain.
 
     U = B + <y, ..., Phi^-(v-1) y> (``enumerate_members``; other members
-    run their down chain once) has the down chain B + <y, ..., Phi^-i y>, so
-    r comes from dim B = d - v.  The up walk reduces Phi y, Phi^2 y, ...
-    against one echelon basis seeded with U's rows, and stops ``stable`` on
-    a zero residual, ``anisotropic`` when form(Phi^j y, Phi^-(v-1) y), the
-    one new pair, is nonzero; s comes from the top, of dimension d + u.
+    run their down chain once) has the down chain B + <y, ..., Phi^-i y>
+    to its bottom B of dimension d - v.  The up walk reduces Phi y, Phi^2
+    y, ... against one echelon basis seeded with U's rows, and stops
+    ``stable`` on a zero residual, ``anisotropic`` when form(Phi^j y,
+    Phi^-(v-1) y), the one new pair, is nonzero, at a top of dimension
+    d + u.  The label is (level + v, level - u) in every case.
     That pair is Frob^-(v-1)(g_(j+v-1)) in the orbit Gram g_m = form(Phi^m
     y, y), and g_0..g_(v-1) vanish, so kind ``w`` exits at the first nonzero
     g_m, m = v + u.  As Phi^k y = y, g_(k-m) = +-Frob^(k-m)(g_m) (minus when
@@ -256,25 +245,20 @@ def classify_flag(cfg: StrataConfig, U: Subspace) -> tuple[StratumLabel, list[in
         rows.append(tuple(scale[x] for x in res))
         pivots.append(p)
     u = len(rows) - d
-    dims = list(range(d - v, d + u + 1))
-    if cfg.case == "ZY":
-        return StratumLabel(cfg.th1 - d + v, cfg.th1 - d - u, "w"), dims
-    top = cfg.th if cfg.case == "Z" else cfg.tp
-    kind = "w" if anisotropic else "wprime" if v else "id"
+    level = cfg.frame[1]
+    kind = "w" if anisotropic or cfg.case == "ZY" else "wprime" if v else "id"
     sign = None
     if _label_is_signed(cfg, kind):
         sign = component_sign(cfg, U if kind == "w" else Subspace.from_rows(sp, rows))
-    return StratumLabel(top - d + v, top - d - u, kind, sign), dims
+    return StratumLabel(level + v, level - u, kind, sign), list(range(d - v, d + u + 1))
 
 
 def _label_is_signed(cfg: StrataConfig, kind: str) -> bool:
-    if cfg.case != "Y" or cfg.n % 2 != 0:
-        return False
-    if cfg.h == cfg.n and kind == "w":
-        return True
-    if cfg.h == cfg.n - 2 and kind == "wprime":
-        return True
-    return False
+    """Whether the tops of this kind are maximal isotropics of an even
+    symmetric space, split by component sign: ``w`` at level 0, ``wprime``
+    at level 1."""
+    return (cfg.space_kind.startswith("symmetric-even")
+            and (kind, cfg.frame[1]) in (("w", 0), ("wprime", 1)))
 
 
 def kr_class(cfg: StrataConfig, U: Subspace) -> str:
@@ -327,57 +311,43 @@ def component_sign(cfg: StrataConfig, F: Subspace) -> str:
 
 def predicted_index_set(cfg: StrataConfig) -> frozenset[StratumLabel]:
     """The predicted full label set for the configuration."""
-    labels: set[StratumLabel] = set()
-    if cfg.case == "Z":
-        t, h = cfg.th, cfg.hh
-        if t == h:
-            return frozenset({StratumLabel(h, h, "id")})
-        labels.add(StratumLabel(h, h, "id"))
-        for i in range(h + 1, t + 1):
-            for j in range(0, h + 1):
-                labels.add(StratumLabel(i, j, "w"))
-            for j in range(0, h):
-                labels.add(StratumLabel(i, j, "wprime"))
-        return frozenset(labels)
+    top, level, bottom = cfg.frame
     if cfg.case == "ZY":
         # A stable chain end forces a fully stable member, so the box of
-        # labels degenerates: only j < h < i survives besides the fixed
-        # point (h, h).  Verified exhaustively; the printed box includes
+        # labels degenerates: only j < level < i survives besides the
+        # fixed point (level, level).  Verified exhaustively; the printed box includes
         # edge labels that hold no points.
-        t1, t2, h = cfg.th1, cfg.th2, cfg.hh
-        labels.add(StratumLabel(h, h, "w"))
-        for i in range(h + 1, t1 + 1):
-            for j in range(t2, h):
-                labels.add(StratumLabel(i, j, "w"))
-        return frozenset(labels)
-    # Case Y, in primed coordinates.  The split/non-split flavors each
-    # lose one family of labels to a parity obstruction on maximal
-    # isotropics (verified exhaustively): in the split form a `w` chain
-    # cannot exit at a Lagrangian top (same-family intersections have
-    # fixed parity, forcing stability), so j >= 1 there; in the non-split
-    # form there are no Frobenius-stable Lagrangians, so `wprime` needs
-    # j >= 1 and the fixed point disappears when members are Lagrangian.
-    hp, tp = cfg.hp, cfg.tp
-    if cfg.t == cfg.h:
-        return frozenset({StratumLabel(hp, hp, "id")})
+        return frozenset({StratumLabel(level, level, "w")} | {
+            StratumLabel(i, j, "w") for i in range(level + 1, top + 1)
+            for j in range(bottom, level)})
+    if top == level:
+        return frozenset({StratumLabel(level, level, "id")})
+    # The symmetric even kinds each lose one family of labels to a parity
+    # obstruction on maximal isotropics (verified exhaustively): in the
+    # split form a `w` chain cannot exit at a Lagrangian top (same-family
+    # intersections have fixed parity, forcing stability), so j >= 1
+    # there; in the non-split form there are no Frobenius-stable
+    # Lagrangians, so `wprime` needs j >= 1 and the fixed point disappears
+    # when members are Lagrangian.
     kind = cfg.space_kind
-    if kind != "symmetric-even-nonsplit" or hp >= 1:
-        labels.add(StratumLabel(hp, hp, "id"))
-    w_js = range(1 if kind == "symmetric-even-split" else 0, hp + 1)
-    wp_js = range(1 if kind == "symmetric-even-nonsplit" else 0, hp)
+    labels = set()
+    if kind != "symmetric-even-nonsplit" or level >= 1:
+        labels.add(StratumLabel(level, level, "id"))
+    w_js = range(1 if kind == "symmetric-even-split" else 0, level + 1)
+    wp_js = range(1 if kind == "symmetric-even-nonsplit" else 0, level)
     for label_kind, js in (("w", w_js), ("wprime", wp_js)):
         signs = ("+", "-") if _label_is_signed(cfg, label_kind) else (None,)
         labels.update(StratumLabel(i, j, label_kind, sign)
-                      for i in range(hp + 1, tp + 1) for j in js for sign in signs)
+                      for i in range(level + 1, top + 1) for j in js for sign in signs)
     return frozenset(labels)
 
 
 def reachable_at_k(cfg: StrataConfig, label: StratumLabel, k: int | None = None) -> bool:
     """Whether a stratum has GF(q^k)-points.
 
-    Write v = r - h and u = h - s for the numbers of intersection and sum
-    steps of a member's chain.  Empirically (exhaustive enumeration over
-    k <= 4 on desk-scale configurations, frozen in the tests):
+    Write v = r - level and u = level - s for the numbers of intersection
+    and sum steps of a member's chain.  Empirically (exhaustive enumeration
+    over k <= 4 on desk-scale configurations, frozen in the tests):
 
     * kind ``id``: always;
     * kind ``w``: v + u <= floor(k/2) -- the non-isotropic exit reads the
@@ -390,15 +360,12 @@ def reachable_at_k(cfg: StrataConfig, label: StratumLabel, k: int | None = None)
     """
     if k is None:
         k = cfg.k
-    if label.kind == "id":
-        return True
+    if label.r == label.s:
+        return True  # kind ``id`` and the formless fixed point
     if cfg.space_kind == "symmetric-even-nonsplit" and cfg.h == cfg.n and k % 2:
         return False
-    h = cfg.hp if cfg.case == "Y" else cfg.hh
-    down = label.r - h
-    up = h - label.s
-    if label.r == label.s:
-        return True  # formless fixed point
+    level = cfg.frame[1]
+    down, up = label.r - level, level - label.s
     if label.kind == "w" and cfg.case != "ZY":
         return down + up <= k // 2
     return down >= 1 and up >= 1 and down + up <= k
@@ -408,15 +375,11 @@ def reference_dimension(cfg: StrataConfig, label: StratumLabel) -> int:
     """Stratum dimension from the closed tables (audited against the
     Deligne-Lusztig formula and point-count growth in the tests)."""
     r, s = label.r, label.s
-    if label.kind == "id":
+    if r == s:
         return 0
-    if cfg.case == "Z":
-        return r + s if label.kind == "w" else r - s - 1
-    if cfg.case == "ZY":
-        return 0 if r == s else r - s - 1
-    if cfg.n % 2 == 1:
-        return r + s if label.kind == "w" else r - s - 1
-    return r + s - 1 if label.kind == "w" else r - s - 1
+    if label.kind == "wprime" or cfg.case == "ZY":
+        return r - s - 1
+    return r + s - cfg.space_kind.startswith("symmetric-even")
 
 
 def closure_index_set(cfg: StrataConfig, label: StratumLabel) -> frozenset[StratumLabel]:
@@ -450,18 +413,15 @@ def closure_index_set(cfg: StrataConfig, label: StratumLabel) -> frozenset[Strat
 
 
 def top_label(cfg: StrataConfig) -> StratumLabel:
-    if cfg.case == "Z":
-        if cfg.t == cfg.h:
-            return StratumLabel(cfg.hh, cfg.hh, "id")
-        return StratumLabel(cfg.th, cfg.hh, "w")
+    top, level, bottom = cfg.frame
     if cfg.case == "ZY":
-        if cfg.th2 < cfg.hh < cfg.th1:
-            return StratumLabel(cfg.th1, cfg.th2, "w")
-        return StratumLabel(cfg.hh, cfg.hh, "w")
-    if cfg.t == cfg.h:
-        return StratumLabel(cfg.hp, cfg.hp, "id")
+        if bottom < level < top:
+            return StratumLabel(top, bottom, "w")
+        return StratumLabel(level, level, "w")
+    if top == level:
+        return StratumLabel(level, level, "id")
     sign = "+" if _label_is_signed(cfg, "w") else None
-    return StratumLabel(cfg.tp, cfg.hp, "w", sign)
+    return StratumLabel(top, level, "w", sign)
 
 
 # -- member enumeration ---------------------------------------------------
@@ -723,13 +683,7 @@ def _kr_fiber_prediction(cfg: StrataConfig, label: StratumLabel) -> str:
         return "id"
     if cfg.case == "ZY":
         return "id" if label.r == label.s else "wprime"
-    if cfg.case == "Z":
-        h = cfg.hh
-    else:
-        h = cfg.hp
-    if label.kind == "w" and label.s == h:
-        return "w"
-    return "wprime"
+    return "w" if label.kind == "w" and label.s == cfg.frame[1] else "wprime"
 
 
 def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:

@@ -26,7 +26,7 @@ sign flip at the last letter.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .report import check
 
@@ -72,14 +72,10 @@ class WeylCtx:
 class WeylElem:
     ctx: WeylCtx
     images: tuple[int, ...]
-    word: tuple[int, ...] | None = field(default=None, compare=False)
-
-    def __len__(self):
-        return length(self)
 
 
 def identity(ctx: WeylCtx) -> WeylElem:
-    return WeylElem(ctx, tuple(range(1, ctx.rank + 1)), ())
+    return WeylElem(ctx, tuple(range(1, ctx.rank + 1)))
 
 
 def simple(ctx: WeylCtx, i: int) -> WeylElem:
@@ -93,21 +89,18 @@ def simple(ctx: WeylCtx, i: int) -> WeylElem:
         e[k - 1] = -k
     elif ctx.lie_type == "D":
         e[k - 2], e[k - 1] = -k, -(k - 1)
-    return WeylElem(ctx, tuple(e), (i,))
+    return WeylElem(ctx, tuple(e))
 
 
 def mul(u: WeylElem, v: WeylElem) -> WeylElem:
-    """(u v)(x) = u(v(x)); words concatenate."""
+    """(u v)(x) = u(v(x))."""
     if u.ctx != v.ctx:
         raise WeylError("mixed contexts")
     ui = u.images
     out = []
     for j in v.images:
         out.append(ui[j - 1] if j > 0 else -ui[-j - 1])
-    word = None
-    if u.word is not None and v.word is not None:
-        word = u.word + v.word
-    return WeylElem(u.ctx, tuple(out), word)
+    return WeylElem(u.ctx, tuple(out))
 
 
 def inverse(w: WeylElem) -> WeylElem:
@@ -119,8 +112,7 @@ def inverse(w: WeylElem) -> WeylElem:
             out[j - 1] = i
         else:
             out[-j - 1] = -i
-    word = tuple(reversed(w.word)) if w.word is not None else None
-    return WeylElem(w.ctx, tuple(out), word)
+    return WeylElem(w.ctx, tuple(out))
 
 
 def from_word(ctx: WeylCtx, word) -> WeylElem:
@@ -128,7 +120,7 @@ def from_word(ctx: WeylCtx, word) -> WeylElem:
     w = identity(ctx)
     for a in word:
         w = mul(w, simple(ctx, a))
-    return WeylElem(ctx, w.images, tuple(word))
+    return w
 
 
 def act(w: WeylElem, vector: tuple[str, int]) -> tuple[str, int]:

@@ -77,10 +77,9 @@ def classify_by_chains(cfg, U):
     dims = [f.dim for f in down[:-1] + up]
     stable = len(down) == len(up) == 1
     kr = "id" if stable else "w" if stop == "anisotropic" and len(up) == 1 else "wprime"
-    if cfg.case == "ZY":
-        return StratumLabel(cfg.th1 - bottom.dim, cfg.th1 - top.dim, "w"), dims, kr
-    ref = cfg.th if cfg.case == "Z" else cfg.tp
-    kind = "w" if stop == "anisotropic" else "id" if stable else "wprime"
+    # r and s: the frame's top less the dimensions of the bottom and the top
+    ref = cfg.frame[0]
+    kind = "w" if stop == "anisotropic" or cfg.case == "ZY" else "id" if stable else "wprime"
     sign = None
     if _label_is_signed(cfg, kind):
         sign = sign_by_intersection(top if kind == "wprime" else U)

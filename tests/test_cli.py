@@ -132,6 +132,26 @@ def test_classify_roundtrip(tmp_path, capsys):
     assert data["stable"]["checks"][0]["data"]["kr_class"] == "id"
 
 
+def test_classify_refuses_a_member_over_another_field(tmp_path, capsys):
+    # a `w` member of Z t4 h0 over GF(81) is classified at k = 4 and
+    # refused at k = 2, over whose field it does not live
+    from stratakit import space as spc, strata
+
+    cfg = strata.StrataConfig("Z", 3, k=4, t=4, h=0)
+    U = next(U for U in strata.enumerate_members(cfg)
+             if strata.classify_flag(cfg, U)[0].kind == "w")
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(spc.subspace_to_json(U)))
+    argv = ["strata", "classify", "--case", "z", "--q", "3", "--t", "4", "--h", "0",
+            "--input", str(path), "--k"]
+    code, out = run(capsys, *argv, "4")
+    assert code == 0
+    assert json.loads(out)["stable"]["counts"] == [{"label": "w(1,0)", "count": 1}]
+    assert main(argv + ["2"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "does not live in the configured space" in captured.err
+
+
 def test_report_determinism_and_roundtrip(capsys):
     args = ("strata", "verify", "--case", "zy", "--q", "3", "--k", "2",
             "--t1", "6", "--h", "2", "--t2", "0", "--seed", "7")

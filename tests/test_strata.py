@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -26,6 +29,7 @@ from chain_classifier import (
     sign_by_intersection,
 )
 from subspace_scan import enumerate_subspaces
+import label_tables
 
 
 def cfg_z(t, h, k=2, p=3):
@@ -81,6 +85,17 @@ def test_member_rejects_wrong_dimension_and_deficiency():
             assert member(cfg, U) == want, (cfg.describe(), U.rows)
             verdicts.add(want)
         assert verdicts == {True, False}, cfg.describe()
+
+
+def test_member_refuses_a_subspace_over_another_field():
+    # U lives over GF(81) as the degree-4 extension of GF(3); the space
+    # over GF(9), over GF(81) as the square of GF(9), or over GF(625) is
+    # another space
+    U = next(enumerate_members(cfg_z(4, 0, k=4)))
+    assert member(cfg_z(4, 0, k=4), U)
+    for cfg in (cfg_z(4, 0, k=2), StrataConfig("Z", 3, 2, 2, t=4, h=0), cfg_z(4, 0, k=4, p=5)):
+        with pytest.raises(ConfigError):
+            member(cfg, U)
 
 
 def test_classifier_stable_member_is_id():
@@ -307,7 +322,7 @@ def test_kr_class_matches_label_fiber():
         kr = kr_class(cfg, U)
         if label.kind == "id":
             assert kr == "id"
-        elif label.kind == "w" and label.s == cfg.hh:
+        elif label.kind == "w" and label.s == cfg.frame[1]:
             assert kr == "w"
         else:
             assert kr == "wprime"
@@ -522,6 +537,23 @@ def test_reference_dimensions():
     zy = cfg_zy(8, 4, 0)
     assert reference_dimension(zy, StratumLabel(4, 0, "w")) == 3
     assert reference_dimension(zy, StratumLabel(2, 2, "w")) == 0
+
+
+def test_label_tables_match_the_frozen_grid():
+    # every closed table of the grid against the frozen tables; a failure
+    # names its configurations
+    with open(os.path.join(os.path.dirname(__file__), "label_tables.json")) as fh:
+        frozen = json.load(fh)
+    names = [label_tables.name(cfg) for cfg in label_tables.GRID]
+    assert len(names) == 273 and sorted(names) == sorted(frozen)
+    bad = [name for cfg, name in zip(label_tables.GRID, names)
+           if label_tables.table(cfg) != frozen[name]]
+    assert not bad
+    # every label sits in its frame: bottom <= s <= level <= r <= top
+    for cfg in label_tables.GRID:
+        top, level, bottom = cfg.frame
+        assert cfg.member_dim == top - level
+        assert all(bottom <= l.s <= level <= l.r <= top for l in predicted_index_set(cfg))
 
 
 def test_top_closure_is_whole_index_set():
