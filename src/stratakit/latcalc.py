@@ -97,8 +97,13 @@ class TruncRing:
         return tuple(out)
 
     def conj(self, a):
+        odd = a[1::2]
+        if not any(odd):
+            return a
         NEG = self.ctx.NEG
-        return tuple(NEG[x] if i % 2 else x for i, x in enumerate(a))
+        out = list(a)
+        out[1::2] = [NEG[x] for x in odd]
+        return tuple(out)
 
     def sigma(self, a):
         FROB = self.ctx.FROB
@@ -339,30 +344,38 @@ def lattice_eq(L1: Lattice, L2: Lattice) -> bool:
 
 
 def triangular_inverse(R: TruncRing, mat, pivs):
-    """(shift, C) with mat^{-1} = pi^{-shift} C, C over the ring."""
+    """(shift, C) with mat^{-1} = pi^{-shift} C, C over the ring.
+
+    The largest pivot valuation is not always enough: a unit below a pi
+    pivot makes [[pi, 0], [1, pi]]^{-1} need pi^{-2}.  So the shift is the
+    least one from there up to the guard at which every column solves.
+    """
     n = len(mat)
-    m = max(pivs) if pivs else 0
-    if m > R.N:
-        raise GuardError("inverse needs a shift beyond the guard")
-    # solve mat * X = pi^m * I column by column (mat lower triangular)
-    cols = []
-    for col in range(n):
-        x = _solve_lower(R, mat, pivs, [R.pi_pow(m) if i == col else R.zero for i in range(n)])
-        if x is None:
-            raise GuardError("inverse lost precision at the guard")
-        cols.append(x)
-    return m, _from_columns(cols)
+    for m in range(max(pivs, default=0), R.N + 1):
+        # solve mat * X = pi^m * I column by column (mat lower triangular)
+        cols = []
+        for col in range(n):
+            x = _solve_lower(R, mat, pivs,
+                             [R.pi_pow(m) if i == col else R.zero for i in range(n)])
+            if x is None:
+                break
+            cols.append(x)
+        else:
+            return m, _from_columns(cols)
+    raise GuardError("inverse needs a shift beyond the guard")
 
 
 @dataclass(frozen=True)
 class HermSpace:
     """Ambient hermitian space: Gram H (conj-transpose symmetric, unit
-    determinant profile) and the semilinear operator tau = A o sigma."""
+    determinant profile) and the semilinear operator tau = A o sigma;
+    ``det_val`` is the valuation of det H."""
 
     ring: TruncRing
     n: int
     gram: tuple
     tau_matrix: tuple
+    det_val: int
     # (op, vfloor, basis) -> lattice while an audit_scope is open, else None
     memo: dict | None = field(default=None, compare=False, repr=False)
 
@@ -379,7 +392,7 @@ class HermSpace:
         rhs = mat_sigma(ring, H)
         if any(lhs[i][j] != rhs[i][j] for i in range(n) for j in range(n)):
             raise LatticeError("tau matrix is not unitary for this Gram")
-        return HermSpace(ring, n, H, A)
+        return HermSpace(ring, n, H, A, sum(column_hnf(ring, _columns(H), n)[0]))
 
     def herm(self, x, y):
         """h(x, y) = conj(x)^T H y, conjugate-linear in the first argument."""
@@ -438,13 +451,22 @@ def _dual_sharp(space: HermSpace, L: Lattice) -> Lattice:
 
 
 def vertex_type(space: HermSpace, L: Lattice):
-    """dim(L-dual / L) when pi L-dual <= L <= L-dual, else None."""
-    Ls = dual_sharp(space, L)
-    if not contains(Ls, L):
+    """dim(L-dual / L) when pi L-dual <= L <= L-dual, else None.
+
+    Read off the Gram G = B^dagger H B of the basis B, L = pi^f span(B),
+    whose Gram is (-1)^f pi^(2f) G: L <= L-dual exactly when pi^(2f) G is
+    integral, and then the index t is 2 val det L + val det H, and
+    pi L-dual <= L exactly when every elementary divisor of pi^(2f) G is 1
+    or pi, that is when its rank mod pi is n - t.
+    """
+    R, f = space.ring, L.vfloor
+    B = L.basis
+    G = mat_mul(R, mat_conj_T(R, B), mat_mul(R, space.gram, B))
+    if f < 0 and any(R.val(x) < -2 * f for row in G for x in row):
         return None
-    if not contains(L, Ls.scale(1)):
-        return None
-    return index_in(Ls, L)
+    t = 2 * L.det_valuation() + space.det_val
+    residues = [[_residue(R, x, 2 * f) for x in row] for row in G]
+    return t if linalg.rank(R.ctx, residues) == L.n - t else None
 
 
 def tau_chain(space: HermSpace, M: Lattice):
@@ -557,10 +579,11 @@ def quotient_basis(big: Lattice, small: Lattice):
 
 
 def _residue(R: TruncRing, h0, pi_offset: int) -> int:
-    """Constant residue of pi^pi_offset * h0 with a conjugation sign.
+    """Residue mod pi of pi^pi_offset * h0, for an integral product.
 
-    ``pi_offset`` already carries the floor bookkeeping; an index outside
-    the coefficient window means the value lies in pi * (integers).
+    ``pi_offset`` already carries the floor bookkeeping.  A positive one
+    puts the product in pi * (integers); one of -width or below asks for a
+    coefficient past the window, unknown at this truncation.
     """
     idx = -pi_offset
     if idx < 0:
@@ -637,17 +660,19 @@ class _Window:
         return Lattice.from_columns(R, self.bot_cols + mat_mul(R, coeffs, self.vecs),
                                     self.vfloor)
 
-    def lattices(self, budget: int | None = None):
-        """Every lattice of the window; more than ``budget`` of them
-        (default ``LATTICE_BUDGET``) raises :class:`BudgetExceeded`."""
+    def lattices(self, budget: int | None = None, dims: tuple[int, ...] | None = None):
+        """Every lattice of the window, or those of residue dimension
+        [M : bot] in ``dims``; more than ``budget`` lattices in the whole
+        window (default ``LATTICE_BUDGET``) raises :class:`BudgetExceeded`."""
         ctx, dim = self.ring.ctx, self.dim
         total = sum(linalg.gaussian_binomial(dim, d, ctx.size) for d in range(dim + 1))
         limit = LATTICE_BUDGET if budget is None else budget
         if total > limit:
             raise BudgetExceeded(f"{total} intermediate lattices exceeds budget {limit}")
         for d in range(dim + 1):
-            for rows in linalg.enumerate_echelon(ctx, dim, d):
-                yield self.lift(rows)
+            if dims is None or d in dims:
+                for rows in linalg.enumerate_echelon(ctx, dim, d):
+                    yield self.lift(rows)
 
 
 def _standard_window(space: HermSpace) -> _Window:
@@ -675,8 +700,13 @@ def _point_set(space: HermSpace, bot: Lattice, top: Lattice, h: int,
     """Keys of the lattices bot <= M <= top with the point conditions: the
     closed stratum of a vertex lattice lam of type >= h is the set between
     lam and lam#, the dual-side one of type <= h the set between pi lam#
-    and lam."""
-    return frozenset(M.key() for M in _Window(bot, top).lattices(budget)
+    and lam.
+
+    A lattice with [M : bot] = d has type 2 (val det bot - d) + val det H,
+    so only the one layer with that type h is enumerated.
+    """
+    d, odd = divmod(2 * bot.det_valuation() + space.det_val - h, 2)
+    return frozenset(M.key() for M in _Window(bot, top).lattices(budget, () if odd else (d,))
                      if n_point_conditions(space, M, h))
 
 
@@ -809,8 +839,9 @@ def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
     types = {L: vertex_type(space, L) for L in catalog}
     zl = [L for L in catalog if types[L] >= h]
     yl = [L for L in catalog if types[L] <= h]
-    zs = {L: _point_set(space, L, dual_sharp(space, L), h, budget) for L in zl}
-    ys = {L: _point_set(space, dual_sharp(space, L).scale(1), L, h, budget) for L in yl}
+    sharp = {L: dual_sharp(space, L) for L in catalog}
+    zs = {L: _point_set(space, L, sharp[L], h, budget) for L in zl}
+    ys = {L: _point_set(space, sharp[L].scale(1), L, h, budget) for L in yl}
     # (name, left family, right family, set relation, lattice predicate).
     # In the lattice model both one-sided containments require the small
     # lattice inside the big one (the printed statements reverse this,
