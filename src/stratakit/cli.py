@@ -69,10 +69,10 @@ def cmd_strata_count(args) -> int:
     cfg = _strata_config(args)
 
     def body():
-        counts, total = strata.stratum_counts(cfg, budget=args.budget)
+        counts, _ = strata.stratum_counts(cfg, budget=args.budget)
         return {"counts": [{"label": l.key(), "count": c}
                            for l, c in sorted(counts.items(), key=lambda x: x[0].key())],
-                "checks": [report.check("enumeration", ok=True, data={"members": total})]}
+                "checks": [strata.stable_count_check(cfg, counts, "enumeration")]}
 
     return _run(args, body, config=cfg.describe())
 

@@ -228,14 +228,9 @@ def column_hnf(R: TruncRing, cols, n: int):
     for j in range(n, len(work)):
         if any(not R.is_zero(x) for x in work[j]):
             raise LatticeError("extra generators outside the span (bug)")
-    # later eliminations can disturb earlier reductions; one final pass
-    # restores the canonical sub-pivot residues, top row downward
-    for j in range(n):
-        for i in range(j + 1, n):
-            a = pivs[i]
-            q = work[j][i][a:] + (0,) * a
-            if not R.is_zero(q):
-                work[j] = [R.sub_mul(work[j][t], q, work[i][t]) for t in range(n)]
+    # One pass is canonical: after step r every other column is reduced
+    # in row r (zero right of the pivot, a residue mod pi^(a_r) left of
+    # it), and later steps change columns only in rows r' > r.
     return pivs, _from_columns([tuple(c) for c in work[:n]])
 
 
@@ -671,7 +666,7 @@ class _Window:
             raise BudgetExceeded(f"{total} intermediate lattices exceeds budget {limit}")
         for d in range(dim + 1):
             if dims is None or d in dims:
-                for rows in linalg.enumerate_echelon(ctx, dim, d):
+                for rows, _ in linalg.row_spaces(ctx, range(ctx.size), dim, d):
                     yield self.lift(rows)
 
 

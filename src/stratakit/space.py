@@ -71,8 +71,7 @@ class FormedSpace:
         self.dim = dim
         self.gram = _standard_gram(ctx, kind, dim)
         # the nonzero Gram entries (j, g_ij) of each row i
-        self._gram_nz = None if self.gram is None else tuple(
-            tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+        self._gram_nz = None if self.gram is None else linalg._nonzero(self.gram)
 
     # basis helper: e_i is 1-indexed as in the standard layout
     def e(self, i: int) -> tuple[int, ...]:
@@ -164,21 +163,8 @@ def sum_spaces(U: Subspace, W: Subspace) -> Subspace:
 
 def intersect(U: Subspace, W: Subspace) -> Subspace:
     _check_same(U, W)
-    rows = linalg.intersect(U.space.ctx, U.rows, W.rows, U.space.dim)
-    return Subspace(U.space, rows, tuple(_pivots_of(rows)))
-
-
-def _functional(ctx: FieldCtx, gram_nz, r) -> list[int]:
-    """The row vector r G for a Gram matrix G given by the nonzero entries
-    (j, g_ij) of each row i, as in ``FormedSpace._gram_nz``."""
-    ADD, MUL = ctx.ADD, ctx.MUL
-    out = [0] * len(gram_nz)
-    for x, nz in zip(r, gram_nz):
-        if x:
-            m = MUL[x]
-            for j, g in nz:
-                out[j] = ADD[out[j]][m[g]]
-    return out
+    rows, piv = linalg.intersect(U.space.ctx, U.rows, W.rows, U.space.dim)
+    return Subspace(U.space, rows, piv)
 
 
 def perp(U: Subspace) -> Subspace:
@@ -186,42 +172,24 @@ def perp(U: Subspace) -> Subspace:
     if space.gram is None:
         raise SpaceError("perp needs a formed space")
     # row r's functional form(r, .) is r G, read off the sparse Gram rows
-    mat = [_functional(space.ctx, space._gram_nz, r) for r in U.rows]
-    basis = linalg.nullspace(space.ctx, mat, space.dim)
-    return Subspace(space, basis, tuple(_pivots_of(basis)))
+    mat = [linalg._functional(space.ctx, space._gram_nz, r) for r in U.rows]
+    basis, piv = linalg.nullspace(space.ctx, mat, space.dim)
+    return Subspace(space, basis, piv)
 
 
 def is_isotropic(U: Subspace) -> bool:
+    """Whether the form vanishes on every pair of U's rows, each row with
+    itself included."""
     space = U.space
     if space.gram is None:
         raise SpaceError("is_isotropic needs a formed space")
     rows = U.rows
-    return all(isotropic_extension(space, rows[:i], rows[i]) for i in range(len(rows)))
-
-
-def isotropic_extension(space: FormedSpace, rows, v) -> bool:
-    """Whether v is isotropic and orthogonal to each of ``rows``, i.e.
-    whether an isotropic span of ``rows`` stays isotropic with v added.
-    Every vector is isotropic under an alternating form."""
-    form = space.form
-    if space.kind.startswith("symmetric") and form(v, v) != 0:
-        return False
-    return all(form(r, v) == 0 for r in rows)
+    return not any(space.form(a, b) for i, a in enumerate(rows) for b in rows[i:])
 
 
 def _check_same(U: Subspace, W: Subspace) -> None:
     if U.space != W.space:
         raise SpaceError("subspaces live in different ambient spaces")
-
-
-def _pivots_of(rows) -> list[int]:
-    piv = []
-    for r in rows:
-        for j, x in enumerate(r):
-            if x:
-                piv.append(j)
-                break
-    return piv
 
 
 def count_oracle(space: FormedSpace, d: int, isotropic_only: bool = False) -> int:

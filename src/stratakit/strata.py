@@ -26,7 +26,6 @@ closure identities, Kottwitz-Rapoport fibers and sign-class statistics.
 from __future__ import annotations
 
 import bisect
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -426,78 +425,14 @@ def top_label(cfg: StrataConfig) -> StratumLabel:
 
 # -- member enumeration ---------------------------------------------------
 
-def _nonzero(rows) -> list[list[tuple[int, int]]]:
-    return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
-
-
-def _combine(ctx: FieldCtx, n: int, basis, coeffs) -> tuple[int, ...]:
-    """The vector sum of c * b over coeffs and the ``_nonzero`` basis rows."""
-    ADD, MUL = ctx.ADD, ctx.MUL
-    out = [0] * n
-    for c, vec in zip(coeffs, basis):
-        if c:
-            m = MUL[c]
-            for j, x in vec:
-                out[j] = ADD[out[j]][m[x]]
-    return tuple(out)
-
-
 def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
     """Every Frobenius-stable d-subspace (isotropic ones only when asked),
-    once: the echelon matrices with GF(q) entries, pivot sets
-    lexicographically and the free entries of each row in product order.
-
-    Isotropic rows are solved for, not drawn and rejected.  With H the
-    Gram matrix (its entries lie in GF(q)), a new row x is orthogonal to
-    the rows r above it exactly when (r H) x = 0, a linear system in x's
-    free entries; each r H is computed once and carried down.  The
-    system's solutions with x's pivot entry 1 are spanned by its canonical
-    kernel, whose free columns are the earliest slots (``linalg.nullspace``
-    pivots from the right), so product order over them is the order
-    above.  Only the row's own isotropy x H x = 0 is then tested, in the
-    symmetric kinds.
-    """
-    ctx = sp.ctx
-    ADD, MUL = ctx.ADD, ctx.MUL
-    scalars = ctx.subfield_codes(1)
-    n = sp.dim
-    gram = sp._gram_nz if isotropic_only else None
-    symmetric = sp.kind.startswith("symmetric")
-
-    def solutions(pc, slots, funcs):
-        """The rows e_pc + sum of x_c e_c over ``slots`` that every
-        functional in ``funcs`` kills, in product order over the free slots."""
-        cols = (pc, *slots)
-        kernel = linalg.nullspace(ctx, [[f[c] for c in cols] for f in funcs], len(cols))
-        if not kernel or not kernel[0][0]:
-            return  # every solution has x_pc = 0
-        spans = [[(cols[j], x) for j, x in enumerate(vec) if x] for vec in kernel]
-        for values in itertools.product(scalars, repeat=len(kernel) - 1):
-            yield _combine(ctx, n, spans, (1, *values))
-
-    for pivots in itertools.combinations(range(n), d):
-        pivset = set(pivots)
-        slots = [[c for c in range(pc + 1, n) if c not in pivset] for pc in pivots]
-
-        def rec(i, rows, funcs):
-            if i == d:
-                yield Subspace(sp, rows, pivots)
-                return
-            for row in solutions(pivots[i], slots[i], funcs):
-                if gram is None:
-                    yield from rec(i + 1, rows + (row,), funcs)
-                    continue
-                f = spc._functional(ctx, gram, row)
-                if symmetric:
-                    q = 0
-                    for x, fx in zip(row, f):
-                        if x and fx:
-                            q = ADD[q][MUL[x][fx]]
-                    if q:
-                        continue
-                yield from rec(i + 1, rows + (row,), funcs + (f,))
-
-        yield from rec(0, (), ())
+    once: the echelon matrices with GF(q) entries, in the order of
+    ``linalg.row_spaces``, which solves for the isotropic ones (the Gram
+    entries lie in GF(q))."""
+    gram = sp.gram if isotropic_only else None
+    for rows, pivots in linalg.row_spaces(sp.ctx, sp.ctx.subfield_codes(1), sp.dim, d, gram):
+        yield Subspace(sp, rows, pivots)
 
 
 def enumerate_members(cfg: StrataConfig, budget: int | None = None):
@@ -518,15 +453,15 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
     v <= k - 1: at v = k the span would contain Phi^-v y, and past k it
     would have dimension below d.
 
-    What is drawn and what is solved: the stable scans solve their
-    orthogonality conditions (``rational_subspaces``).  The lines <y> of
-    the complement are drawn in the symplectic and formless kinds, where
-    every line is isotropic; in the symmetric kinds only the isotropic
-    ones are enumerated, each solved for its last coordinate
-    (``_isotropic_line_reps``).  Phi^k fixes every vector of the working
-    field, so the complement is the rows of rref(B^perp) whose pivots are
-    not B's: y is zero at B's pivots with a leading 1, and a v = 1
-    member's echelon form is B with y's pivot column cleared, plus y.
+    Both scans come from ``linalg.row_spaces``, which solves for the
+    isotropic subspaces rather than filtering: the stable ones over GF(q)
+    (``rational_subspaces``), and the lines <y> of the complement over
+    GF(q^k) in its coordinates, under the complement's Gram in the
+    symmetric kinds (in the symplectic and formless kinds every line is
+    isotropic).  Phi^k fixes every vector of the working field, so the
+    complement is the rows of rref(B^perp) whose pivots are not B's: y is
+    zero at B's pivots with a leading 1, and a v = 1 member's echelon
+    form is B with y's pivot column cleared, plus y.
 
     ``budget`` (default ``SUBSPACE_BUDGET``) bounds the stable members
     plus the (B, line of its complement) candidates, isotropic or not,
@@ -554,17 +489,14 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
         for B in rational_subspaces(sp, d - v, iso):
             amb = perp(B) if iso else spc.full_subspace(sp)
             comp = [r for r, pc in zip(amb.rows, amb.pivots) if pc not in B.pivots]
-            if symmetric:
-                gram = [[form(a, b) for b in comp] for a in comp]
-                lines = _isotropic_line_reps(ctx, scalars, gram)
-            else:
-                lines = _line_reps(scalars, len(comp))
-            nzcomp = _nonzero(comp)
-            for coeffs in lines:
-                y = _combine(ctx, sp.dim, nzcomp, coeffs)
+            heads = [pc for pc in amb.pivots if pc not in B.pivots]  # y's pivot, by its lead
+            gram = [[form(a, b) for b in comp] for a in comp] if symmetric else None
+            nzcomp = linalg._nonzero(comp)
+            for (x,), (lead,) in linalg.row_spaces(ctx, scalars, len(comp), 1, gram):
+                y = linalg._combine(ctx, sp.dim, nzcomp, x)
                 z = spc._phi_vector(sp, y, True)  # the next Krylov vector
                 if v == 1:
-                    (red, piv), last = _adjoin(ctx, B, y), y
+                    (red, piv), last = _adjoin(ctx, B, y, heads[lead]), y
                 else:
                     rows = [*B.rows, y]
                     while len(rows) < d and not (iso and form(y, z)):
@@ -580,80 +512,19 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
                     yield KrylovMember(sp, red, piv, y, v, last)
 
 
-def _adjoin(ctx: FieldCtx, B: Subspace, y) -> tuple:
-    """Echelon data of B + <y> for y zero at B's pivots with a leading 1:
-    B's rows with y's pivot column cleared, and y, in pivot order."""
+def _adjoin(ctx: FieldCtx, B: Subspace, y, p: int) -> tuple:
+    """Echelon data of B + <y> for y zero at B's pivots with its leading 1
+    at p: B's rows with column p cleared, and y, in pivot order."""
     ADD, MUL, NEG = ctx.ADD, ctx.MUL, ctx.NEG
-    p = next(j for j, x in enumerate(y) if x)
     rows = []
     for r in B.rows:
         if r[p]:
             m = MUL[NEG[r[p]]]
-            r = tuple(ADD[a][m[b]] for a, b in zip(r, y))
+            r = tuple([ADD[a][m[b]] for a, b in zip(r, y)])
         rows.append(r)
     at = bisect.bisect(B.pivots, p)
     rows.insert(at, y)
     return tuple(rows), B.pivots[:at] + (p,) + B.pivots[at:]
-
-
-def _line_reps(scalars, m: int):
-    """Canonical projective representatives of lines in scalars^m."""
-    for lead in range(m):
-        for tail in itertools.product(scalars, repeat=m - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
-def _isotropic_line_reps(ctx: FieldCtx, scalars, gram):
-    """The ``_line_reps`` x with x G x = 0 for the symmetric matrix
-    G = ``gram`` over the field of ``scalars``, each once, solved rather
-    than filtered: the last entry t of a representative with prefix x'
-    solves a t^2 + b t + c = 0, where a = G_ll, b = 2 (x' G)_l and
-    c = x' G x'.  The prefix sums are carried down the prefix entries."""
-    ADD, MUL = ctx.ADD, ctx.MUL
-    m = len(gram)
-    if not m:
-        return
-    last = m - 1
-    a = gram[last][last]
-    roots = {MUL[s][s]: s for s in scalars}
-
-    def extend(x, j, c, l):
-        # c = x G x and l = x G for the prefix x = (x_0, ..., x_(j-1))
-        if j == last:
-            for t in _quadratic_roots(ctx, roots, scalars, a, ADD[l[last]][l[last]], c):
-                yield x + (t,)
-            return
-        row, gjj = gram[j], gram[j][j]
-        for s in scalars:
-            if s:
-                ms = MUL[s]
-                # (x + s e_j) G (x + s e_j) = c + s (2 l_j + s G_jj)
-                yield from extend(x + (s,), j + 1, ADD[c][ms[ADD[ADD[l[j]][l[j]]][ms[gjj]]]],
-                                  [ADD[u][ms[g]] for u, g in zip(l, row)])
-            else:
-                yield from extend(x + (0,), j + 1, c, l)
-
-    for lead in range(last):
-        yield from extend((0,) * lead + (1,), lead + 1, gram[lead][lead], list(gram[lead]))
-    if a == 0:
-        yield (0,) * last + (1,)
-
-
-def _quadratic_roots(ctx: FieldCtx, roots: dict, scalars, a: int, b: int, c: int):
-    """The t in ``scalars`` with a t^2 + b t + c = 0, where ``roots`` maps
-    each square of the scalars to one of its square roots (p is odd)."""
-    ADD, MUL, NEG, INV = ctx.ADD, ctx.MUL, ctx.NEG, ctx.INV
-    if a:
-        two_a = ADD[a][a]
-        r = roots.get(ADD[MUL[b][b]][NEG[MUL[ADD[two_a][two_a]][c]]])
-        if r is None:
-            return ()
-        inv = INV[two_a]
-        t = MUL[ADD[NEG[b]][r]][inv]
-        return (t,) if r == 0 else (t, MUL[ADD[NEG[b]][NEG[r]]][inv])
-    if b:
-        return (MUL[NEG[c]][INV[b]],)
-    return scalars if c == 0 else ()
 
 
 def _tally(cfg: StrataConfig, budget: int | None, kr: bool) -> Counter:
@@ -686,6 +557,15 @@ def _kr_fiber_prediction(cfg: StrataConfig, label: StratumLabel) -> str:
     return "w" if label.kind == "w" and label.s == cfg.frame[1] else "wprime"
 
 
+def stable_count_check(cfg: StrataConfig, counts: Counter, name: str) -> dict:
+    """The stable members (labels with r = s) against their closed-form
+    count, taken over GF(q) so that no second working field is built."""
+    stable = sum(c for l, c in counts.items() if l.r == l.s)
+    base = FormedSpace(FieldCtx(cfg.p, cfg.e, 1), cfg.space_kind, cfg.space_dim)
+    oracle = spc.count_oracle(base, cfg.member_dim, cfg.case != "ZY")
+    return check(name, ok=stable == oracle, data={"members": sum(counts.values())})
+
+
 def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
     """Run all decomposition checks; returns a report dictionary."""
     checks = []
@@ -704,12 +584,7 @@ def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
     counts = _label_counts(kr_counts)
     realized = frozenset(counts)
 
-    # the stable members (r = s) against their closed-form count, taken
-    # over GF(q) so that no second working field is built
-    stable = sum(c for l, c in counts.items() if l.r == l.s)
-    base = FormedSpace(FieldCtx(cfg.p, cfg.e, 1), cfg.space_kind, cfg.space_dim)
-    oracle = spc.count_oracle(base, cfg.member_dim, cfg.case != "ZY")
-    checks.append(check("partition", ok=stable == oracle, data={"members": sum(counts.values())}))
+    checks.append(stable_count_check(cfg, counts, "partition"))
 
     stray = sorted(l.key() for l in realized - expected)
     checks.append(check("labels_within_index_set", witness=stray))

@@ -318,10 +318,6 @@ def _rng_desc(a: int, b: int) -> list[int]:
     return list(range(a, b - 1, -1))
 
 
-def symplectic_ctx(t: int) -> WeylCtx:
-    return WeylCtx("C", t)
-
-
 def symplectic_g_word(i: int, t: int) -> list[int]:
     return _rng(i, t - 1) + [t] + _rng_desc(t - 1, i)
 
@@ -355,10 +351,6 @@ def symplectic_index_set(t: int, h: int, r: int, s: int) -> frozenset[int]:
     """I_rs: all simple reflections except s_{t-r} .. s_{t-s}."""
     gap = set(range(t - r, t - s + 1))
     return frozenset(i for i in range(1, t + 1) if i not in gap)
-
-
-def orthogonal_even_ctx(k: int, twisted: bool) -> WeylCtx:
-    return WeylCtx("D", k, twisted)
 
 
 def orthogonal_even_g_word(i: int, k: int, delta: str = "+") -> list[int]:
@@ -441,7 +433,7 @@ def symplectic_audit(t_max: int) -> dict:
     checks = []
     counts = []
     for t in range(1, t_max + 1):
-        ctx = symplectic_ctx(t)
+        ctx = WeylCtx("C", t)
         for h in range(0, t):
             for r in range(h + 1, t + 1):
                 for name, s_end, word_of, action_of, dim_of in _SYMPLECTIC_FAMILIES:
@@ -467,10 +459,6 @@ def symplectic_audit(t_max: int) -> dict:
                                 ok=is_irreducible(I_top, top)))
     return {"config": {"t_max": t_max, "family": "symplectic"},
             "counts": counts, "checks": checks}
-
-
-def linear_ctx(m: int) -> WeylCtx:
-    return WeylCtx("A", m)
 
 
 def linear_w_word(m: int, hh: int, r: int, s: int) -> list[int]:

@@ -27,7 +27,17 @@ def enumerate_subspaces(space: spc.FormedSpace, d: int, isotropic_only: bool = F
                 for c, v in zip(slots[i], values):
                     row[c] = v
                 row = tuple(row)
-                if not isotropic_only or spc.isotropic_extension(space, rows, row):
+                if not isotropic_only or isotropic_extension(space, rows, row):
                     yield from rec(i + 1, rows + (row,))
 
         yield from rec(0, ())
+
+
+def isotropic_extension(space: spc.FormedSpace, rows, v) -> bool:
+    """Whether v is isotropic and orthogonal to each of ``rows``, i.e.
+    whether an isotropic span of ``rows`` stays isotropic with v added.
+    Every vector is isotropic under an alternating form."""
+    form = space.form
+    if space.kind.startswith("symmetric") and form(v, v) != 0:
+        return False
+    return all(form(r, v) == 0 for r in rows)

@@ -146,7 +146,7 @@ def test_criterion_4_weyl_audit_and_wprime_resolution():
     # the stabilized-chain stratum dimension: the length computation and
     # the point-count growth must agree with each other (both give
     # r - s - 1, not the prose value r - s)
-    c3 = weyl.symplectic_ctx(2)
+    c3 = weyl.WeylCtx("C", 2)
     I = weyl.parabolic(c3, weyl.symplectic_index_set(2, 1, 2, 0))
     wp = weyl.from_word(c3, weyl.symplectic_wprime_word(2, 1, 2, 0))
     dl = weyl.dl_dimension(I, wp)

@@ -13,10 +13,8 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 _WEYL_FAMILIES = "weyl word family not yet checked against strata labels (ROADMAP item 2)"
 ALLOWED = {
-    "weyl.linear_ctx": _WEYL_FAMILIES,
     "weyl.linear_index_set": _WEYL_FAMILIES,
     "weyl.linear_w_word": _WEYL_FAMILIES,
-    "weyl.orthogonal_even_ctx": _WEYL_FAMILIES,
     "weyl.orthogonal_even_w_word": _WEYL_FAMILIES,
     "weyl.symplectic_w_lambda_word": _WEYL_FAMILIES,
     "weyl.symplectic_wprime_lambda_word": _WEYL_FAMILIES,

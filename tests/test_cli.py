@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stratakit import strata
 from stratakit.cli import main
 from stratakit.report import emit_stable_json
 
@@ -114,6 +115,26 @@ def test_counts_csv_rows(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "label,count"
     assert len(lines) == 1 + 3  # id, w, wprime
+
+
+def test_count_fails_on_a_dropped_stable_member(monkeypatch, capsys):
+    # the enumeration check compares the stable members with their
+    # closed-form count, so a scan that loses one of them fails it
+    argv = ("strata", "count", "--case", "y", "--q", "3", "--k", "2", "--n", "6",
+            "--h", "4", "--t", "2", "--eps", "1")
+    assert run(capsys, *argv)[0] == 0
+    full = strata.enumerate_members
+
+    def drop_first(cfg, budget=None):
+        members = full(cfg, budget=budget)
+        next(members)
+        yield from members
+
+    monkeypatch.setattr(strata, "enumerate_members", drop_first)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    check = json.loads(out)["stable"]["checks"][0]
+    assert (check["name"], check["status"]) == ("enumeration", "fail")
 
 
 def test_classify_roundtrip(tmp_path, capsys):

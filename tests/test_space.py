@@ -142,7 +142,7 @@ def test_perp_is_the_kernel_of_the_form_matrix(kind, dim):
                                         for _ in range(d)])
             mat = [[sp.form(r, sp.e(j + 1)) for j in range(dim)] for r in U.rows]
             P = perp(U)
-            assert P == Subspace.from_rows(sp, linalg.nullspace(ctx, mat, dim))
+            assert P == Subspace.from_rows(sp, linalg.nullspace(ctx, mat, dim)[0])
             assert P == Subspace.from_rows(sp, P.rows)  # canonical as returned
             assert P.dim == dim - U.dim
             if ctx is F3:

@@ -2,9 +2,8 @@ import json
 import os
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
-from stratakit import linalg, space as spc, strata
+from stratakit import space as spc, strata
 from stratakit.gf import FieldCtx
 from stratakit.strata import (
     ConfigError,
@@ -214,93 +213,6 @@ def test_rational_subspaces_solve_in_the_coordinate_scan_order(p, kind, d):
     got = [(U.rows, U.pivots) for U in strata.rational_subspaces(sp, d, True)]
     assert got == want
     assert len(got) == spc.count_oracle(sp, d, True)
-
-
-# isotropic lines of a quadratic space: scalars of GF(3), GF(5) and the
-# GF(3) inside GF(9)
-LINE_FIELDS = {"GF(3)": FieldCtx(3, 1, 1), "GF(5)": FieldCtx(5, 1, 1),
-               "GF(3) in GF(9)": FieldCtx(3, 1, 2)}
-QUADRIC_DIMS = {"symmetric-even-split": (2, 4, 6), "symmetric-even-nonsplit": (2, 4, 6),
-                "symmetric-odd": (1, 3, 5)}
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-
-def _quadric_gram(ctx, kind, dim):
-    """The standard Gram matrix of the kind over GF(p): hyperbolic pairs
-    (e_i, f_i); for the non-split kind the last pair replaced by the
-    anisotropic plane diag(1, -delta), delta a non-square; for the odd kind
-    a last diagonal 1."""
-    m = dim // 2
-    g = [[0] * dim for _ in range(dim)]
-    for i in range(m):
-        g[i][m + i] = g[m + i][i] = 1
-    if kind == "symmetric-even-nonsplit":
-        squares = {ctx.MUL[s][s] for s in range(ctx.p)}
-        delta = min(set(range(ctx.p)) - squares)
-        g[m - 1][dim - 1] = g[dim - 1][m - 1] = 0
-        g[m - 1][m - 1], g[dim - 1][dim - 1] = 1, ctx.NEG[delta]
-    if kind == "symmetric-odd":
-        g[dim - 1][dim - 1] = 1
-    return g
-
-
-def _bilinear(ctx, g, x, y):
-    """x G y, summed over every entry of G."""
-    out = 0
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            out = ctx.add(out, ctx.mul(xi, ctx.mul(g[i][j], yj)))
-    return out
-
-
-def _isotropic_lines_by_filter(ctx, scalars, g):
-    return {x for x in strata._line_reps(scalars, len(g)) if _bilinear(ctx, g, x, x) == 0}
-
-
-@PROPERTY
-@given(st.data(), st.sampled_from(sorted(LINE_FIELDS)), st.sampled_from(sorted(QUADRIC_DIMS)))
-def test_isotropic_line_reps_are_the_quadric_points(data, field, kind):
-    # in the standard basis or a random one P (Gram P G P^T), each
-    # isotropic line once, as many as the closed-form point count of the
-    # kind over GF(p)
-    ctx = LINE_FIELDS[field]
-    scalars = ctx.subfield_codes(1)
-    dim = data.draw(st.sampled_from(QUADRIC_DIMS[kind]))
-    P = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    if data.draw(st.booleans()):
-        P = [data.draw(st.lists(st.sampled_from(scalars), min_size=dim, max_size=dim))
-             for _ in range(dim)]
-        assume(linalg.rank(ctx, P) == dim)
-    g0 = _quadric_gram(ctx, kind, dim)
-    g = [[_bilinear(ctx, g0, P[a], P[b]) for b in range(dim)] for a in range(dim)]
-    reps = list(strata._isotropic_line_reps(ctx, scalars, g))
-    assert len(reps) == len(set(reps))
-    assert set(reps) == _isotropic_lines_by_filter(ctx, scalars, g)
-    base = spc.FormedSpace(FieldCtx(ctx.p, 1, 1), kind, dim)
-    assert len(reps) == spc.count_oracle(base, 1, True)
-
-
-def test_isotropic_line_reps_take_every_quadratic_branch(monkeypatch):
-    # in the standard bases the last basis vector is isotropic in the split
-    # kind (a = 0), and e_1 + t f_m has b = 0 there; the non-split and odd
-    # kinds end on an anisotropic vector (a != 0)
-    seen = set()
-    solve = strata._quadratic_roots
-
-    def spy(ctx, roots, scalars, a, b, c):
-        seen.add(("a=0" if a == 0 else "a!=0") + (", b=0" if a == b == 0 else ""))
-        return solve(ctx, roots, scalars, a, b, c)
-
-    monkeypatch.setattr(strata, "_quadratic_roots", spy)
-    for ctx in LINE_FIELDS.values():
-        scalars = ctx.subfield_codes(1)
-        for kind, dims in QUADRIC_DIMS.items():
-            for dim in dims:
-                g = _quadric_gram(ctx, kind, dim)
-                reps = list(strata._isotropic_line_reps(ctx, scalars, g))
-                assert len(reps) == len(set(reps))
-                assert set(reps) == _isotropic_lines_by_filter(ctx, scalars, g)
-    assert seen == {"a=0", "a=0, b=0", "a!=0"}
 
 
 def test_phi_equivariance_of_labels():

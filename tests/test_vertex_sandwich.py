@@ -8,7 +8,7 @@ import pytest
 
 from stratakit.gf import FieldCtx
 from stratakit import latcalc as lc
-from stratakit.linalg import enumerate_echelon
+from stratakit.linalg import row_spaces
 from stratakit.latcalc import (
     GuardError,
     HermSpace,
@@ -44,7 +44,7 @@ def outcome(route, space, L):
 def sampled(window, stride):
     """Every stride-th lattice of the window, in enumeration order."""
     ctx, dim = window.ring.ctx, window.dim
-    rows = itertools.chain.from_iterable(enumerate_echelon(ctx, dim, d) for d in range(dim + 1))
+    rows = (rows for d in range(dim + 1) for rows, _ in row_spaces(ctx, range(ctx.size), dim, d))
     return (window.lift(r) for r in itertools.islice(rows, 0, None, stride))
 
 

@@ -37,7 +37,7 @@ def _subsets(indices):
 
 
 def test_simple_reflection_actions():
-    c3 = weyl.symplectic_ctx(3)
+    c3 = WeylCtx("C", 3)
     s3 = from_word(c3, [3])
     assert act(s3, ("e", 3)) == ("f", 3)
     assert act(s3, ("f", 3)) == ("e", 3)
@@ -46,7 +46,7 @@ def test_simple_reflection_actions():
 
 
 def test_g_word_swaps_one_pair():
-    c3 = weyl.symplectic_ctx(3)
+    c3 = WeylCtx("C", 3)
     for i in (1, 2, 3):
         g = from_word(c3, weyl.symplectic_g_word(i, 3))
         for j in (1, 2, 3):
@@ -55,7 +55,7 @@ def test_g_word_swaps_one_pair():
 
 
 def test_length_identity_and_longest():
-    c2 = weyl.symplectic_ctx(2)
+    c2 = WeylCtx("C", 2)
     assert length(identity(c2)) == 0
     dist = enumerate_group(c2)
     assert max(dist.values()) == 4
@@ -73,7 +73,7 @@ def test_length_matches_word_search(lie_type, rank):
 
 
 def test_reduced_word_and_support():
-    c3 = weyl.symplectic_ctx(3)
+    c3 = WeylCtx("C", 3)
     dist = enumerate_group(c3)
     for images, d in dist.items():
         w = weyl.WeylElem(c3, images)
@@ -131,7 +131,7 @@ def test_descents_and_minimality_match_lengths(lie_type, rank):
 def test_dl_dimension_twisted_d_against_subgroup_search(rank):
     # len(w) + len(w0(Phi I)) - len(w0(W_I cap w W_(Phi I) w^-1)), each
     # longest length found by searching the subgroup itself
-    ctx = weyl.orthogonal_even_ctx(rank, twisted=True)
+    ctx = WeylCtx("D", rank, twisted=True)
     group = elements(ctx)
     checked = 0
     for I in _subsets(ctx.simple_indices):
@@ -168,7 +168,7 @@ def test_symplectic_audit_length_calls(monkeypatch):
 
 
 def test_min_double_coset_against_brute_force():
-    c2 = weyl.symplectic_ctx(2)
+    c2 = WeylCtx("C", 2)
     elements = [weyl.WeylElem(c2, im) for im in enumerate_group(c2)]
     for I, J in [((1,), (2,)), ((1,), (1,)), ((2,), (1, 2)), ((), (1,))]:
         WI = [w for w in elements if _in_parabolic(c2, w, I)]
@@ -184,14 +184,14 @@ def _in_parabolic(ctx, w, K):
 
 
 def test_identity_minimal():
-    c3 = weyl.symplectic_ctx(3)
+    c3 = WeylCtx("C", 3)
     assert is_min_double_coset(identity(c3), (1, 2), (3,))
     s1 = simple(c3, 1)
     assert not is_min_double_coset(s1, (1,), ())
 
 
 def test_dl_dimension_examples():
-    c3 = weyl.symplectic_ctx(3)
+    c3 = WeylCtx("C", 3)
     # identity with Phi-stable parabolic has dimension 0
     I = parabolic(c3, weyl.symplectic_index_set(3, 1, 1, 1))
     assert dl_dimension(I, identity(c3)) == 0
@@ -206,30 +206,29 @@ def test_dl_dimension_examples():
 
 
 def test_dl_dimension_requires_minimality():
-    c2 = weyl.symplectic_ctx(2)
+    c2 = WeylCtx("C", 2)
     with pytest.raises(WeylError):
         dl_dimension(parabolic(c2, {1}), simple(c2, 1))
 
 
 def test_irreducibility():
-    c3 = weyl.symplectic_ctx(3)
+    c3 = WeylCtx("C", 3)
     w = from_word(c3, [1, 2, 3])
     assert is_irreducible(parabolic(c3, ()), w)
     assert not is_irreducible(parabolic(c3, {1}), identity(c3))
     assert is_irreducible(parabolic(c3, {1, 2, 3}), identity(c3))
     # twisted type D: the twist closure can complete a proper subset
-    d3 = weyl.orthogonal_even_ctx(3, twisted=True)
+    d3 = WeylCtx("D", 3, twisted=True)
     assert is_irreducible(parabolic(d3, {1, 2}), identity(d3))
     assert not is_irreducible(parabolic(d3, {1}), identity(d3))
-    assert not is_irreducible(
-        parabolic(weyl.orthogonal_even_ctx(3, twisted=False), {1, 2}), identity(
-            weyl.orthogonal_even_ctx(3, twisted=False)))
+    d3 = WeylCtx("D", 3)
+    assert not is_irreducible(parabolic(d3, {1, 2}), identity(d3))
 
 
 def test_w_lambda_words():
     # the first-step elements: one long conjugated reflection and s_{t-h}
     assert weyl.symplectic_w_lambda_word(2, 1) == [1, 2, 1]
-    c2 = weyl.symplectic_ctx(2)
+    c2 = WeylCtx("C", 2)
     assert length(from_word(c2, weyl.symplectic_w_lambda_word(2, 1))) == 3
     assert weyl.symplectic_wprime_lambda_word(2, 1) == [1]
 
@@ -240,7 +239,7 @@ def test_symplectic_audit_small():
 
 
 def test_action_diagram_patterns():
-    c3 = weyl.symplectic_ctx(3)
+    c3 = WeylCtx("C", 3)
     w = from_word(c3, weyl.symplectic_w_word(3, 1, 3, 1))
     # the long cycle: e_1 -> f_2 -> f_1 -> e_2 -> e_1, e_3/f_3 fixed
     assert act(w, ("e", 1)) == ("f", 2)
@@ -274,7 +273,7 @@ def test_even_orthogonal_word_lengths_away_from_boundary():
     # words are incoherent as transcribed and the strata layer never uses
     # them (labels are computed intrinsically)
     for (k, hp) in [(3, 1), (4, 2)]:
-        ctx = weyl.orthogonal_even_ctx(k, twisted=False)
+        ctx = WeylCtx("D", k)
         for r in range(hp + 1, k + 1):
             for s in range(1, hp + 1):
                 w = from_word(ctx, weyl.orthogonal_even_w_word(k, hp, r, s))
@@ -283,7 +282,7 @@ def test_even_orthogonal_word_lengths_away_from_boundary():
 
 def test_linear_interior_words():
     for (m, hh) in [(3, 1), (4, 2)]:
-        ctx = weyl.linear_ctx(m)
+        ctx = WeylCtx("A", m)
         for r in range(hh + 1, m + 1):
             for s in range(0, hh):
                 w = from_word(ctx, weyl.linear_w_word(m, hh, r, s))
@@ -294,7 +293,7 @@ def test_linear_interior_words():
 
 
 def test_inverse_and_act_consistency():
-    c3 = weyl.symplectic_ctx(3)
+    c3 = WeylCtx("C", 3)
     w = from_word(c3, [2, 3, 1, 2])
     wi = inverse(w)
     assert mul(w, wi).images == identity(c3).images
