@@ -502,33 +502,22 @@ def crucial_dichotomy(space: HermSpace, M: Lattice) -> dict:
     c, chain_m = tau_chain(space, M)
     d, chain_ms = tau_chain(space, Ms)
 
+    def audit(lam, chain, within):
+        """Each lattice of the chain lies in the next, then lam is a vertex
+        lattice whose type is within the bound."""
+        ok = all(contains(big, small) for small, big in zip(chain, chain[1:]))
+        t = vertex_type(space, lam)
+        return {"lattice": lam.key(), "type": t, "ok": ok and t is not None and within(t)}
+
     def verify_case_y():
         lam = chain_m[-1]
         lam_s = dual_sharp(space, lam)
-        ok = (
-            contains(Ms.scale(1), lam_s.scale(1))
-            and contains(M, Ms.scale(1))
-            and contains(lam, M)
-            and contains(lam_s, lam)
-            and contains(Ms, lam_s)
-        )
-        t = vertex_type(space, lam)
-        return {"lattice": lam.key(), "type": t,
-                "ok": ok and t is not None and t <= h}
+        return audit(lam, (lam_s.scale(1), Ms.scale(1), M, lam, lam_s, Ms), lambda t: t <= h)
 
     def verify_case_z():
         td = chain_ms[-1]
         lam = dual_sharp(space, td)
-        ok = (
-            contains(td.scale(1), Ms.scale(1))
-            and contains(lam, td.scale(1))
-            and contains(M, lam)
-            and contains(Ms, M)
-            and contains(td, Ms)
-        )
-        t = vertex_type(space, lam)
-        return {"lattice": lam.key(), "type": t,
-                "ok": ok and t is not None and t >= h}
+        return audit(lam, (Ms.scale(1), td.scale(1), lam, M, Ms, td), lambda t: t >= h)
 
     if cond1 and cond2:
         case = "anomalous-both-exclusions"

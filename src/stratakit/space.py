@@ -233,8 +233,16 @@ def subspace_to_json(U: Subspace) -> dict:
 
 
 def subspace_from_json(data: dict) -> Subspace:
-    sp = data["space"]
-    ctx = FieldCtx(sp["p"], sp["e"], sp["k"], tuple(sp["modulus"]) if "modulus" in sp else "auto")
-    space = FormedSpace(ctx, sp["kind"], sp["dim"])
-    rows = [tuple(ctx.from_coeffs(c) for c in r) for r in data["rows"]]
-    return Subspace.from_rows(space, rows)
+    """The inverse of :func:`subspace_to_json`; malformed input raises
+    ``SpaceError``."""
+    try:
+        sp, raw = data["space"], data["rows"]
+        ctx = FieldCtx(sp["p"], sp["e"], sp["k"], tuple(sp["modulus"]) if "modulus" in sp else "auto")
+        space = FormedSpace(ctx, sp["kind"], sp["dim"])
+        bad = [r for r in raw if len(r) != space.dim or any(len(c) > ctx.degree for c in r)]
+    except (KeyError, TypeError) as exc:
+        raise SpaceError(f"malformed subspace: {type(exc).__name__} {exc}") from None
+    if bad:
+        raise SpaceError(f"each row needs {space.dim} entries of at most {ctx.degree} "
+                         f"coefficients, not {bad[0]}")
+    return Subspace.from_rows(space, [tuple(ctx.from_coeffs(c) for c in r) for r in raw])

@@ -411,16 +411,12 @@ def closure_index_set(cfg: StrataConfig, label: StratumLabel) -> frozenset[Strat
     return frozenset(out)
 
 
-def top_label(cfg: StrataConfig) -> StratumLabel:
-    top, level, bottom = cfg.frame
-    if cfg.case == "ZY":
-        if bottom < level < top:
-            return StratumLabel(top, bottom, "w")
-        return StratumLabel(level, level, "w")
-    if top == level:
-        return StratumLabel(level, level, "id")
-    sign = "+" if _label_is_signed(cfg, "w") else None
-    return StratumLabel(top, level, "w", sign)
+def top_labels(cfg: StrataConfig) -> list[StratumLabel]:
+    """The labels of largest reference dimension, sorted by key: one, or
+    both signs of a signed top."""
+    labels = sorted(predicted_index_set(cfg), key=StratumLabel.key)
+    top = max(reference_dimension(cfg, label) for label in labels)
+    return [label for label in labels if reference_dimension(cfg, label) == top]
 
 
 # -- member enumeration ---------------------------------------------------
@@ -597,11 +593,7 @@ def verify_decomposition(cfg: StrataConfig, budget: int | None = None) -> dict:
         "extra": extra,
     }))
 
-    top = top_label(cfg)
-    tops = [top] if top.sign is None else [
-        StratumLabel(top.r, top.s, top.kind, sg) for sg in ("+", "-")
-    ]
-    closure_union = frozenset().union(*(closure_index_set(cfg, tl) for tl in tops))
+    closure_union = frozenset().union(*(closure_index_set(cfg, tl) for tl in top_labels(cfg)))
     checks.append(check("top_closure_identity", ok=closure_union == expected, witness={
         "closure_minus_index": sorted(l.key() for l in closure_union - expected),
         "index_minus_closure": sorted(l.key() for l in expected - closure_union),

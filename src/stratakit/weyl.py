@@ -367,63 +367,31 @@ def orthogonal_even_w_word(k: int, hp: int, r: int, s: int, delta: str = "+") ->
     return _w_word(k, hp, r, s, orthogonal_even_g_word(k - s, k, delta))
 
 
-def expected_w_action(t: int, h: int, r: int, s: int) -> dict:
-    """The basis action of the symplectic w_(r,s) family element.
+def expected_action(t: int, h: int, r: int, s: int, cross: bool) -> dict:
+    """The basis action of the symplectic w_(r,s) (``cross``) or w'_(r,s)
+    family element.
 
-    Keys are ('e'|'f', index) pairs; every basis vector appears.  For
-    s = h this is the single long cycle through both letters, otherwise
-    the double chain with the crossing at the top index.
+    Keys are ('e'|'f', index) pairs; every basis vector appears.  Indices
+    up to t-r and above t-s are fixed.  On each letter t-r+1 goes to
+    t-h+1, the indices climb from there to t-s, t-s goes to t-h and the
+    indices fall back from t-h to t-r+1.  The step onto t-h changes the
+    letter for w and keeps it for w'.  For w at s = h the climb is empty,
+    so the two letters form one long cycle.
     """
-    act: dict[tuple[str, int], tuple[str, int]] = {}
-    for i in range(1, t - r + 1):
-        act[("e", i)] = ("e", i)
-        act[("f", i)] = ("f", i)
-    for i in range(t - s + 1, t + 1):
-        act[("e", i)] = ("e", i)
-        act[("f", i)] = ("f", i)
-    if s == h:
-        # e_{t-r+1} -> f_{t-h} -> f_{t-h-1} -> ... -> f_{t-r+1} -> e_{t-h}
-        # -> e_{t-h-1} -> ... -> e_{t-r+1}
-        act[("e", t - r + 1)] = ("f", t - h)
-        for i in range(t - r + 2, t - h + 1):
-            act[("e", i)] = ("e", i - 1)
-        act[("f", t - r + 1)] = ("e", t - h)
-        for i in range(t - r + 2, t - h + 1):
-            act[("f", i)] = ("f", i - 1)
-        return act
-    for kind in ("e", "f"):
-        other = "f" if kind == "e" else "e"
-        act[(kind, t - r + 1)] = (kind, t - h + 1)
-        for i in range(t - r + 2, t - h + 1):
-            act[(kind, i)] = (kind, i - 1)
-        for i in range(t - h + 1, t - s):
-            act[(kind, i)] = (kind, i + 1)
-        act[(kind, t - s)] = (other, t - h)
-    return act
+    cycle = _rng(t - h + 1, t - s) + _rng_desc(t - h, t - r + 1)
+    diagram: dict[tuple[str, int], tuple[str, int]] = {}
+    for kind, other in (("e", "f"), ("f", "e")):
+        for i in _rng(1, t - r) + _rng(t - s + 1, t):
+            diagram[(kind, i)] = (kind, i)
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            diagram[(kind, i)] = (other if cross and j == t - h else kind, j)
+    return diagram
 
 
-def expected_wprime_action(t: int, h: int, r: int, s: int) -> dict:
-    """Basis action of the symplectic w'_(r,s) element: one cycle on the
-    e's and the same cycle on the f's, no sign crossings."""
-    act: dict[tuple[str, int], tuple[str, int]] = {}
-    for kind in ("e", "f"):
-        for i in range(1, t - r + 1):
-            act[(kind, i)] = (kind, i)
-        for i in range(t - s + 1, t + 1):
-            act[(kind, i)] = (kind, i)
-        act[(kind, t - r + 1)] = (kind, t - h + 1)
-        for i in range(t - r + 2, t - h + 1):
-            act[(kind, i)] = (kind, i - 1)
-        for i in range(t - h + 1, t - s):
-            act[(kind, i)] = (kind, i + 1)
-        act[(kind, t - s)] = (kind, t - h)
-    return act
-
-
-# (name, s runs below h + this, word, action diagram, DL dimension)
+# (name, s runs below h + this, word, crosses letters, DL dimension)
 _SYMPLECTIC_FAMILIES = (
-    ("w", 1, symplectic_w_word, expected_w_action, lambda r, s: r + s),
-    ("w'", 0, symplectic_wprime_word, expected_wprime_action, lambda r, s: r - s - 1),
+    ("w", 1, symplectic_w_word, True, lambda r, s: r + s),
+    ("w'", 0, symplectic_wprime_word, False, lambda r, s: r - s - 1),
 )
 
 
@@ -436,7 +404,7 @@ def symplectic_audit(t_max: int) -> dict:
         ctx = WeylCtx("C", t)
         for h in range(0, t):
             for r in range(h + 1, t + 1):
-                for name, s_end, word_of, action_of, dim_of in _SYMPLECTIC_FAMILIES:
+                for name, s_end, word_of, cross, dim_of in _SYMPLECTIC_FAMILIES:
                     for s in range(0, h + s_end):
                         word = word_of(t, h, r, s)
                         w = from_word(ctx, word)
@@ -445,8 +413,8 @@ def symplectic_audit(t_max: int) -> dict:
                         held = {"length": lw == dim, "reduced": len(word) == lw,
                                 "minimal": is_min_double_coset(w, I.gens, I.gens)}
                         held["dimension"] = held["minimal"] and dl_dimension(I, w) == dim
-                        held["action"] = all(act(w, v) == img
-                                             for v, img in action_of(t, h, r, s).items())
+                        diagram = expected_action(t, h, r, s, cross)
+                        held["action"] = all(act(w, v) == img for v, img in diagram.items())
                         checks.append(check(f"{name} t={t} h={h} r={r} s={s}",
                                             ok=all(held.values()), witness=held))
             top = from_word(ctx, symplectic_w_word(t, h, t, h))

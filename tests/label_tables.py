@@ -49,7 +49,7 @@ def table(cfg):
     return {
         "space": [cfg.space_kind, cfg.space_dim],
         "member_dim": cfg.member_dim,
-        "top": strata.top_label(cfg).key(),
+        "top": strata.top_labels(cfg)[0].key(),
         "labels": {label.key(): [
             strata.reference_dimension(cfg, label),
             strata._kr_fiber_prediction(cfg, label),

@@ -65,7 +65,7 @@ def test_criterion_1_symplectic_decomposition():
     # dimension for k in {2, 3}
     for (t, h) in [(2, 0), (4, 2)]:
         cfg_base = StrataConfig("Z", 3, 1, 1, t=t, h=h)
-        top = strata.top_label(cfg_base)
+        top = strata.top_labels(cfg_base)[0]
         dim = strata.reference_dimension(cfg_base, top)
         for k in (2, 3):
             counts, _ = strata.stratum_counts(StrataConfig("Z", 3, 1, k, t=t, h=h))

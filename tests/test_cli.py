@@ -217,6 +217,25 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and "absent.json" in err
 
 
+def test_malformed_input_exits_two(tmp_path, capsys):
+    # a missing key, a short row, an entry of three coefficients over
+    # GF(9) and ragged rows: each is a usage error, not a failed check
+    from stratakit.gf import FieldCtx
+    from stratakit import space as spc
+
+    sp = spc.FormedSpace(FieldCtx(3, 1, 2), "symplectic", 4)
+    good = spc.subspace_to_json(spc.Subspace.from_rows(sp, [sp.e(1), sp.e(2)]))
+    row = good["rows"][0]
+    path = tmp_path / "subspace.json"
+    for rows in (None, [row[:2]], [[[1, 0, 1]] + row[1:]], [row, row[:3]]):
+        path.write_text(json.dumps({} if rows is None else {**good, "rows": rows}))
+        code = main(["strata", "classify", "--case", "z", "--q", "3", "--k", "2",
+                     "--t", "4", "--h", "2", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_guard_trip_outside_a_trial_exits_three(monkeypatch, capsys):
     from stratakit import latcalc
 

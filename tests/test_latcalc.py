@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -264,6 +265,39 @@ def test_dichotomy_worst_point_is_both():
     assert res["case"] == "Both"
     assert res["c"] == res["d"] == 0
     assert res["verified"]
+
+
+def test_dichotomy_audit_fails_on_a_refused_link(monkeypatch, capsys):
+    # a contains that refuses each lattice's inclusion in its own dual
+    # breaks one link of either chain (lam <= lam# in case Y, M <= M# in
+    # case Z), so every audit fails on its containments alone
+    from stratakit.cli import main
+
+    real_dual, real_contains = lc.dual_sharp, lc.contains
+    dual_pairs = set()
+
+    def recording_dual(space, L):
+        D = real_dual(space, L)
+        dual_pairs.add((D.key(), L.key()))
+        return D
+
+    def refusing(big, small):
+        return (big.key(), small.key()) not in dual_pairs and real_contains(big, small)
+
+    monkeypatch.setattr(lc, "dual_sharp", recording_dual)
+    monkeypatch.setattr(lc, "contains", refusing)
+    R = ring9()
+    res = crucial_dichotomy(pi_block_space(R, 2, 1), standard_lattice(R, 2))
+    assert not res["verified"]
+    assert [(a["type"], a["ok"]) for a in res["audits"].values()] == [(2, False)]
+
+    assert main(["latcalc", "dichotomy", "--n", "2", "--s", "2", "--exhaustive"]) == 1
+    checks = json.loads(capsys.readouterr().out)["stable"]["checks"]
+    found = next(c for c in checks if c["name"] == "no_counterexamples")
+    assert found["status"] == "fail" and found["witness"]
+    for record in found["witness"]:
+        assert set(record) == {"gram", "tau", "lattice", "vfloor", "result"}
+        assert record["result"]["verified"] is False
 
 
 def test_exhaustive_dichotomy_small():

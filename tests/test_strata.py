@@ -18,7 +18,7 @@ from stratakit.strata import (
     reachable_at_k,
     reference_dimension,
     stratum_counts,
-    top_label,
+    top_labels,
     verify_decomposition,
 )
 from chain_classifier import (
@@ -471,7 +471,7 @@ def test_label_tables_match_the_frozen_grid():
 def test_top_closure_is_whole_index_set():
     for cfg in (cfg_z(6, 2), cfg_y(6, 4, 0, -1), cfg_y(6, 6, 0, 1),
                 cfg_y(7, 4, 2, 1), cfg_zy(8, 4, 2)):
-        top = top_label(cfg)
+        top = top_labels(cfg)[0]
         tops = [top] if top.sign is None else [
             StratumLabel(top.r, top.s, top.kind, sg) for sg in ("+", "-")]
         closure = frozenset().union(

@@ -238,6 +238,21 @@ def test_symplectic_audit_small():
     assert all(c["status"] == "pass" for c in rep["checks"])
 
 
+def test_symplectic_audit_action_check_can_fail(monkeypatch):
+    # a diagram in which w' crosses letters like w fails the action check
+    # of every w' element, and nothing else
+    real = weyl.expected_action
+    monkeypatch.setattr(weyl, "expected_action",
+                        lambda t, h, r, s, cross: real(t, h, r, s, True))
+    rep = weyl.symplectic_audit(3)
+    failed = [c for c in rep["checks"] if c["status"] != "pass"]
+    assert failed and all(c["name"].startswith("w'") for c in failed)
+    assert len(failed) == sum(c["name"].startswith("w'") for c in rep["checks"])
+    for c in failed:
+        assert c["witness"] == {"length": True, "reduced": True, "minimal": True,
+                                "dimension": True, "action": False}
+
+
 def test_action_diagram_patterns():
     c3 = WeylCtx("C", 3)
     w = from_word(c3, weyl.symplectic_w_word(3, 1, 3, 1))
