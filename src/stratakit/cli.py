@@ -87,8 +87,7 @@ def cmd_strata_classify(args) -> int:
             return {"counts": [], "checks": [report.check(
                 "membership", ok=False,
                 witness="subspace is not a member of the configured stratum space")]}
-        label, chain_dims = strata.classify_flag(cfg, U)
-        kr = strata.kr_class(cfg, U)
+        label, chain_dims, kr = strata.classify(cfg, U)
         return {"counts": [{"label": label.key(), "count": 1}],
                 "checks": [report.check("membership", ok=True,
                                         data={"label": label.key(), "kr_class": kr,

@@ -8,12 +8,14 @@ context is cheap to use but bounded in size (desk scale, a few thousand
 elements).
 
 The operation tables are plain Python lists: ``ADD`` and ``MUL`` nested
-(``ADD[a][b]``), ``NEG``, ``INV``, ``FROB`` and ``FROB_INV`` flat.  Their
+(``ADD[a][b]``), ``NEG``, ``INV``, ``FROB`` and ``FROB_INV`` flat.  Most
 callers are pure-Python loops over single codes, where indexing a list is
 several times cheaper than indexing a numpy array and yields a plain
 ``int`` rather than a numpy scalar.  Every entry is one of the shared
 ``int`` objects of ``list(range(size))``, so a table costs one pointer per
-entry.  numpy is used only while the tables are built.
+entry.  numpy builds the tables, and the block kernel of ``strata``
+copies them into int16 arrays once per tally, to classify a whole block
+of members with each table lookup.
 
 The context views its field as the degree-``k`` extension of a base field
 GF(q), q = p^e, and exposes the arithmetic Frobenius ``x -> x**q``.  The

@@ -233,16 +233,20 @@ def subspace_to_json(U: Subspace) -> dict:
 
 
 def subspace_from_json(data: dict) -> Subspace:
-    """The inverse of :func:`subspace_to_json`; malformed input raises
-    ``SpaceError``."""
+    """The inverse of :func:`subspace_to_json`; malformed input, a
+    top-level ``k`` other than the space's, or a coefficient outside
+    0..p-1 raises ``SpaceError``."""
     try:
         sp, raw = data["space"], data["rows"]
         ctx = FieldCtx(sp["p"], sp["e"], sp["k"], tuple(sp["modulus"]) if "modulus" in sp else "auto")
         space = FormedSpace(ctx, sp["kind"], sp["dim"])
-        bad = [r for r in raw if len(r) != space.dim or any(len(c) > ctx.degree for c in r)]
+        if data["k"] != ctx.k:
+            raise SpaceError(f"k = {data['k']} contradicts the space's k = {ctx.k}")
+        bad = [r for r in raw if len(r) != space.dim
+               or any(len(c) > ctx.degree or not all(x in range(ctx.p) for x in c) for c in r)]
     except (KeyError, TypeError) as exc:
         raise SpaceError(f"malformed subspace: {type(exc).__name__} {exc}") from None
     if bad:
         raise SpaceError(f"each row needs {space.dim} entries of at most {ctx.degree} "
-                         f"coefficients, not {bad[0]}")
+                         f"coefficients in 0..{ctx.p - 1}, not {bad[0]}")
     return Subspace.from_rows(space, [tuple(ctx.from_coeffs(c) for c in r) for r in raw])

@@ -11,10 +11,13 @@ formless) space base-changed to GF(q^k):
 * case ``ZY``: subspaces of a formless space of dimension (t1 - t2)/2
   with the intersection condition (parameters t2 <= h <= t1).
 
-Members are enumerated as Frobenius-Krylov spans B + <y, Phi^-1 y, ...>
-over a Frobenius-stable bottom B and classified from that data: one walk
-adds Phi y, Phi^2 y, ... until the span turns non-isotropic (kind ``w``)
-or stabilizes while isotropic (kind ``wprime``; ``id`` for stable members).
+Members are Frobenius-Krylov spans B + <y, Phi^-1 y, ...> over a
+Frobenius-stable bottom B.  The scan lists the candidate pairs (B, y) and
+classifies them in blocks (``classify_block``): one numpy kernel keeps
+the members of a block and walks all of them at once, adding Phi y,
+Phi^2 y, ... until each span turns non-isotropic (kind ``w``) or
+stabilizes while isotropic (kind ``wprime``; ``id`` for stable members).
+A single subspace is a block of one (``classify``).
 Each case places its labels in one frame (top, level, bottom), the
 (rank, level) that the ``weyl`` word families take (``StrataConfig.frame``):
 members have dimension top - level, and a member whose chain runs v steps
@@ -25,9 +28,12 @@ closure identities, Kottwitz-Rapoport fibers and sign-class statistics.
 
 from __future__ import annotations
 
-import bisect
+import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .gf import FieldCtx
 from . import linalg, space as spc
@@ -188,68 +194,32 @@ def _phi_stable(U: Subspace) -> bool:
     return all(FROB[x] == x for row in U.rows for x in row)
 
 
-@dataclass(frozen=True)
-class KrylovMember(Subspace):
-    """A member U = B + <y, Phi^-1 y, ..., last = Phi^-(v-1) y> with its
-    Krylov data, which stay outside equality and hashing."""
-
-    y: tuple | None = field(default=None, compare=False)
-    v: int = field(default=0, compare=False)
-    last: tuple | None = field(default=None, compare=False)
-
-
 def _krylov_data(U: Subspace):
-    """(y, v, last) from one down chain to B: y is any vector of U_(v-1) - B."""
+    """(B, y, v) from one down chain to the bottom B: y spans U_(v-1) mod
+    B, reduced against B's rows (so zero at B's pivots) with a leading 1,
+    as the block scan draws it; y is None when U is stable."""
     above, cur, v = None, U, 0
     while not _phi_stable(cur):
         above, cur, v = cur, intersect(cur, apply_phi(cur)), v + 1
         if cur.dim != above.dim - 1:
             raise ChainError(f"down step dropped {above.dim - cur.dim} dimensions")
     if not v:
-        return None, 0, None
-    y = last = next(r for r in above.rows if not cur.contains(r))
-    for _ in range(v - 1):
-        last = spc._phi_vector(U.space, last, True)
-    return y, v, last
+        return cur, None, 0
+    ctx = U.space.ctx
+    r = next(r for r in above.rows if not cur.contains(r))
+    y = linalg.residual(ctx, cur.rows, cur.pivots, r)
+    scale = ctx.MUL[ctx.INV[next(x for x in y if x)]]
+    return cur, tuple(scale[x] for x in y), v
 
 
-def classify_flag(cfg: StrataConfig, U: Subspace) -> tuple[StratumLabel, list[int]]:
-    """Stratum label of a member plus the dimensions of its flag chain.
-
-    U = B + <y, ..., Phi^-(v-1) y> (``enumerate_members``; other members
-    run their down chain once) has the down chain B + <y, ..., Phi^-i y>
-    to its bottom B of dimension d - v.  The up walk reduces Phi y, Phi^2
-    y, ... against one echelon basis seeded with U's rows, and stops
-    ``stable`` on a zero residual, ``anisotropic`` when form(Phi^j y,
-    Phi^-(v-1) y), the one new pair, is nonzero, at a top of dimension
-    d + u.  The label is (level + v, level - u) in every case.
-    That pair is Frob^-(v-1)(g_(j+v-1)) in the orbit Gram g_m = form(Phi^m
-    y, y), and g_0..g_(v-1) vanish, so kind ``w`` exits at the first nonzero
-    g_m, m = v + u.  As Phi^k y = y, g_(k-m) = +-Frob^(k-m)(g_m) (minus when
-    symplectic), so m <= floor(k/2): the ``w`` bound of ``reachable_at_k``.
-    """
-    sp, ctx, d = U.space, U.space.ctx, U.dim
-    y, v, last = (U.y, U.v, U.last) if isinstance(U, KrylovMember) else _krylov_data(U)
-    rows, pivots, z, anisotropic = list(U.rows), list(U.pivots), y, False
-    while v:
-        z = spc._phi_vector(sp, z)
-        if sp.gram is not None and sp.form(z, last):
-            anisotropic = True
-            break
-        res = linalg.residual(ctx, rows, pivots, z)
-        p = next((j for j, x in enumerate(res) if x), None)
-        if p is None:
-            break
-        scale = ctx.MUL[ctx.INV[res[p]]]
-        rows.append(tuple(scale[x] for x in res))
-        pivots.append(p)
-    u = len(rows) - d
-    level = cfg.frame[1]
-    kind = "w" if anisotropic or cfg.case == "ZY" else "wprime" if v else "id"
-    sign = None
-    if _label_is_signed(cfg, kind):
-        sign = component_sign(cfg, U if kind == "w" else Subspace.from_rows(sp, rows))
-    return StratumLabel(level + v, level - u, kind, sign), list(range(d - v, d + u + 1))
+def classify(cfg: StrataConfig, U: Subspace) -> tuple[StratumLabel, list[int], str]:
+    """(label, chain dimensions, KR class) of one member: its down chain
+    gives (B, y, v), and ``classify_block`` classifies it as a block of one."""
+    B, y, v = _krylov_data(U)
+    line = np.array([y if v else ()], dtype=np.int16)
+    blk = _Block(v, (B,), np.zeros(1, dtype=np.intp), line)
+    _, codes = classify_block(cfg, _Arrays(U.space), blk, kr=True)
+    return _decode(cfg, v, int(codes[0]))
 
 
 def _label_is_signed(cfg: StrataConfig, kind: str) -> bool:
@@ -258,52 +228,6 @@ def _label_is_signed(cfg: StrataConfig, kind: str) -> bool:
     at level 1."""
     return (cfg.space_kind.startswith("symmetric-even")
             and (kind, cfg.frame[1]) in (("w", 0), ("wprime", 1)))
-
-
-def kr_class(cfg: StrataConfig, U: Subspace) -> str:
-    """First-step trichotomy: stable / isotropic span / non-isotropic span.
-
-    A member U and its image are isotropic, so U + Phi(U) is isotropic
-    exactly when every row of U is orthogonal to every row of Phi(U).
-    """
-    if _phi_stable(U):
-        return "id"
-    if cfg.case == "ZY":
-        return "wprime"
-    form = U.space.form
-    phi_rows = apply_phi(U).rows
-    return "w" if any(form(u, v) for u in U.rows for v in phi_rows) else "wprime"
-
-
-def component_sign(cfg: StrataConfig, F: Subspace) -> str:
-    """Family of a maximal isotropic in the even symmetric space.
-
-    The sign is ``+`` exactly when dim(F cap L_ref) is congruent to m
-    modulo 2 for a reference Lagrangian L_ref.  That dimension is m minus
-    the rank of F's coordinates along an isotropic complement of L_ref, so
-    the sign is ``+`` when that rank is even.  In the split kind L_ref is
-    span(e_1..e_m), with complement span(f_1..f_m).  In the non-split kind
-    the last pair spans diag(1, -delta), and L_ref is
-    span(e_1..e_(m-1), s e_m + f_m) with s^2 = delta (the root of smaller
-    code), which exists only where delta is a square; along the complement
-    span(f_1..f_(m-1), f_m - s e_m) the last coordinate is a multiple of
-    s x_(f_m) - x_(e_m).
-    """
-    if cfg.case != "Y" or cfg.n % 2 != 0:
-        raise ConfigError("component signs only exist in even symmetric Y cases")
-    sp, ctx = F.space, F.space.ctx
-    m = sp.dim // 2
-    if F.dim != m:
-        raise ConfigError("component sign needs a maximal isotropic subspace")
-    cols = [r[m:] for r in F.rows]
-    if sp.kind == "symmetric-even-nonsplit" and m:
-        delta = ctx.NEG[sp.gram[-1][-1]]
-        s = next((x for x in range(ctx.size) if ctx.MUL[x][x] == delta), None)
-        if s is None:
-            raise ConfigError("no maximal isotropic exists where delta is not a square")
-        ms = ctx.MUL[s]
-        cols = [c[:-1] + (ctx.ADD[ms[c[-1]]][ctx.NEG[r[m - 1]]],) for c, r in zip(cols, F.rows)]
-    return "-" if linalg.rank(ctx, cols) % 2 else "+"
 
 
 # -- expected index sets, reachability, reference dimensions -------------
@@ -351,7 +275,7 @@ def reachable_at_k(cfg: StrataConfig, label: StratumLabel, k: int | None = None)
     * kind ``id``: always;
     * kind ``w``: v + u <= floor(k/2) -- the non-isotropic exit reads the
       first nonzero entry of the orbit Gram of a Phi^k-fixed vector, which
-      sits at most at floor(k/2) (see ``classify_flag``);
+      sits at most at floor(k/2) (see ``classify_block``);
     * kind ``wprime`` and the formless case: v, u >= 1 and v + u <= k;
     * except that members at h = n of a non-split even space are
       Lagrangians, and a non-split form stays non-split over an odd-degree
@@ -419,7 +343,41 @@ def top_labels(cfg: StrataConfig) -> list[StratumLabel]:
     return [label for label in labels if reference_dimension(cfg, label) == top]
 
 
-# -- member enumeration ---------------------------------------------------
+# -- member enumeration and the block kernel ------------------------------
+
+# candidates per block; the kernel's arrays hold a few rows per candidate
+CHUNK = 2048
+
+_SIGNS = (None, "+", "-")
+_KR = (None, "id", "w", "wprime")
+
+
+class _Block(NamedTuple):
+    """Candidates of one Krylov depth v: candidate i is the stable bottom
+    ``bottoms[which[i]]`` with the line <y[i]> of its complement (at v = 0
+    the stable member itself, and y has no columns).  A bottom is kept
+    once per block, however many of its lines the block holds."""
+
+    v: int
+    bottoms: tuple
+    which: np.ndarray
+    y: np.ndarray
+
+
+class _Arrays:
+    """The block kernel's view of a space: the field tables as int16
+    arrays (codes are below 4096) and the Gram as its nonzero entries
+    (i, j, g_ij), or None when formless."""
+
+    def __init__(self, sp: FormedSpace):
+        ctx = sp.ctx
+        self.space = sp
+        self.ADD, self.MUL, self.NEG, self.INV, self.FROB, self.FROB_INV = (
+            np.array(t, dtype=np.int16)
+            for t in (ctx.ADD, ctx.MUL, ctx.NEG, ctx.INV, ctx.FROB, ctx.FROB_INV))
+        self.gram = None if sp.gram is None else [
+            (i, j, g) for i, nz in enumerate(sp._gram_nz) for j, g in nz]
+
 
 def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
     """Every Frobenius-stable d-subspace (isotropic ones only when asked),
@@ -431,8 +389,9 @@ def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
         yield Subspace(sp, rows, pivots)
 
 
-def enumerate_members(cfg: StrataConfig, budget: int | None = None):
-    """Stream every member rational over GF(q^k), exactly once.
+def _blocks(cfg: StrataConfig, A: _Arrays, budget: int | None):
+    """Every member candidate rational over GF(q^k), in blocks of at most
+    ``CHUNK``; ``classify_block`` picks out the members.
 
     A member U that is not Phi-stable runs down its chain
     U = U_0 > U_1 > ... > U_v = B, U_(i+1) = U_i cap Phi(U_i), one
@@ -443,11 +402,10 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
     complement of B (in B^perp in the formed cases), where it is unique up
     to a scalar.  Conversely, such a span is a member with bottom B when
     it is isotropic (y isotropic and orthogonal to each Phi^-j y, j < v),
-    has dimension d, and misses Phi^-v y.  So the members are enumerated
-    as pairs (B, y), the stable ones (v = 0) first; the others come as
-    ``KrylovMember`` values that carry (y, v).  Since Phi^-k y = y,
-    v <= k - 1: at v = k the span would contain Phi^-v y, and past k it
-    would have dimension below d.
+    has dimension d, and misses Phi^-v y.  So the candidates are pairs
+    (B, y), the stable members (v = 0) first, each exactly once.  Since
+    Phi^-k y = y, v <= k - 1: at v = k the span would contain Phi^-v y,
+    and past k it would have dimension below d.
 
     Both scans come from ``linalg.row_spaces``, which solves for the
     isotropic subspaces rather than filtering: the stable ones over GF(q)
@@ -456,18 +414,15 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
     symmetric kinds (in the symplectic and formless kinds every line is
     isotropic).  Phi^k fixes every vector of the working field, so the
     complement is the rows of rref(B^perp) whose pivots are not B's: y is
-    zero at B's pivots with a leading 1, and a v = 1 member's echelon
-    form is B with y's pivot column cleared, plus y.
+    zero at B's pivots with a leading 1.
 
     ``budget`` (default ``SUBSPACE_BUDGET``) bounds the stable members
     plus the (B, line of its complement) candidates, isotropic or not,
     counted in closed form before the scan starts.
     """
-    sp = cfg.build_space()
-    ctx = sp.ctx
+    sp, ctx = A.space, A.space.ctx
     d, k = cfg.member_dim, cfg.k
     iso = cfg.case in ("Z", "Y")
-    symmetric = sp.kind.startswith("symmetric")
     scalars = ctx.subfield_codes(k)
     vmax = min(d, k - 1)
     limit = SUBSPACE_BUDGET if budget is None else budget
@@ -479,55 +434,264 @@ def enumerate_members(cfg: StrataConfig, budget: int | None = None):
         for v in range(1, vmax + 1))
     if estimate > limit:
         raise BudgetExceeded(f"estimated {estimate} member candidates exceeds budget {limit}")
-    yield from rational_subspaces(sp, d, iso)
-    form = sp.form
+    stable = rational_subspaces(sp, d, iso)
+    while batch := tuple(itertools.islice(stable, CHUNK)):
+        yield _Block(0, batch, np.arange(len(batch)), np.zeros((len(batch), 0), dtype=np.int16))
     for v in range(1, vmax + 1):
-        for B in rational_subspaces(sp, d - v, iso):
-            amb = perp(B) if iso else spc.full_subspace(sp)
-            comp = [r for r, pc in zip(amb.rows, amb.pivots) if pc not in B.pivots]
-            heads = [pc for pc in amb.pivots if pc not in B.pivots]  # y's pivot, by its lead
-            gram = [[form(a, b) for b in comp] for a in comp] if symmetric else None
-            nzcomp = linalg._nonzero(comp)
-            for (x,), (lead,) in linalg.row_spaces(ctx, scalars, len(comp), 1, gram):
-                y = linalg._combine(ctx, sp.dim, nzcomp, x)
-                z = spc._phi_vector(sp, y, True)  # the next Krylov vector
-                if v == 1:
-                    (red, piv), last = _adjoin(ctx, B, y, heads[lead]), y
-                else:
-                    rows = [*B.rows, y]
-                    while len(rows) < d and not (iso and form(y, z)):
-                        rows.append(z)
-                        z = spc._phi_vector(sp, z, True)
-                    if len(rows) < d:
-                        continue
-                    red, piv = linalg.rref(ctx, rows)
-                    if len(red) < d:
-                        continue
-                    last = rows[-1]
-                if not linalg.contains_vector(ctx, red, piv, z):
-                    yield KrylovMember(sp, red, piv, y, v, last)
+        yield from _chunked(v, ((B, _lines(A, B, iso, scalars))
+                                for B in rational_subspaces(sp, d - v, iso)))
 
 
-def _adjoin(ctx: FieldCtx, B: Subspace, y, p: int) -> tuple:
-    """Echelon data of B + <y> for y zero at B's pivots with its leading 1
-    at p: B's rows with column p cleared, and y, in pivot order."""
-    ADD, MUL, NEG = ctx.ADD, ctx.MUL, ctx.NEG
-    rows = []
-    for r in B.rows:
-        if r[p]:
-            m = MUL[NEG[r[p]]]
-            r = tuple([ADD[a][m[b]] for a, b in zip(r, y)])
-        rows.append(r)
-    at = bisect.bisect(B.pivots, p)
-    rows.insert(at, y)
-    return tuple(rows), B.pivots[:at] + (p,) + B.pivots[at:]
+def _lines(A: _Arrays, B: Subspace, iso: bool, scalars):
+    """The lines of B's complement, one y a row, in arrays of at most
+    ``CHUNK`` rows: each line's solver coefficients combine the
+    complement's rows."""
+    sp = A.space
+    amb = perp(B) if iso else spc.full_subspace(sp)
+    comp = [r for r, pc in zip(amb.rows, amb.pivots) if pc not in B.pivots]
+    gram = [[sp.form(a, b) for b in comp] for a in comp] if sp.kind.startswith("symmetric") else None
+    lines = linalg.row_spaces(sp.ctx, scalars, len(comp), 1, gram)
+    comp = np.array(comp, dtype=np.int16)
+    while coeffs := [x for (x,), _ in itertools.islice(lines, CHUNK)]:
+        y = np.zeros((len(coeffs), sp.dim), dtype=np.int16)
+        for c, row in zip(np.array(coeffs, dtype=np.int16).T, comp):
+            y = A.ADD[y, A.MUL[c[:, None], row]]
+        yield y
+
+
+def _chunked(v: int, pairs):
+    """Blocks of at most ``CHUNK`` candidates from (bottom, line arrays)
+    pairs, in order; a bottom whose lines do not fit continues in the
+    next block."""
+    bottoms, which, ys, size = [], [], [], 0
+    for B, parts in pairs:
+        for lines in parts:
+            while len(lines):
+                part, lines = lines[:CHUNK - size], lines[CHUNK - size:]
+                which.append(np.full(len(part), len(bottoms)))
+                bottoms.append(B)
+                ys.append(part)
+                size += len(part)
+                if size == CHUNK:
+                    yield _Block(v, tuple(bottoms), np.concatenate(which), np.concatenate(ys))
+                    bottoms, which, ys, size = [], [], [], 0
+    if size:
+        yield _Block(v, tuple(bottoms), np.concatenate(which), np.concatenate(ys))
+
+
+def enumerate_members(cfg: StrataConfig, budget: int | None = None):
+    """Stream every member rational over GF(q^k), exactly once, as
+    canonical subspaces: the candidates of ``_blocks`` that
+    ``classify_block`` keeps, in scan order."""
+    A = _Arrays(cfg.build_space())
+    for blk in _blocks(cfg, A, budget):
+        index, _ = classify_block(cfg, A, blk, kr=False)
+        yield from (_span(blk, i) for i in index.tolist())
+
+
+def _span(blk: _Block, i: int) -> Subspace:
+    """Candidate i of a block as a subspace, B + <y, ..., Phi^-(v-1) y>."""
+    B = blk.bottoms[blk.which[i]]
+    if not blk.v:
+        return B
+    rows = [*B.rows, tuple(blk.y[i].tolist())]
+    for _ in range(blk.v - 1):
+        rows.append(spc._phi_vector(B.space, rows[-1], True))
+    return Subspace.from_rows(B.space, rows)
+
+
+def _code(u, w, sign, kr):
+    """A label code: up steps, kind ``w``, sign and KR class as one integer."""
+    return ((u * 2 + w) * 3 + sign) * 4 + kr
+
+
+def _decode(cfg: StrataConfig, v: int, code: int) -> tuple[StratumLabel, list[int], str | None]:
+    """(label, chain dimensions, KR class) of a member of depth v with
+    this label code."""
+    rest, kr = divmod(code, 4)
+    rest, sign = divmod(rest, 3)
+    u, w = divmod(rest, 2)
+    level, d = cfg.frame[1], cfg.member_dim
+    kind = "w" if w else "wprime" if v else "id"
+    return StratumLabel(level + v, level - u, kind, _SIGNS[sign]), list(range(d - v, d + u + 1)), _KR[kr]
+
+
+def classify_block(cfg: StrataConfig, A: _Arrays, blk: _Block, kr: bool):
+    """The members of a block and their label codes (``_decode``), as
+    (index, codes) with ``index`` the members' candidate positions; the
+    KR class is coded only when ``kr``.  Every step is one array
+    operation over the block's candidates.
+
+    A candidate (B, y) of depth v >= 1 is a member when the Krylov
+    vectors Phi^-j y, 0 < j <= v, each leave the span of those before it
+    and, for j < v and a formed space, pair to 0 with y.  Every Krylov
+    vector is zero at B's pivots, as y is and Frobenius keeps zeros, so
+    B's rows never enter a residual: the spans are kept as semi-echelon
+    rows (row i has a 1 at its pivot, where the rows after it vanish)
+    seeded with y.
+
+    The up walk reduces Phi y, Phi^2 y, ... against those rows and stops
+    ``stable`` on a zero residual, ``anisotropic`` when form(Phi^j y,
+    Phi^-(v-1) y), the one new pair, is nonzero, at a top of dimension
+    d + u.  The label is (level + v, level - u) in every case.  That pair
+    is Frob^-(v-1)(g_(j+v-1)) in the orbit Gram g_m = form(Phi^m y, y),
+    and g_0..g_(v-1) vanish, so kind ``w`` exits at the first nonzero
+    g_m, m = v + u.  As Phi^k y = y, g_(k-m) = +-Frob^(k-m)(g_m) (minus
+    when symplectic), so m <= floor(k/2): the ``w`` bound of
+    ``reachable_at_k``.
+
+    A signed label (``_label_is_signed``) takes the sign of the member
+    (kind ``w``) or of its top (``wprime``), with B's rows gathered by
+    index (``_minus``).  The KR class does not read the walk: a member U
+    and its image are isotropic, so U + Phi(U) is isotropic exactly when
+    every row of U pairs to 0 with every row of Phi(U); stable members
+    are ``id`` and formless ones ``wprime``.
+    """
+    v, y = blk.v, blk.y
+    formed = A.gram is not None
+    if not v:
+        return np.arange(len(y)), np.full(len(y), _code(0, cfg.case == "ZY", 0, int(kr)))
+    rows, pivots, keep = [y], [(y != 0).argmax(1)], np.ones(len(y), dtype=bool)
+    z = last = y
+    for j in range(1, v + 1):
+        z = A.FROB_INV[z]
+        if formed and j < v:
+            keep &= _form(A, y, z) == 0
+        res = _reduce(A, rows, pivots, z)
+        keep &= res.any(1)
+        if j < v:
+            _append(A, rows, pivots, res)
+            last = z
+    index = keep.nonzero()[0]
+    rows, pivots = [r[index] for r in rows], [p[index] for p in pivots]
+    z, last = y[index], last[index]
+    u = np.zeros(len(index), dtype=np.int64)
+    aniso = np.zeros(len(index), dtype=bool)
+    live = np.ones(len(index), dtype=bool)
+    while True:
+        z = A.FROB[z]
+        if formed:
+            exits = live & (_form(A, z, last) != 0)
+            aniso |= exits
+            live &= ~exits
+        res = _reduce(A, rows, pivots, z)
+        live &= res.any(1)
+        if not live.any():
+            break
+        res[~live] = 0
+        _append(A, rows, pivots, res)
+        u += live
+    w = aniso | (cfg.case == "ZY")
+    sign = np.zeros(len(index), dtype=np.int64)
+    for kind, of_kind, top in (("w", w, rows[:v]), ("wprime", ~w, rows)):
+        at = of_kind.nonzero()[0]
+        if len(at) and _label_is_signed(cfg, kind):
+            F = np.concatenate([_bottom_rows(blk, index[at]), np.stack([r[at] for r in top], 1)], 1)
+            sign[at] = 1 + _minus(A, F)
+    krc = 0
+    if kr:
+        krc = 3
+        if formed:
+            U = np.concatenate([_bottom_rows(blk, index), np.stack(rows[:v], 1)], 1)
+            krc = np.where(_pairs_nonzero(A, U, A.FROB[U]), 2, 3)
+    return index, _code(u, w, sign, krc)
+
+
+def _bottom_rows(blk: _Block, at) -> np.ndarray:
+    """The rows of the bottoms of the candidates at ``at``, shape
+    (len(at), d - v, dim)."""
+    shape = (len(blk.bottoms), blk.bottoms[0].dim, blk.y.shape[1])
+    return np.array([B.rows for B in blk.bottoms], dtype=np.int16).reshape(shape)[blk.which[at]]
+
+
+def _form(A: _Arrays, x, y) -> np.ndarray:
+    """The form on the vectors along the last axes of x and y, broadcast
+    over the others."""
+    acc = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), dtype=np.int16)
+    for i, j, g in A.gram:
+        acc = A.ADD[acc, A.MUL[A.MUL[g][x[..., i]], y[..., j]]]
+    return acc
+
+
+def _reduce(A: _Arrays, rows, pivots, z) -> np.ndarray:
+    """Each z reduced by its semi-echelon rows: zero exactly where z lies
+    in their span."""
+    at = np.arange(len(z))
+    for r, p in zip(rows, pivots):
+        z = A.ADD[z, A.MUL[A.NEG[z[at, p]][:, None], r]]
+    return z
+
+
+def _append(A: _Arrays, rows: list, pivots: list, res) -> None:
+    """Add residuals as the next semi-echelon rows, each scaled to a 1 at
+    its first nonzero entry, its pivot (a zero residual stays zero)."""
+    p = (res != 0).argmax(1)
+    rows.append(A.MUL[A.INV[res[np.arange(len(res)), p]][:, None], res])
+    pivots.append(p)
+
+
+def _pairs_nonzero(A: _Arrays, U, W) -> np.ndarray:
+    """Whether some row of U[i] pairs to a nonzero value with some row of
+    W[i], for each i."""
+    return (_form(A, U[:, :, None, :], W[:, None, :, :]) != 0).any((1, 2))
+
+
+def _minus(A: _Arrays, F) -> np.ndarray:
+    """Whether each maximal isotropic F[i] (its rows along axis 1) of the
+    even symmetric space has component sign ``-``.
+
+    The sign is ``+`` exactly when dim(F cap L_ref) is congruent to m
+    modulo 2 for a reference Lagrangian L_ref.  That dimension is m minus
+    the rank of F's coordinates along an isotropic complement of L_ref, so
+    the sign is ``+`` when that rank is even.  In the split kind L_ref is
+    span(e_1..e_m), with complement span(f_1..f_m).  In the non-split kind
+    the last pair spans diag(1, -delta), and L_ref is
+    span(e_1..e_(m-1), s e_m + f_m) with s^2 = delta (the root of smaller
+    code), which exists only where delta is a square; along the complement
+    span(f_1..f_(m-1), f_m - s e_m) the last coordinate is a multiple of
+    s x_(f_m) - x_(e_m).
+    """
+    sp, ctx = A.space, A.space.ctx
+    m = sp.dim // 2
+    cols = F[..., m:].copy()
+    if sp.kind == "symmetric-even-nonsplit" and m:
+        delta = ctx.NEG[sp.gram[-1][-1]]
+        s = next((x for x in range(ctx.size) if ctx.MUL[x][x] == delta), None)
+        if s is None:
+            raise ConfigError("no maximal isotropic exists where delta is not a square")
+        cols[..., -1] = A.ADD[A.MUL[s][F[..., -1]], A.NEG[F[..., m - 1]]]
+    return _rank(A, cols) % 2 == 1
+
+
+def _rank(A: _Arrays, M) -> np.ndarray:
+    """The rank of each matrix M[i]: each column's first nonzero row
+    clears that column from every row, itself included, and counts one."""
+    rank = np.zeros(len(M), dtype=np.int64)
+    at = np.arange(len(M))
+    for c in range(M.shape[2]):
+        col = M[:, :, c]
+        first = (col != 0).argmax(1)
+        lead = col[at, first]
+        rank += lead != 0
+        prow = A.MUL[A.INV[lead][:, None], M[at, first]]
+        M = A.ADD[M, A.MUL[A.NEG[col][:, :, None], prow[:, None, :]]]
+    return rank
 
 
 def _tally(cfg: StrataConfig, budget: int | None, kr: bool) -> Counter:
     """Classify every member once: a Counter of (KR class, label) pairs,
     the KR class None unless ``kr``."""
-    return Counter((kr_class(cfg, U) if kr else None, classify_flag(cfg, U)[0])
-                   for U in enumerate_members(cfg, budget=budget))
+    A = _Arrays(cfg.build_space())
+    found: Counter = Counter()
+    for blk in _blocks(cfg, A, budget):
+        _, codes = classify_block(cfg, A, blk, kr)
+        for code, count in zip(*np.unique(codes, return_counts=True)):
+            found[blk.v, int(code)] += int(count)
+    tally: Counter = Counter()
+    for (v, code), count in found.items():
+        label, _, kr_class = _decode(cfg, v, code)
+        tally[kr_class, label] += count
+    return tally
 
 
 def _label_counts(tally: Counter) -> Counter:

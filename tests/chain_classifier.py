@@ -4,8 +4,8 @@ The down chain intersects U with its Frobenius image until the span is
 stable; the up chain adds the image until the span is stable or, in a
 formed space, stops being isotropic.  The component sign intersects the
 top with the kind's reference Lagrangian.  Every step is a separate
-``intersect`` or ``sum_spaces``, so this is independent of the Krylov
-walk of ``strata.classify_flag``.
+``intersect`` or ``sum_spaces``, so this is independent of the block
+kernel ``strata.classify_block``.
 """
 
 from stratakit import space as spc

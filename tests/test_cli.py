@@ -123,14 +123,16 @@ def test_count_fails_on_a_dropped_stable_member(monkeypatch, capsys):
     argv = ("strata", "count", "--case", "y", "--q", "3", "--k", "2", "--n", "6",
             "--h", "4", "--t", "2", "--eps", "1")
     assert run(capsys, *argv)[0] == 0
-    full = strata.enumerate_members
+    full = strata._blocks
 
-    def drop_first(cfg, budget=None):
-        members = full(cfg, budget=budget)
-        next(members)
-        yield from members
+    def drop_first(*args):
+        # the first block holds the stable members; lose its first candidate
+        blocks = full(*args)
+        blk = next(blocks)
+        yield blk._replace(which=blk.which[1:], y=blk.y[1:])
+        yield from blocks
 
-    monkeypatch.setattr(strata, "enumerate_members", drop_first)
+    monkeypatch.setattr(strata, "_blocks", drop_first)
     code, out = run(capsys, *argv)
     assert code == 1
     check = json.loads(out)["stable"]["checks"][0]
@@ -160,7 +162,7 @@ def test_classify_refuses_a_member_over_another_field(tmp_path, capsys):
 
     cfg = strata.StrataConfig("Z", 3, k=4, t=4, h=0)
     U = next(U for U in strata.enumerate_members(cfg)
-             if strata.classify_flag(cfg, U)[0].kind == "w")
+             if strata.classify(cfg, U)[0].kind == "w")
     path = tmp_path / "member.json"
     path.write_text(json.dumps(spc.subspace_to_json(U)))
     argv = ["strata", "classify", "--case", "z", "--q", "3", "--t", "4", "--h", "0",
@@ -219,7 +221,9 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
 
 def test_malformed_input_exits_two(tmp_path, capsys):
     # a missing key, a short row, an entry of three coefficients over
-    # GF(9) and ragged rows: each is a usage error, not a failed check
+    # GF(9), ragged rows, a top-level k that contradicts the space's, and
+    # coefficients outside 0..p-1 or not integers: each is a usage error,
+    # not a failed check
     from stratakit.gf import FieldCtx
     from stratakit import space as spc
 
@@ -227,8 +231,10 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     good = spc.subspace_to_json(spc.Subspace.from_rows(sp, [sp.e(1), sp.e(2)]))
     row = good["rows"][0]
     path = tmp_path / "subspace.json"
-    for rows in (None, [row[:2]], [[[1, 0, 1]] + row[1:]], [row, row[:3]]):
-        path.write_text(json.dumps({} if rows is None else {**good, "rows": rows}))
+    for data in ({}, {**good, "rows": [row[:2]]}, {**good, "rows": [[[1, 0, 1]] + row[1:]]},
+                 {**good, "rows": [row, row[:3]]}, {**good, "k": 7},
+                 {**good, "rows": [[[5, -1]] + row[1:]]}, {**good, "rows": [[[1.5]] + row[1:]]}):
+        path.write_text(json.dumps(data))
         code = main(["strata", "classify", "--case", "z", "--q", "3", "--k", "2",
                      "--t", "4", "--h", "2", "--input", str(path)])
         captured = capsys.readouterr()

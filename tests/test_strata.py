@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from stratakit import space as spc, strata
@@ -9,10 +10,8 @@ from stratakit.strata import (
     ConfigError,
     StrataConfig,
     StratumLabel,
-    classify_flag,
-    component_sign,
+    classify,
     enumerate_members,
-    kr_class,
     member,
     predicted_index_set,
     reachable_at_k,
@@ -41,6 +40,18 @@ def cfg_y(n, h, t, eps, k=2, p=3):
 
 def cfg_zy(t1, h, t2, k=2, p=3):
     return StrataConfig("ZY", p, 1, k, t1=t1, h=h, t2=t2)
+
+
+def classified(cfg):
+    """(U, y, label, chain dimensions, KR class) of every member, in scan
+    order, read off the block kernel's output; y is the member's line
+    (empty when U is stable)."""
+    A = strata._Arrays(cfg.build_space())
+    for blk in strata._blocks(cfg, A, None):
+        index, codes = strata.classify_block(cfg, A, blk, kr=True)
+        for i, code in zip(index.tolist(), codes.tolist()):
+            yield (strata._span(blk, i), tuple(blk.y[i].tolist()),
+                   *strata._decode(cfg, blk.v, code))
 
 
 def test_config_validation():
@@ -101,10 +112,7 @@ def test_classifier_stable_member_is_id():
     cfg = cfg_z(4, 2, k=2)
     sp = cfg.build_space()
     U = spc.Subspace.from_rows(sp, [sp.e(1)])
-    label, chain = classify_flag(cfg, U)
-    assert label == StratumLabel(1, 1, "id")
-    assert chain == [1]
-    assert kr_class(cfg, U) == "id"
+    assert classify(cfg, U) == (StratumLabel(1, 1, "id"), [1], "id")
 
 
 def test_degenerate_worst_point():
@@ -217,21 +225,18 @@ def test_rational_subspaces_solve_in_the_coordinate_scan_order(p, kind, d):
 
 def test_phi_equivariance_of_labels():
     cfg = cfg_z(4, 2)
-    for i, U in enumerate(enumerate_members(cfg)):
+    for i, (U, _, label, _, _) in enumerate(classified(cfg)):
         if i % 17:
             continue
-        l1, _ = classify_flag(cfg, U)
-        l2, _ = classify_flag(cfg, spc.apply_phi(U))
-        assert l1 == l2
+        assert classify(cfg, spc.apply_phi(U))[0] == label
 
 
 def test_kr_class_matches_label_fiber():
+    # every member of Z t6 h4, through the tally's (KR class, label) pairs
     cfg = cfg_z(6, 4)
-    for i, U in enumerate(enumerate_members(cfg)):
-        if i % 97:
-            continue
-        label, _ = classify_flag(cfg, U)
-        kr = kr_class(cfg, U)
+    tally = strata._tally(cfg, None, kr=True)
+    assert sum(tally.values()) == 66430
+    for kr, label in tally:
         if label.kind == "id":
             assert kr == "id"
         elif label.kind == "w" and label.s == cfg.frame[1]:
@@ -247,13 +252,13 @@ def test_kr_class_matches_isotropy_of_first_sum():
     kinds = set()
     for cfg in (cfg_z(4, 2), cfg_z(4, 0), cfg_y(4, 2, 0, -1), cfg_y(6, 4, 2, 1),
                 cfg_y(4, 4, 0, 1), cfg_y(5, 2, 0, -1), cfg_y(5, 4, 0, -1)):
-        for U in enumerate_members(cfg):
+        for U, _, _, _, kr in classified(cfg):
             phiU = spc.apply_phi(U)
             if phiU.rows == U.rows:
                 want = "id"
             else:
                 want = "wprime" if spc.is_isotropic(spc.sum_spaces(U, phiU)) else "w"
-            assert kr_class(cfg, U) == want, (cfg.describe(), U.rows)
+            assert kr == want, (cfg.describe(), U.rows)
             kinds.add((cfg.space_kind, want))
     assert {kind for _, kind in kinds} == {"id", "w", "wprime"}
     assert len({space for space, _ in kinds}) == 4
@@ -271,10 +276,10 @@ def test_krylov_data_applies_phi_once_per_down_step(monkeypatch):
     monkeypatch.setattr(strata, "apply_phi", counted)
     steps = 0
     for cfg in (cfg_y(4, 2, 0, 1), cfg_y(4, 2, 0, -1)):
-        for U in enumerate_members(cfg):
+        for U, _, _, dims, _ in classified(cfg):
             calls.clear()
-            _, v, _ = strata._krylov_data(spc.Subspace(U.space, U.rows, U.pivots))
-            assert v == (U.v if isinstance(U, strata.KrylovMember) else 0)
+            _, _, v = strata._krylov_data(U)
+            assert v == cfg.member_dim - dims[0]
             assert len(calls) == v
             steps += v
     assert steps > 100
@@ -363,6 +368,12 @@ def test_union_over_k_exhausts_index_set_on_small_configs():
             reachable_at_k(cfg4, l, k) for k in (1, 2, 3, 4))) == full
 
 
+def _minus(sp, spaces):
+    """The kernel's sign of each maximal isotropic: True for ``-``."""
+    rows = np.array([F.rows for F in spaces], dtype=np.int16)
+    return strata._minus(strata._Arrays(sp), rows).tolist()
+
+
 def test_component_sign():
     # the reference Lagrangian is +, and one that meets it in codimension
     # one (its e_1 swapped for f_1) is -, in both even kinds
@@ -370,36 +381,28 @@ def test_component_sign():
         sp = cfg.build_space()
         m = sp.dim // 2
         lref = reference_lagrangian(sp)
-        assert component_sign(cfg, lref) == "+"
         neighbor = spc.Subspace.from_rows(sp, [sp.e(m + 1)] + list(lref.rows[1:]))
         assert spc.is_isotropic(neighbor) and spc.intersect(neighbor, lref).dim == m - 1
-        assert component_sign(cfg, neighbor) == "-"
-        with pytest.raises(ConfigError):
-            component_sign(cfg, spc.Subspace.from_rows(sp, [sp.e(1)]))
-        with pytest.raises(ConfigError):
-            component_sign(cfg_z(4, 2), lref)
+        assert _minus(sp, [lref, neighbor]) == [False, True]
     # over GF(3) delta is no square and the non-split 4-space has no
     # Lagrangian to sign
-    cfg = cfg_y(6, 6, 2, 1, k=1)
-    sp = cfg.build_space()
+    sp = cfg_y(6, 6, 2, 1, k=1).build_space()
     with pytest.raises(ConfigError):
-        component_sign(cfg, spc.Subspace.from_rows(sp, [sp.e(1), sp.e(2)]))
+        _minus(sp, [spc.Subspace.from_rows(sp, [sp.e(1), sp.e(2)])])
 
 
 def test_component_sign_matches_intersection():
-    # the one-rank sign against dim(F cap L_ref), on every Lagrangian
-    # member of the non-split 6-space and every stable top of a wprime
-    # chain of the split 6-space
+    # the kernel's one-rank sign against dim(F cap L_ref), on every
+    # Lagrangian member of the non-split 6-space and every stable top of
+    # a wprime chain of the split 6-space
     n_lagrangian = n_tops = 0
-    cfg = cfg_y(6, 6, 0, 1)
-    for U in enumerate_members(cfg):
-        assert component_sign(cfg, U) == sign_by_intersection(U), U.rows
+    for U, _, label, _, _ in classified(cfg_y(6, 6, 0, 1)):
+        assert label.sign == sign_by_intersection(U), U.rows
         n_lagrangian += 1
-    cfg = cfg_y(6, 4, 0, -1)
-    for U in enumerate_members(cfg):
+    for U, _, label, _, _ in classified(cfg_y(6, 4, 0, -1)):
         up, stop = chain_up(U)
         if stop == "stable" and len(up) > 1:
-            assert component_sign(cfg, up[-1]) == sign_by_intersection(up[-1]), U.rows
+            assert label.sign == sign_by_intersection(up[-1]), U.rows
             n_tops += 1
     assert n_lagrangian == 560 and n_tops > 0
 
@@ -415,20 +418,19 @@ def test_frobenius_swaps_the_rulings_only_when_nonsplit():
     sp = cfg.build_space()
     naive = spc.Subspace.from_rows(sp, [sp.e(i + 1) for i in range(3)])
     assert not spc.is_isotropic(naive)
-    members = naive_kept = 0
-    for U in enumerate_members(cfg):
-        phiU = spc.apply_phi(U)
-        assert component_sign(cfg, phiU) != component_sign(cfg, U), U.rows
-        naive_kept += sign_by_intersection(phiU, naive) == sign_by_intersection(U, naive)
-        members += 1
-    assert members == 560 and naive_kept > 0
-    cfg = cfg_y(6, 4, 2, -1)
-    moved = 0
-    for F in enumerate_subspaces(cfg.build_space(), 2, isotropic_only=True):
-        phiF = spc.apply_phi(F)
-        assert component_sign(cfg, phiF) == component_sign(cfg, F), F.rows
-        moved += phiF != F
-    assert moved > 0
+    members = list(enumerate_members(cfg))
+    images = [spc.apply_phi(U) for U in members]
+    signs = _minus(sp, members + images)
+    assert signs[:560] == [not s for s in signs[560:]]
+    naive_kept = sum(sign_by_intersection(phiU, naive) == sign_by_intersection(U, naive)
+                     for U, phiU in zip(members, images))
+    assert len(members) == 560 and naive_kept > 0
+    sp = cfg_y(6, 4, 2, -1).build_space()
+    lagrangians = list(enumerate_subspaces(sp, 2, isotropic_only=True))
+    images = [spc.apply_phi(F) for F in lagrangians]
+    signs = _minus(sp, lagrangians + images)
+    assert signs[:len(lagrangians)] == signs[len(lagrangians):]
+    assert sum(phiF != F for F, phiF in zip(lagrangians, images)) > 0
 
 
 def test_signed_counts_balanced():
@@ -498,21 +500,43 @@ def test_monotonicity_witness_is_sorted(monkeypatch):
     assert mono["witness"] == sorted(mono["witness"])
 
 
+def drop_first_candidate(blocks):
+    """A block source that loses the first candidate of its first block,
+    a stable member whenever there is one."""
+    def source(*args):
+        it = blocks(*args)
+        blk = next(it)
+        yield blk._replace(which=blk.which[1:], y=blk.y[1:])
+        yield from it
+
+    return source
+
+
 def test_partition_fails_on_a_dropped_stable_member(monkeypatch):
     # the stable members come first; without one of them the stable count
     # falls short of count_oracle
-    full = strata.enumerate_members
-
-    def drop_first(cfg, budget=None):
-        members = full(cfg, budget=budget)
-        next(members)
-        yield from members
-
     cfg = cfg_y(6, 4, 2, 1)
     assert verify_decomposition(cfg)["checks"][0]["status"] == "pass"
-    monkeypatch.setattr(strata, "enumerate_members", drop_first)
+    monkeypatch.setattr(strata, "_blocks", drop_first_candidate(strata._blocks))
     part = verify_decomposition(cfg)["checks"][0]
     assert (part["name"], part["status"]) == ("partition", "fail")
+
+
+def test_kr_refinement_fails_when_u_pairs_with_itself(monkeypatch):
+    # the KR class pairs U's rows with Phi(U)'s; paired with U's own rows,
+    # an isotropic member never leaves isotropy, so the w(2,1) members read
+    # wprime against their predicted w fiber
+    cfg = cfg_z(4, 2)
+
+    def kr_check():
+        return next(c for c in verify_decomposition(cfg)["checks"] if c["name"] == "kr_refinement")
+
+    assert kr_check()["status"] == "pass"
+    pairs = strata._pairs_nonzero
+    monkeypatch.setattr(strata, "_pairs_nonzero", lambda A, U, W: pairs(A, U, U))
+    check = kr_check()
+    assert check["status"] == "fail"
+    assert check["witness"] == [{"kr": "wprime", "label": "w(2,1)", "count": 540}]
 
 
 def test_verify_budget_inconclusive():
@@ -565,24 +589,21 @@ BENCHMARK_CONFIGS = (
 
 
 def test_classifier_matches_chain_reference():
-    # the Krylov walk against the subspace chains: label, chain dimensions
-    # and KR class on every member; the recovery path (no Krylov data) on
-    # a sample of the signed configurations, both on Phi(U) and on U read
-    # back from JSON
+    # the block kernel against the subspace chains: label, chain
+    # dimensions and KR class on every member; the recovery path (a block
+    # of one after the down chain) on a sample of the signed
+    # configurations, both on Phi(U) and on U read back from JSON
     total = recovered = 0
     for cfg in BENCHMARK_CONFIGS:
         signed = cfg.case == "Y" and cfg.n % 2 == 0 and cfg.h >= cfg.n - 2
-        for i, U in enumerate(enumerate_members(cfg)):
-            label, dims = classify_flag(cfg, U)
-            assert (label, dims, kr_class(cfg, U)) == classify_by_chains(cfg, U), (
-                cfg.describe(), U.rows)
+        for i, (U, _, label, dims, kr) in enumerate(classified(cfg)):
+            assert (label, dims, kr) == classify_by_chains(cfg, U), (cfg.describe(), U.rows)
             total += 1
             if signed and i % 23 == 0:
                 phiU = spc.apply_phi(U)
-                assert classify_flag(cfg, phiU) == classify_by_chains(cfg, phiU)[:2]
+                assert classify(cfg, phiU) == classify_by_chains(cfg, phiU)
                 back = spc.subspace_from_json(spc.subspace_to_json(U))
-                assert not isinstance(back, strata.KrylovMember)
-                assert classify_flag(cfg, back) == (label, dims)
+                assert classify(cfg, back) == (label, dims, kr)
                 recovered += 1
     assert total == 34802 + 22981 + 8344
     assert recovered > 500
@@ -601,16 +622,15 @@ def test_orbit_gram_bounds_w_exits():
     n_w = 0
     for cfg in (cfg_z(4, 0, k=4), cfg_z(4, 2, k=3), cfg_y(4, 2, 0, -1, k=3)):
         k = cfg.k
-        for U in enumerate_members(cfg):
-            label, dims = classify_flag(cfg, U)
+        for U, y, label, dims, _ in classified(cfg):
             if label.kind != "w":
                 continue
             sp, ctx = U.space, U.space.ctx
-            orbit = [U.y]
+            orbit = [y]
             for _ in range(k):
                 orbit.append(spc._phi_vector(sp, orbit[-1]))
-            assert orbit[k] == U.y
-            g = [sp.form(z, U.y) for z in orbit]
+            assert orbit[k] == y
+            g = [sp.form(z, y) for z in orbit]
             first = next(m for m, x in enumerate(g) if x)
             assert first == len(dims) - 1 <= k // 2, (cfg.describe(), U.rows, g)
             for m in range(k + 1):
