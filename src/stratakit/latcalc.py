@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from .gf import FieldCtx
 from . import linalg
@@ -631,6 +632,7 @@ class _Window:
 
     def __init__(self, bot: Lattice, top: Lattice):
         R = self.ring = top.ring
+        self.top = top
         self.vecs, self.vfloor = quotient_basis(top, bot)
         self.dim = len(self.vecs)
         # bot <= top, so bot's floor is at least top's
@@ -644,10 +646,11 @@ class _Window:
         return Lattice.from_columns(R, self.bot_cols + mat_mul(R, coeffs, self.vecs),
                                     self.vfloor)
 
-    def lattices(self, budget: int | None = None, dims: tuple[int, ...] | None = None):
-        """Every lattice of the window, or those of residue dimension
-        [M : bot] in ``dims``; more than ``budget`` lattices in the whole
-        window (default ``LATTICE_BUDGET``) raises :class:`BudgetExceeded`."""
+    def subspaces(self, budget: int | None = None, dims: tuple[int, ...] | None = None):
+        """(rows, pivots) in reduced echelon form of every residue
+        subspace, or of those of dimension [M : bot] in ``dims``; more than
+        ``budget`` lattices in the whole window (default
+        ``LATTICE_BUDGET``) raises :class:`BudgetExceeded`."""
         ctx, dim = self.ring.ctx, self.dim
         total = sum(linalg.gaussian_binomial(dim, d, ctx.size) for d in range(dim + 1))
         limit = LATTICE_BUDGET if budget is None else budget
@@ -655,8 +658,11 @@ class _Window:
             raise BudgetExceeded(f"{total} intermediate lattices exceeds budget {limit}")
         for d in range(dim + 1):
             if dims is None or d in dims:
-                for rows, _ in linalg.row_spaces(ctx, range(ctx.size), dim, d):
-                    yield self.lift(rows)
+                yield from linalg.row_spaces(ctx, range(ctx.size), dim, d)
+
+    def lattices(self, budget: int | None = None, dims: tuple[int, ...] | None = None):
+        """The lifts of :meth:`subspaces`, in the same order."""
+        return (self.lift(rows) for rows, _ in self.subspaces(budget, dims))
 
 
 def _standard_window(space: HermSpace) -> _Window:
@@ -694,16 +700,43 @@ def _point_set(space: HermSpace, bot: Lattice, top: Lattice, h: int,
                      if n_point_conditions(space, M, h))
 
 
+def _residue_tau(space: HermSpace, top: Lattice):
+    """tau(b_j) mod pi top in the basis b of the tau-stable lattice top,
+    over kappa, as ``linalg._nonzero`` rows: tau(sum c_j b_j) is
+    sum sigma(c_j) tau(b_j), so a coefficient row c maps to the
+    combination of these rows with coefficients sigma(c)."""
+    R, piv = space.ring, top.pivot_valuations()
+    return linalg._nonzero([[x[0] for x in _solve_lower(R, top.basis, piv, space.tau_vec(b))]
+                            for b in top.columns()])
+
+
 def vertex_lattices_in_window(space: HermSpace, budget: int | None = None):
     """Tau-stable vertex lattices between pi L0-sharp and L0-sharp, L0
-    standard."""
+    standard.
+
+    T = L0-sharp is tau-stable (A is a constant unitary), so tau induces
+    a sigma-semilinear map on T/pi T (:func:`_residue_tau`), and
+    M = pi T + lift(S) is tau-stable exactly when that map keeps S.  Only
+    such S are lifted; the lifted tau-image and the vertex type decide.
+    """
+    window = _standard_window(space)
+    top = window.top
+    if not lattice_eq(space.tau(top), top):
+        raise LatticeError("L0-sharp is not tau-stable")
+    ctx = space.ring.ctx
+    tau_rows = _residue_tau(space, top)
+
+    @cache  # echelon rows recur across subspaces
+    def image(row):
+        return linalg._combine(ctx, window.dim, tau_rows, [ctx.FROB[x] for x in row])
+
     out = []
-    for L in _standard_window(space).lattices(budget):
-        if vertex_type(space, L) is None:
+    for rows, pivots in window.subspaces(budget):
+        if not all(linalg.contains_vector(ctx, rows, pivots, image(r)) for r in rows):
             continue
-        if not lattice_eq(space.tau(L), L):
-            continue
-        out.append(L)
+        L = window.lift(rows)
+        if vertex_type(space, L) is not None and lattice_eq(space.tau(L), L):
+            out.append(L)
     return out
 
 
@@ -791,14 +824,6 @@ def gram_family(ring: TruncRing, n: int):
     return [mixed_gram(ring, n, b) for b in range(n // 2 + 1)]
 
 
-def random_instance(window: _Window, rng: random.Random):
-    """One random lattice of a window: the lift of d random coefficient
-    rows, d uniform in 0..dim."""
-    d = rng.randrange(0, window.dim + 1)
-    size = window.ring.ctx.size
-    return window.lift([[rng.randrange(size) for _ in range(window.dim)] for _ in range(d)])
-
-
 def same_index_lemma_holds(space: HermSpace, M: Lattice) -> bool:
     """[M + tau M : M] = 1 implies [M# + tau M# : M#] = 1."""
     if index_in(space.tau_step(M), M) != 1:
@@ -866,15 +891,46 @@ def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
 _CASE_KEYS = {"Y": "case_Y", "Z": "case_Z", "Both": "case_Both"}
 
 
+def _audit_outcome(space: HermSpace, draw):
+    """(counters, counterexample record or None) of one drawn lattice: the
+    hypotheses, the same-index lemma and the dichotomy; a guard trip
+    anywhere, the draw included, counts as inconclusive.  A failed audit
+    is recorded with everything needed to replay it: Gram, tau, lattice
+    basis and floor, and result."""
+    counters = []
+    try:
+        M = draw()
+        if not check_hypotheses(space, M):
+            return ("hypothesis_rejected",), None
+        if not same_index_lemma_holds(space, M):
+            counters.append("same_index_failures")
+        res = crucial_dichotomy(space, M)
+    except GuardError:
+        return (*counters, "inconclusive"), None
+    counters.append(_CASE_KEYS.get(res["case"], "anomalous"))
+    if res["verified"]:
+        return tuple(counters), None
+    return tuple(counters), {
+        "gram": [[list(x) for x in row] for row in space.gram],
+        "tau": [[list(x) for x in row] for row in space.tau_matrix],
+        "lattice": [list(map(list, r)) for r in M.basis],
+        "vfloor": M.vfloor,
+        "result": {k: v for k, v in res.items() if k != "audits"},
+    }
+
+
 def _dichotomy_audit(p: int, e: int, s: int, n: int, seed: int, N: int,
                      counter: str, draws) -> dict:
     """The dichotomy audit loop shared by the exhaustive and random modes.
 
-    ``draws(spaces)`` yields (space, draw) pairs, where ``draw()`` returns
-    the lattice to audit.  Each pair runs the hypotheses, the same-index
-    lemma and the dichotomy; a guard trip anywhere, the draw included,
-    counts as inconclusive.  A failed audit is recorded with everything
-    needed to replay it: Gram, tau, lattice basis and floor, and result.
+    ``draws(spaces)`` yields (space, key, draw) triples, where
+    ``draw()`` returns the lattice to audit and ``key`` names it, or is
+    None for a lattice no other draw repeats.  The first draw of a key is
+    audited (:func:`_audit_outcome`) and later ones reuse its outcome,
+    counterexample record included, so every draw counts as before.  The
+    generator holds each space's :meth:`HermSpace.audit_scope` open while
+    its lattices may recur; a raise out of the loop closes it, and so the
+    scopes.
     """
     ring = TruncRing(FieldCtx(p, e, s), N)
     spaces = [HermSpace.build(ring, H, A) for H in gram_family(ring, n)
@@ -882,29 +938,16 @@ def _dichotomy_audit(p: int, e: int, s: int, n: int, seed: int, N: int,
     stats = {counter: 0, "hypothesis_rejected": 0, "case_Y": 0, "case_Z": 0,
              "case_Both": 0, "anomalous": 0, "inconclusive": 0,
              "same_index_failures": 0, "counterexamples": []}
-    for space, draw in draws(spaces):
+    outcomes = {}
+    for space, key, draw in draws(spaces):
         stats[counter] += 1
-        try:
-            with space.audit_scope():
-                M = draw()
-                if not check_hypotheses(space, M):
-                    stats["hypothesis_rejected"] += 1
-                    continue
-                if not same_index_lemma_holds(space, M):
-                    stats["same_index_failures"] += 1
-                res = crucial_dichotomy(space, M)
-        except GuardError:
-            stats["inconclusive"] += 1
-            continue
-        stats[_CASE_KEYS.get(res["case"], "anomalous")] += 1
-        if not res["verified"]:
-            stats["counterexamples"].append({
-                "gram": [[list(x) for x in row] for row in space.gram],
-                "tau": [[list(x) for x in row] for row in space.tau_matrix],
-                "lattice": [list(map(list, r)) for r in M.basis],
-                "vfloor": M.vfloor,
-                "result": {k: v for k, v in res.items() if k != "audits"},
-            })
+        if key is None or key not in outcomes:
+            outcomes[key] = _audit_outcome(space, draw)
+        counters, record = outcomes[key]
+        for name in counters:
+            stats[name] += 1
+        if record is not None:
+            stats["counterexamples"].append(record)
     return stats
 
 
@@ -916,21 +959,36 @@ def exhaustive_dichotomy(p: int, e: int, s: int, n: int = 2, seed: int = 0,
 
     def draws(spaces):
         for space in spaces:
-            for M in _standard_window(space).lattices(budget):
-                yield space, lambda M=M: M
+            # a window's lattices are all distinct: one space's memo at a time
+            with space.audit_scope():
+                window = _standard_window(space)
+                for rows, _ in window.subspaces(budget):
+                    yield space, None, partial(window.lift, rows)
 
     return _dichotomy_audit(p, e, s, n, seed, N, "instances", draws)
 
 
 def dichotomy_trials(p: int, e: int, s: int, n: int, trials: int, seed: int = 0,
                      N: int = 8) -> dict:
-    """Seeded random dichotomy audit; returns counters and counterexamples."""
+    """Seeded random dichotomy audit; returns counters and counterexamples.
+
+    A trial draws a space, then d uniform in 0..dim, then d random
+    coefficient rows of its standard window.  The lift is kappa-linear, so
+    the lattice depends only on the rows' span, and (space index, reduced
+    echelon form) keys the draw."""
     rng = random.Random(seed)
 
     def draws(spaces):
-        windows = [_standard_window(space) for space in spaces]
-        for _ in range(trials):
-            i = rng.randrange(len(spaces))
-            yield spaces[i], lambda: random_instance(windows[i], rng)
+        ctx = spaces[0].ring.ctx
+        with ExitStack() as scopes:
+            for space in spaces:  # chain ends recur across trials: one memo per run
+                scopes.enter_context(space.audit_scope())
+            windows = [_standard_window(space) for space in spaces]
+            for _ in range(trials):
+                i = rng.randrange(len(spaces))
+                dim = windows[i].dim
+                d = rng.randrange(0, dim + 1)
+                rows = [[rng.randrange(ctx.size) for _ in range(dim)] for _ in range(d)]
+                yield spaces[i], (i, linalg.rref(ctx, rows)[0]), partial(windows[i].lift, rows)
 
     return _dichotomy_audit(p, e, s, n, seed, N, "trials", draws)

@@ -2,7 +2,6 @@ import functools
 import json
 import random
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -522,54 +521,160 @@ def test_inclusion_report_independent_of_truncation(n, h, s):
     assert reports[0] == reports[1]
 
 
-def _count_bodies(monkeypatch):
-    """Count, per audit scope, the runs of the unmemoized dual, tau and
-    tau-step bodies keyed by (op, vfloor, basis), and the memo lookups."""
-    audits, current = [], []
+def _assert_each_lattice_computed_once(monkeypatch, audit):
+    """Run the audit counting, per space, the audit scopes opened, the
+    memoized dual, tau and tau-step bodies run, keyed by (op, vfloor,
+    basis), and the memo lookups."""
+    opened, runs, asked = Counter(), Counter(), Counter()
     open_scope, memoized = HermSpace.audit_scope, HermSpace._memoized
 
-    @contextmanager
     def audit_scope(self):
-        audits.append((Counter(), Counter()))
-        current.append(audits[-1])
-        try:
-            with open_scope(self):
-                yield
-        finally:
-            current.pop()
-
-    def counted(op, body, lattice_arg):
-        def run(*args):
-            if current:
-                L = args[lattice_arg]
-                current[-1][0][op, L.vfloor, L.basis] += 1
-            return body(*args)
-        return run
+        opened[self] += 1
+        return open_scope(self)
 
     def looked_up(self, op, compute, L):
-        if current:
-            current[-1][1][op] += 1
-        return memoized(self, op, compute, L)
+        if self.memo is None:
+            return memoized(self, op, compute, L)
+        asked[op] += 1
+
+        def counted(space, L):
+            runs[space, op, L.vfloor, L.basis] += 1
+            return compute(space, L)
+
+        return memoized(self, op, counted, L)
 
     monkeypatch.setattr(HermSpace, "audit_scope", audit_scope)
     monkeypatch.setattr(HermSpace, "_memoized", looked_up)
-    monkeypatch.setattr(lc, "_dual_sharp", counted("dual", lc._dual_sharp, 1))
-    monkeypatch.setattr(HermSpace, "_tau", counted("tau", HermSpace._tau, 1))
-    # inside an audit, lattice_sum runs only as the body of tau_step
-    monkeypatch.setattr(lc, "lattice_sum", counted("step", lc.lattice_sum, 0))
-    return audits
-
-
-def test_audit_computes_each_lattice_once(monkeypatch):
-    audits = _count_bodies(monkeypatch)
-    stats = lc.dichotomy_trials(3, 1, 2, 3, 50, seed=0)
-    assert len(audits) == stats["trials"] == 50
-    computed = Counter(op for runs, _ in audits for op, _, _ in runs)
-    asked = sum((lookups for _, lookups in audits), Counter())
-    assert all(c == 1 for runs, _ in audits for c in runs.values())
+    audit()
+    # one memo per space for the whole run, and in it each (op, lattice)
+    # is computed at most once
+    assert opened and set(opened.values()) == {1}
+    assert runs and set(runs.values()) == {1}
+    computed = Counter(op for _, op, _, _ in runs)
     assert set(computed) == {"dual", "tau", "step"}
     # the memo is what saves the work: each op is asked for more often
     assert all(asked[op] > computed[op] for op in computed)
+
+
+def test_audit_computes_each_lattice_once(monkeypatch):
+    _assert_each_lattice_computed_once(
+        monkeypatch, lambda: lc.dichotomy_trials(3, 1, 2, 3, 200, seed=0))
+
+
+def test_exhaustive_audit_computes_each_lattice_once(monkeypatch):
+    _assert_each_lattice_computed_once(
+        monkeypatch, lambda: lc.exhaustive_dichotomy(3, 1, 2, n=2))
+
+
+def test_a_raising_audit_closes_every_memo(monkeypatch):
+    built = []
+    build = HermSpace.build
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def refusing(space, M):
+        raise LatticeError("forced")
+
+    monkeypatch.setattr(HermSpace, "build", staticmethod(recording))
+    monkeypatch.setattr(lc, "crucial_dichotomy", refusing)
+    for audit in (lambda: lc.dichotomy_trials(3, 1, 2, 3, 50, seed=0),
+                  lambda: lc.exhaustive_dichotomy(3, 1, 2, n=2)):
+        with pytest.raises(LatticeError):
+            audit()
+    assert built and all(sp.memo is None for sp in built)
+
+
+def fresh_dichotomy_trials(p, e, s, n, trials, seed=0, N=8):
+    """Reference for :func:`lc.dichotomy_trials`: the same draws, each
+    lifted and audited afresh with no memo and no reuse of outcomes."""
+    rng = random.Random(seed)
+    ring = TruncRing(FieldCtx(p, e, s), N)
+    spaces = [HermSpace.build(ring, H, A) for H in lc.gram_family(ring, n)
+              for A in tau_generator_set(ring, n, seed, H)]
+    windows = [lc._standard_window(sp) for sp in spaces]
+    stats = dict.fromkeys(("trials", "hypothesis_rejected", "case_Y", "case_Z", "case_Both",
+                           "anomalous", "inconclusive", "same_index_failures"), 0)
+    stats["counterexamples"] = []
+    for _ in range(trials):
+        i = rng.randrange(len(spaces))
+        space, window = spaces[i], windows[i]
+        stats["trials"] += 1
+        try:
+            d = rng.randrange(0, window.dim + 1)
+            M = window.lift([[rng.randrange(ring.ctx.size) for _ in range(window.dim)]
+                             for _ in range(d)])
+            if not lc.check_hypotheses(space, M):
+                stats["hypothesis_rejected"] += 1
+                continue
+            if not lc.same_index_lemma_holds(space, M):
+                stats["same_index_failures"] += 1
+            res = lc.crucial_dichotomy(space, M)
+        except GuardError:
+            stats["inconclusive"] += 1
+            continue
+        stats[{"Y": "case_Y", "Z": "case_Z", "Both": "case_Both"}.get(res["case"], "anomalous")] += 1
+        if not res["verified"]:
+            stats["counterexamples"].append({
+                "gram": [[list(x) for x in row] for row in space.gram],
+                "tau": [[list(x) for x in row] for row in space.tau_matrix],
+                "lattice": [list(map(list, r)) for r in M.basis],
+                "vfloor": M.vfloor,
+                "result": {k: v for k, v in res.items() if k != "audits"},
+            })
+    return stats
+
+
+REUSE_RUNS = [(3, 2, 300, 0, 8), (3, 2, 300, 1, 3), (2, 2, 200, 3, 2), (4, 1, 150, 7, 8)]
+
+
+@pytest.mark.parametrize("n,s,trials,seed,N", REUSE_RUNS)
+def test_reused_outcomes_equal_fresh_audits(n, s, trials, seed, N):
+    stats = lc.dichotomy_trials(3, 1, s, n, trials, seed=seed, N=N)
+    assert stats == fresh_dichotomy_trials(3, 1, s, n, trials, seed=seed, N=N)
+
+
+def test_reused_counterexamples_are_one_record_per_trial(monkeypatch):
+    # the refused link of test_dichotomy_audit_fails_on_a_refused_link:
+    # every decided audit fails, repeated draws included
+    real_dual, real_contains = lc.dual_sharp, lc.contains
+    dual_pairs = set()
+
+    def recording_dual(space, L):
+        D = real_dual(space, L)
+        dual_pairs.add((D.key(), L.key()))
+        return D
+
+    def refusing(big, small):
+        return (big.key(), small.key()) not in dual_pairs and real_contains(big, small)
+
+    monkeypatch.setattr(lc, "dual_sharp", recording_dual)
+    monkeypatch.setattr(lc, "contains", refusing)
+    stats = lc.dichotomy_trials(3, 1, 2, 2, 120, seed=0)
+    decided = sum(stats[k] for k in ("case_Y", "case_Z", "case_Both", "anomalous"))
+    assert decided and len(stats["counterexamples"]) == decided
+    # fewer distinct lattices than trials: some records are reused
+    distinct = {json.dumps(r, sort_keys=True) for r in stats["counterexamples"]}
+    assert len(distinct) < decided
+    assert stats == fresh_dichotomy_trials(3, 1, 2, 2, 120, seed=0)
+
+
+def test_reused_guard_trips_stay_inconclusive(monkeypatch):
+    # the dual trips the guard on every lattice of odd det valuation (not
+    # on the standard lattice, so the windows still build); a trip stores
+    # nothing in the memo, and a repeated draw is inconclusive again
+    body = lc._dual_sharp
+
+    def tripping(space, L):
+        if L.det_valuation() % 2:
+            raise GuardError("forced trip")
+        return body(space, L)
+
+    monkeypatch.setattr(lc, "_dual_sharp", tripping)
+    stats = lc.dichotomy_trials(3, 1, 2, 3, 300, seed=0)
+    assert stats["inconclusive"] and stats["case_Y"] + stats["case_Z"] + stats["case_Both"]
+    assert stats == fresh_dichotomy_trials(3, 1, 2, 3, 300, seed=0)
 
 
 def test_memoized_results_equal_fresh_computations(monkeypatch):

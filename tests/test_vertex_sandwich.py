@@ -170,6 +170,69 @@ def test_point_set_layer_equals_the_full_window_filter(monkeypatch, n, h, s):
     assert nonempty
 
 
+def full_window_catalogs(ring, gram, taus):
+    """Reference for :func:`lc.vertex_lattices_in_window`: lift every
+    lattice of the standard window and keep the tau-stable vertex
+    lattices.  The window and the vertex types depend on the Gram alone,
+    so they are computed once for all the tau matrices."""
+    spaces = [HermSpace.build(ring, gram, A) for A in taus]
+    sp = spaces[0]
+    vertex = [L for L in lc._standard_window(sp).lattices() if vertex_type(sp, L) is not None]
+    return [(sp, [L for L in vertex if lc.lattice_eq(sp.tau(L), L)]) for sp in spaces]
+
+
+@pytest.mark.parametrize("n,s", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1),
+                                 pytest.param(4, 2, marks=pytest.mark.slow)])
+def test_catalog_equals_the_full_window_filter(n, s):
+    # every Gram of the family with the tau generators of seeds 0-2
+    ring = TruncRing(FieldCtx(3, 1, s), 8)
+    found = Counter()
+    for gram in lc.gram_family(ring, n):
+        taus = list(dict.fromkeys(A for seed in range(3)
+                                  for A in tau_generator_set(ring, n, seed, gram)))
+        for sp, want in full_window_catalogs(ring, gram, taus):
+            got = lc.vertex_lattices_in_window(sp)
+            assert [L.key() for L in got] == [L.key() for L in want], (gram, sp.tau_matrix)
+            found[bool(want)] += 1
+    assert found[True], found
+
+
+@pytest.mark.parametrize("n,s", [(2, 2), (3, 2), (4, 1), pytest.param(4, 2, marks=pytest.mark.slow)])
+def test_catalog_lifts_only_tau_stable_subspaces(monkeypatch, n, s):
+    # pi T + lift(S) is tau-stable exactly when S is stable under the
+    # sigma-semilinear residue map, so the lifts are the tau-stable
+    # lattices of the window, counted here by lifting every lattice
+    sp, catalog = _inclusion_space(n, s)
+    every = list(lc._standard_window(sp).lattices())
+    stable = sum(lc.lattice_eq(sp.tau(L), L) for L in every)
+    lifts = []
+    lift = lc._Window.lift
+
+    def counted(window, rows):
+        lifts.append(rows)
+        return lift(window, rows)
+
+    monkeypatch.setattr(lc._Window, "lift", counted)
+    assert [L.key() for L in lc.vertex_lattices_in_window(sp)] == [L.key() for L in catalog]
+    assert len(lifts) == stable < len(every)
+
+
+def test_catalog_refuses_a_window_top_that_tau_moves(monkeypatch):
+    # with tau(L0-sharp) != L0-sharp the residue map is not defined, and
+    # the catalog raises rather than skip the residue test
+    ring = TruncRing(FieldCtx(3, 1, 2), 8)
+    sp = HermSpace.build(ring, mixed_gram(ring, 2, 0), tau_generator_set(ring, 2, 0)[0])
+    top = lc._standard_window(sp).top
+    real_tau = HermSpace.tau
+
+    def moving(space, L):
+        return L.scale(1) if lc.lattice_eq(L, top) else real_tau(space, L)
+
+    monkeypatch.setattr(HermSpace, "tau", moving)
+    with pytest.raises(lc.LatticeError, match="not tau-stable"):
+        lc.vertex_lattices_in_window(sp)
+
+
 def test_point_set_budget_counts_the_whole_window():
     sp, catalog = _inclusion_space(3, 2)
     lam = next(L for L in catalog if vertex_type(sp, L) == 2)
