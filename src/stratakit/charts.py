@@ -74,13 +74,10 @@ class ChartSpec:
         return None
 
     def dimension(self) -> int:
-        if self.family == "Z":
-            return (self.t1 + self.h) // 2
-        if self.family == "Y":
-            return self.n - (self.h + self.t2) // 2 - 1
-        if self.family == "ZY":
-            return (self.t1 - self.t2) // 2 - 1
-        return self.n // 2 - self.t2 // 2 - 1
+        if self.family == "pi-modular":
+            return self.n // 2 - self.t2 // 2 - 1
+        dim_z, dim_y, dim_zy = strata_dims(self.n, self.h, self.t1, self.t2)
+        return {"Z": dim_z, "Y": dim_y, "ZY": dim_zy}[self.family]
 
 
 def rank1_closed_form(a: int, b: int, q: int) -> int:

@@ -40,6 +40,10 @@ class LatticeError(ValueError):
     pass
 
 
+class ChainBreach(LatticeError):
+    """A tau-chain broke the chain lemma; an audit records a counterexample."""
+
+
 class TruncRing:
     """GF(q^s)[pi]/(pi^(2N)) with conjugation and Frobenius."""
 
@@ -474,11 +478,11 @@ def tau_chain(space: HermSpace, M: Lattice):
         if lattice_eq(nxt, cur):
             return len(chain) - 1, chain
         if index_in(nxt, cur) != 1:
-            raise LatticeError("chain step has index > 1 (hypothesis violated)")
+            raise ChainBreach("chain step has index > 1 (hypothesis violated)")
         chain.append(nxt)
         cur = nxt
         if len(chain) > 4 * space.n + 4:
-            raise LatticeError("chain failed to stabilize (bug)")
+            raise ChainBreach("chain failed to stabilize (bug)")
 
 
 def check_hypotheses(space: HermSpace, M: Lattice) -> bool:
@@ -539,29 +543,7 @@ def crucial_dichotomy(space: HermSpace, M: Lattice) -> dict:
     }
 
 
-# -- residue quotients and induced forms -----------------------------------
-
-def quotient_basis(big: Lattice, small: Lattice):
-    """(vectors, floor): columns of big's basis that lift a basis of the
-    residue space big/small, which must be pi-elementary (pi big <= small
-    <= big); the lattices between are its subspaces, lifted through them.
-
-    With small = big . X, the constant terms of X span small/pi big inside
-    big/pi big = kappa^n; the columns at the non-pivot positions of their
-    echelon form span a complement, and they are a basis of big/small
-    exactly when their number is the index.  The actual vectors are
-    pi^floor times the returned coefficient vectors.
-    """
-    X = _coordinates(big, small)
-    if X is None:
-        raise LatticeError("not contained")
-    _, pivots = linalg.rref(big.ring.ctx, [[x[0] for x in col] for col in X])
-    free = [i for i in range(big.n) if i not in pivots]
-    if index_in(big, small) != len(free):
-        raise LatticeError("quotient is not pi-elementary")
-    cols = big.columns()
-    return [cols[i] for i in free], big.vfloor
-
+# -- residue windows -------------------------------------------------------
 
 def _residue(R: TruncRing, h0, pi_offset: int) -> int:
     """Residue mod pi of pi^pi_offset * h0, for an integral product.
@@ -578,63 +560,31 @@ def _residue(R: TruncRing, h0, pi_offset: int) -> int:
     return h0[idx]
 
 
-def induced_forms(space: HermSpace, lam: Lattice):
-    """(alternating Gram on dual/lam, symmetric Gram on lam/pi*dual).
-
-    Residues are elements of the coefficient field; both forms are
-    checked non-degenerate, the first alternating, the second symmetric.
-    """
-    R = space.ring
-    ctx = R.ctx
-    lam_s = dual_sharp(space, lam)
-    if vertex_type(space, lam) is None:
-        raise LatticeError("induced forms need a vertex lattice")
-
-    def gram_of(vecs, floor, extra_pi):
-        # vectors are pi^floor * v0; h(x, y) = (-1)^floor pi^(2 floor) h(x0, y0)
-        sign = 1 if floor % 2 == 0 else -1
-        rows = []
-        for x in vecs:
-            row = []
-            for y in vecs:
-                h0 = space.herm(list(x), list(y))
-                res = _residue(R, h0, extra_pi + 2 * floor)
-                if sign < 0:
-                    res = ctx.neg(res)
-                row.append(res)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    symp_vecs, f1 = quotient_basis(lam_s, lam)
-    gram1 = gram_of(symp_vecs, f1, extra_pi=1)  # residue of pi * h
-    symm_vecs, f2 = quotient_basis(lam, lam_s.scale(1))
-    gram2 = gram_of(symm_vecs, f2, extra_pi=0)  # residue of h
-    for name, g, want in (("alternating", gram1, -1), ("symmetric", gram2, +1)):
-        d = len(g)
-        for i in range(d):
-            for j in range(d):
-                expect = g[j][i] if want == 1 else ctx.neg(g[j][i])
-                if g[i][j] != expect:
-                    raise LatticeError(f"induced form is not {name}")
-            if want == -1 and g[i][i] != 0:
-                raise LatticeError("induced form is not alternating")
-        if d and linalg.rank(ctx, tuple(tuple(r) for r in g)) != d:
-            raise LatticeError("induced form is degenerate")
-    return gram1, gram2
-
-
-# -- enumeration of intermediate lattices ----------------------------------
-
 class _Window:
     """The lattices between ``bot`` and ``top`` (pi top <= bot <= top): the
-    residue-field subspaces of top/bot, each lifted through top's basis
-    and added to bot."""
+    subspaces of the residue space top/bot over kappa, each lifted through
+    top's basis and added to bot.
+
+    With bot = top . X, the constant terms of X span bot/pi top inside
+    top/pi top = kappa^n; ``bot_rows`` and ``bot_pivots`` are their reduced
+    echelon form, and top's basis columns at the other positions
+    (``free``, lifted as ``vecs`` with top's floor) are a basis of top/bot
+    exactly when their number is the index.
+    """
 
     def __init__(self, bot: Lattice, top: Lattice):
         R = self.ring = top.ring
         self.top = top
-        self.vecs, self.vfloor = quotient_basis(top, bot)
-        self.dim = len(self.vecs)
+        X = _coordinates(top, bot)
+        if X is None:
+            raise LatticeError("not contained")
+        self.bot_rows, self.bot_pivots = linalg.rref(R.ctx, [[x[0] for x in col] for col in X])
+        self.free = [i for i in range(top.n) if i not in self.bot_pivots]
+        self.dim = len(self.free)
+        if index_in(top, bot) != self.dim:
+            raise LatticeError("quotient is not pi-elementary")
+        cols = top.columns()
+        self.vecs, self.vfloor = [cols[i] for i in self.free], top.vfloor
         # bot <= top, so bot's floor is at least top's
         self.bot_cols = [tuple(R.shift(x, bot.vfloor - self.vfloor) for x in c)
                          for c in bot.columns()]
@@ -646,23 +596,71 @@ class _Window:
         return Lattice.from_columns(R, self.bot_cols + mat_mul(R, coeffs, self.vecs),
                                     self.vfloor)
 
-    def subspaces(self, budget: int | None = None, dims: tuple[int, ...] | None = None):
-        """(rows, pivots) in reduced echelon form of every residue
-        subspace, or of those of dimension [M : bot] in ``dims``; more than
-        ``budget`` lattices in the whole window (default
-        ``LATTICE_BUDGET``) raises :class:`BudgetExceeded`."""
+    def gate(self, budget: int | None) -> None:
+        """Refuse a window of more than ``budget`` lattices (default
+        ``LATTICE_BUDGET``), counted in closed form before any residue
+        work, with :class:`BudgetExceeded`."""
         ctx, dim = self.ring.ctx, self.dim
         total = sum(linalg.gaussian_binomial(dim, d, ctx.size) for d in range(dim + 1))
         limit = LATTICE_BUDGET if budget is None else budget
         if total > limit:
             raise BudgetExceeded(f"{total} intermediate lattices exceeds budget {limit}")
-        for d in range(dim + 1):
-            if dims is None or d in dims:
-                yield from linalg.row_spaces(ctx, range(ctx.size), dim, d)
 
-    def lattices(self, budget: int | None = None, dims: tuple[int, ...] | None = None):
-        """The lifts of :meth:`subspaces`, in the same order."""
-        return (self.lift(rows) for rows, _ in self.subspaces(budget, dims))
+    def subspaces(self, dims=None, gram=None):
+        """(rows, pivots) in reduced echelon form of every residue subspace,
+        or of those of a dimension in ``dims``; with a Gram over kappa, only
+        the totally isotropic ones (:func:`linalg.row_spaces`)."""
+        ctx = self.ring.ctx
+        for d in range(self.dim + 1) if dims is None else dims:
+            yield from linalg.row_spaces(ctx, range(ctx.size), self.dim, d, gram)
+
+    def form(self, space: HermSpace, extra_pi: int):
+        """Gram over kappa of the residue of pi^extra_pi h on top/bot, in
+        the basis ``vecs``: h(pi^f x, pi^f y) = (-1)^f pi^(2f) h(x, y)."""
+        R, f = self.ring, self.vfloor
+        sign = R.ctx.NEG if f % 2 else range(R.ctx.size)
+        return tuple(tuple(sign[_residue(R, space.herm(x, y), extra_pi + 2 * f)]
+                           for y in self.vecs) for x in self.vecs)
+
+    def tau_jump(self, space: HermSpace):
+        """(rows, pivots, bound) -> whether dim(S + tau S) - dim S <= bound
+        for the residue subspace S in reduced echelon form, tau acting on
+        top/bot (both tau-stable).  The jump is the rank of the images of
+        the rows reduced modulo S.
+
+        tau(sum c_j b_j) is sum sigma(c_j) tau(b_j) over top's basis b;
+        tau(b_j) mod pi top, reduced modulo bot/pi top, is zero at the
+        pivots, and its free entries are the image of b_j in top/bot.
+        """
+        R, top = self.ring, self.top
+        ctx, piv = R.ctx, top.pivot_valuations()
+        images = []
+        for b in top.columns():
+            x = _solve_lower(R, top.basis, piv, space.tau_vec(b))
+            if x is None:
+                raise LatticeError("window top is not tau-stable")
+            images.append(linalg.residual(ctx, self.bot_rows, self.bot_pivots, [c[0] for c in x]))
+        if any(any(linalg._combine(ctx, top.n, linalg._nonzero(images), [ctx.FROB[c] for c in r]))
+               for r in self.bot_rows):
+            raise LatticeError("window bottom is not tau-stable")
+        tau_rows = linalg._nonzero([[images[i][j] for j in self.free] for i in self.free])
+
+        @cache  # echelon rows recur across subspaces
+        def image(row):
+            return linalg._combine(ctx, self.dim, tau_rows, [ctx.FROB[c] for c in row])
+
+        def jump_at_most(rows, pivots, bound):
+            moved = []
+            for r in rows:
+                v = linalg.residual(ctx, rows, pivots, image(r))
+                if any(v):
+                    moved.append(v)
+                    # a single moved row has rank 1: bound 0 fails without a rank
+                    if len(moved) > bound and (bound == 0 or linalg.rank(ctx, moved) > bound):
+                        return False
+            return True
+
+        return jump_at_most
 
 
 def _standard_window(space: HermSpace) -> _Window:
@@ -674,69 +672,57 @@ def _standard_window(space: HermSpace) -> _Window:
 
 # -- point sets of the stratification ---------------------------------------
 
-def n_point_conditions(space: HermSpace, M: Lattice, h: int) -> bool:
-    """Lattice-model point conditions: pi M# <= M <=(h) M#, the pi-window
-    around tau, and the unit index jump."""
-    if vertex_type(space, M) != h:
-        return False
-    tM = space.tau(M)
-    if not (contains(tM, M.scale(1)) and contains(M, tM.scale(1))):
-        return False
-    return index_in(lattice_sum(M, tM), M) <= 1
+def _point_set(space: HermSpace, lam: Lattice, lam_s: Lattice, h: int,
+               budget: int | None, side: str) -> frozenset:
+    """Keys of the type-h points of the closed stratum of the tau-stable
+    vertex lattice lam (type t, dual lam_s): the lattices M of type h with
+    [M + tau M : M] <= 1, lam <= M <= lam_s on the Z side (t >= h) and
+    pi lam_s <= M <= lam on the Y side (t <= h).
 
-
-def _point_set(space: HermSpace, bot: Lattice, top: Lattice, h: int,
-               budget: int | None) -> frozenset:
-    """Keys of the lattices bot <= M <= top with the point conditions: the
-    closed stratum of a vertex lattice lam of type >= h is the set between
-    lam and lam#, the dual-side one of type <= h the set between pi lam#
-    and lam.
-
-    A lattice with [M : bot] = d has type 2 (val det bot - d) + val det H,
-    so only the one layer with that type h is enumerated.
+    They are solved over kappa.  On the Z side, M = lam + lift(U) for U
+    isotropic of dimension (t - h)/2 under the residue of pi h on
+    lam_s/lam.  On the Y side, M/pi lam_s = X^perp for X isotropic of
+    dimension (h - t)/2 under the residue of h on lam/pi lam_s.  In both,
+    [M + tau M : M] is the jump of U (taking perps keeps it), and only the
+    solutions are lifted.  The budget counts the whole window.
     """
-    d, odd = divmod(2 * bot.det_valuation() + space.det_val - h, 2)
-    return frozenset(M.key() for M in _Window(bot, top).lattices(budget, () if odd else (d,))
-                     if n_point_conditions(space, M, h))
-
-
-def _residue_tau(space: HermSpace, top: Lattice):
-    """tau(b_j) mod pi top in the basis b of the tau-stable lattice top,
-    over kappa, as ``linalg._nonzero`` rows: tau(sum c_j b_j) is
-    sum sigma(c_j) tau(b_j), so a coefficient row c maps to the
-    combination of these rows with coefficients sigma(c)."""
-    R, piv = space.ring, top.pivot_valuations()
-    return linalg._nonzero([[x[0] for x in _solve_lower(R, top.basis, piv, space.tau_vec(b))]
-                            for b in top.columns()])
+    y = side == "Y"
+    window = _Window(lam_s.scale(1), lam) if y else _Window(lam, lam_s)
+    window.gate(budget)
+    t = 2 * lam.det_valuation() + space.det_val
+    d, odd = divmod(h - t if y else t - h, 2)
+    if odd:
+        return frozenset()
+    ctx, gram = space.ring.ctx, window.form(space, 0 if y else 1)
+    jump_at_most, gram_nz = window.tau_jump(space), linalg._nonzero(gram)
+    out = set()
+    for rows, pivots in window.subspaces((d,), gram):
+        if jump_at_most(rows, pivots, 1):
+            if y:
+                XG = [linalg._functional(ctx, gram_nz, r) for r in rows]
+                rows = linalg.nullspace(ctx, XG, window.dim)[0]
+            out.add(window.lift(rows).key())
+    return frozenset(out)
 
 
 def vertex_lattices_in_window(space: HermSpace, budget: int | None = None):
     """Tau-stable vertex lattices between pi L0-sharp and L0-sharp, L0
     standard.
 
-    T = L0-sharp is tau-stable (A is a constant unitary), so tau induces
-    a sigma-semilinear map on T/pi T (:func:`_residue_tau`), and
-    M = pi T + lift(S) is tau-stable exactly when that map keeps S.  Only
-    such S are lifted; the lifted tau-image and the vertex type decide.
+    T = L0-sharp is tau-stable (A is a constant unitary), so tau acts on
+    T/pi T, and M = pi T + lift(S) is tau-stable exactly when S has jump 0
+    (:meth:`_Window.tau_jump`).  Only such S are lifted; the lifted
+    tau-image and the vertex type decide.
     """
     window = _standard_window(space)
-    top = window.top
-    if not lattice_eq(space.tau(top), top):
-        raise LatticeError("L0-sharp is not tau-stable")
-    ctx = space.ring.ctx
-    tau_rows = _residue_tau(space, top)
-
-    @cache  # echelon rows recur across subspaces
-    def image(row):
-        return linalg._combine(ctx, window.dim, tau_rows, [ctx.FROB[x] for x in row])
-
+    window.gate(budget)
+    jump_at_most = window.tau_jump(space)  # raises unless tau keeps T
     out = []
-    for rows, pivots in window.subspaces(budget):
-        if not all(linalg.contains_vector(ctx, rows, pivots, image(r)) for r in rows):
-            continue
-        L = window.lift(rows)
-        if vertex_type(space, L) is not None and lattice_eq(space.tau(L), L):
-            out.append(L)
+    for rows, pivots in window.subspaces():
+        if jump_at_most(rows, pivots, 0):
+            L = window.lift(rows)
+            if vertex_type(space, L) is not None and lattice_eq(space.tau(L), L):
+                out.append(L)
     return out
 
 
@@ -849,8 +835,8 @@ def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
     zl = [L for L in catalog if types[L] >= h]
     yl = [L for L in catalog if types[L] <= h]
     sharp = {L: dual_sharp(space, L) for L in catalog}
-    zs = {L: _point_set(space, L, sharp[L], h, budget) for L in zl}
-    ys = {L: _point_set(space, sharp[L].scale(1), L, h, budget) for L in yl}
+    zs = {L: _point_set(space, L, sharp[L], h, budget, "Z") for L in zl}
+    ys = {L: _point_set(space, L, sharp[L], h, budget, "Y") for L in yl}
     # (name, left family, right family, set relation, lattice predicate).
     # In the lattice model both one-sided containments require the small
     # lattice inside the big one (the printed statements reverse this,
@@ -894,9 +880,10 @@ _CASE_KEYS = {"Y": "case_Y", "Z": "case_Z", "Both": "case_Both"}
 def _audit_outcome(space: HermSpace, draw):
     """(counters, counterexample record or None) of one drawn lattice: the
     hypotheses, the same-index lemma and the dichotomy; a guard trip
-    anywhere, the draw included, counts as inconclusive.  A failed audit
-    is recorded with everything needed to replay it: Gram, tau, lattice
-    basis and floor, and result."""
+    anywhere, the draw included, counts as inconclusive, and a chain-lemma
+    breach as an anomalous case.  A failed audit is recorded with
+    everything needed to replay it: Gram, tau, lattice basis and floor,
+    and result (the breach's message for a breach)."""
     counters = []
     try:
         M = draw()
@@ -907,15 +894,20 @@ def _audit_outcome(space: HermSpace, draw):
         res = crucial_dichotomy(space, M)
     except GuardError:
         return (*counters, "inconclusive"), None
-    counters.append(_CASE_KEYS.get(res["case"], "anomalous"))
-    if res["verified"]:
-        return tuple(counters), None
+    except ChainBreach as exc:
+        counters.append("anomalous")
+        result = str(exc)
+    else:
+        counters.append(_CASE_KEYS.get(res["case"], "anomalous"))
+        if res["verified"]:
+            return tuple(counters), None
+        result = {k: v for k, v in res.items() if k != "audits"}
     return tuple(counters), {
         "gram": [[list(x) for x in row] for row in space.gram],
         "tau": [[list(x) for x in row] for row in space.tau_matrix],
         "lattice": [list(map(list, r)) for r in M.basis],
         "vfloor": M.vfloor,
-        "result": {k: v for k, v in res.items() if k != "audits"},
+        "result": result,
     }
 
 
@@ -962,7 +954,8 @@ def exhaustive_dichotomy(p: int, e: int, s: int, n: int = 2, seed: int = 0,
             # a window's lattices are all distinct: one space's memo at a time
             with space.audit_scope():
                 window = _standard_window(space)
-                for rows, _ in window.subspaces(budget):
+                window.gate(budget)
+                for rows, _ in window.subspaces():
                     yield space, None, partial(window.lift, rows)
 
     return _dichotomy_audit(p, e, s, n, seed, N, "instances", draws)

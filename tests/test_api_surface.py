@@ -18,7 +18,6 @@ ALLOWED = {
     "weyl.orthogonal_even_w_word": _WEYL_FAMILIES,
     "weyl.symplectic_w_lambda_word": _WEYL_FAMILIES,
     "weyl.symplectic_wprime_lambda_word": _WEYL_FAMILIES,
-    "latcalc.induced_forms": "the residue forms of a vertex lattice, checked but not yet audited",
     "charts.predicates": "the paper's smoothness and Gorenstein criteria, no CLI command yet",
 }
 

@@ -6,8 +6,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from point_reference import lifts, side_window
 from stratakit.gf import FieldCtx
-from stratakit import latcalc as lc
+from stratakit import latcalc as lc, report
 from stratakit.linalg import gaussian_binomial
 from stratakit.latcalc import (
     GuardError,
@@ -18,11 +19,9 @@ from stratakit.latcalc import (
     crucial_dichotomy,
     dual_sharp,
     index_in,
-    induced_forms,
     lattice_eq,
     lattice_sum,
     mixed_gram,
-    quotient_basis,
     standard_lattice,
     tau_chain,
     tau_generator_set,
@@ -256,6 +255,37 @@ def test_tau_chain_examples():
         assert all(index_in(chain[i + 1], chain[i]) == 1 for i in range(c))
 
 
+def test_a_chain_lemma_breach_is_a_counterexample(monkeypatch, capsys):
+    # the third tau-chain of the run takes a step of index n = 2: the
+    # audit records it as an anomalous case with a replayable record, and
+    # the report survives (exit 1, not the usage error 2)
+    from stratakit.cli import main
+
+    chain, calls = lc.tau_chain, []
+
+    def breaking(space, M):
+        calls.append(M)
+        if len(calls) != 3:
+            return chain(space, M)
+        with monkeypatch.context() as m:
+            m.setattr(HermSpace, "tau_step", lambda sp, L: L.scale(-1))
+            return chain(space, M)
+
+    monkeypatch.setattr(lc, "tau_chain", breaking)
+    assert main(["latcalc", "dichotomy", "--n", "2", "--s", "2", "--exhaustive"]) == 1
+    stable = json.loads(capsys.readouterr().out)["stable"]
+    counts = {c["label"]: c["count"] for c in stable["counts"]}
+    assert counts["anomalous"] == 1 and counts["inconclusive"] == 0
+    status = {c["name"]: c["status"] for c in stable["checks"]}
+    assert status["no_anomalous_cases"] == status["no_counterexamples"] == "fail"
+    found = next(c for c in stable["checks"] if c["name"] == "no_counterexamples")
+    [record] = found["witness"]
+    assert record["result"] == "chain step has index > 1 (hypothesis violated)"
+    R = TruncRing(FieldCtx(3, 1, 2), 8)
+    lattice = Lattice(R, 2, record["vfloor"], tuple(tuple(map(tuple, r)) for r in record["lattice"]))
+    assert lattice.key() == calls[2].key()
+
+
 def test_dichotomy_worst_point_is_both():
     R = ring9()
     sp = pi_block_space(R, 2, 1)
@@ -320,23 +350,30 @@ def test_random_dichotomy_n3():
     assert stats["inconclusive"] / max(1, denom) < 0.05
 
 
+def residue_forms(space, lam):
+    """(alternating Gram on lam#/lam, the residue of pi h; symmetric Gram
+    on lam/pi lam#, the residue of h)."""
+    lam_s = dual_sharp(space, lam)
+    return side_window(lam, lam_s, "Z").form(space, 1), side_window(lam, lam_s, "Y").form(space, 0)
+
+
 def test_induced_forms_type0_and_pi_modular():
     R = ring9()
     sp = id_space(R, 2)
-    g1, g2 = induced_forms(sp, standard_lattice(R, 2))
+    g1, g2 = residue_forms(sp, standard_lattice(R, 2))
     assert len(g1) == 0 and len(g2) == 2  # type 0: no alternating part
     spb = pi_block_space(R, 2, 1)
-    g1, g2 = induced_forms(spb, standard_lattice(R, 2))
+    g1, g2 = residue_forms(spb, standard_lattice(R, 2))
     assert len(g1) == 2 and len(g2) == 0  # pi-modular: no symmetric part
 
 
 def test_induced_forms_mixed_type2_rank4():
     R = ring9()
     sp = pi_block_space(R, 4, 1)
-    g1, g2 = induced_forms(sp, standard_lattice(R, 4))
+    g1, g2 = residue_forms(sp, standard_lattice(R, 4))
     assert len(g1) == 2 and len(g2) == 2
     ctx = R.ctx
-    assert g1[0][0] == 0 and g1[0][1] == ctx.neg(g1[1][0])
+    assert g1[0][0] == 0 and g1[0][1] == ctx.neg(g1[1][0]) != 0
     assert g2[0][1] == g2[1][0]
 
 
@@ -345,19 +382,19 @@ def test_enumerate_between_counts():
     sp = pi_block_space(R, 2, 1)
     lam = standard_lattice(R, 2)
     lam_s = dual_sharp(sp, lam)
-    singleton = list(lc._Window(lam, lam).lattices())
+    singleton = list(lifts(lc._Window(lam, lam)))
     assert len(singleton) == 1 and lattice_eq(singleton[0], lam)
     # between pi lam-sharp and lam-sharp: all subspaces of a 2-dim residue
     # space over F_3: 1 + 4 + 1
-    window = list(lc._Window(lam_s.scale(1), lam_s).lattices())
+    window = list(lifts(lc._Window(lam_s.scale(1), lam_s)))
     assert len(window) == 6
 
 
 def test_quotient_basis_dimension():
     R = ring9()
     L0 = standard_lattice(R, 3)
-    vecs, floor = quotient_basis(L0, L0.scale(1))
-    assert len(vecs) == 3 and floor == 0
+    window = lc._Window(L0.scale(1), L0)
+    assert len(window.vecs) == window.dim == 3 and window.vfloor == 0
 
 
 def _window_pairs():
@@ -386,12 +423,12 @@ def test_quotient_basis_lifts_a_residue_basis():
     assert len(pairs) > 50
     for bot, top in pairs:
         R = top.ring
-        vecs, floor = quotient_basis(top, bot)
-        dim = len(vecs)
-        assert floor == top.vfloor and dim == index_in(top, bot)
+        window = lc._Window(bot, top)
+        vecs, floor, dim = window.vecs, window.vfloor, window.dim
+        assert floor == top.vfloor and dim == len(vecs) == index_in(top, bot)
         bot_cols = [tuple(R.shift(x, bot.vfloor - floor) for x in c) for c in bot.columns()]
         assert lattice_eq(Lattice.from_columns(R, bot_cols + vecs, floor), top)
-        keys = [L.key() for L in lc._Window(bot, top).lattices()]
+        keys = [L.key() for L in lifts(window)]
         assert len(set(keys)) == len(keys) == sum(
             gaussian_binomial(dim, d, R.ctx.size) for d in range(dim + 1))
 
@@ -399,8 +436,9 @@ def test_quotient_basis_lifts_a_residue_basis():
 def test_standard_window_basis_is_the_dual_basis():
     # the seeded draws lift through L0#'s own columns, in order
     for sp in herm_spaces((2, 3, 8)):
-        top = dual_sharp(sp, standard_lattice(sp.ring, sp.n))
-        assert quotient_basis(top, top.scale(1)) == (top.columns(), top.vfloor)
+        window = lc._standard_window(sp)
+        top = window.top
+        assert (window.vecs, window.vfloor) == (top.columns(), top.vfloor)
 
 
 def test_quotient_basis_rejects_wide_and_uncontained_pairs():
@@ -410,9 +448,9 @@ def test_quotient_basis_rejects_wide_and_uncontained_pairs():
     wide = [L0.scale(2), Lattice.from_columns(R, [(R.pi_pow(2), R.zero), (R.zero, R.one)])]
     for small in wide:
         with pytest.raises(LatticeError, match="not pi-elementary"):
-            quotient_basis(L0, small)
+            lc._Window(small, L0)
     with pytest.raises(LatticeError, match="not contained"):
-        quotient_basis(L0.scale(1), L0)
+        lc._Window(L0, L0.scale(1))
 
 
 def test_inclusion_reports():
@@ -420,6 +458,20 @@ def test_inclusion_reports():
         rep = lc.inclusion_report(3, 1, s, n=n, h=h)
         bad = [c for c in rep["checks"] if c["status"] != "pass"]
         assert not bad, (n, h, s, bad)
+
+
+@pytest.mark.parametrize("seed,exit_code,types", [(5, 0, {0: 1, 2: 16, 4: 8}),
+                                                  (0, 1, {0: 1, 2: 1, 4: 2})])
+def test_inclusions_n4_h4_at_the_smallest_guard(seed, exit_code, types):
+    # `latcalc inclusions --n 4 --h 4 --bign 2`.  Seed 5 passes every
+    # bullet.  Seed 0 keeps failing the Y bullet between its type-0 and a
+    # type-2 lattice: its tau has N(A) = A sigma(A) != 1, the open question
+    # of ROADMAP item 2, which this test records and does not decide
+    rep = lc.inclusion_report(3, 1, 2, 4, 4, seed, N=2)
+    assert {int(c["label"][5:]): c["count"] for c in rep["counts"]} == types
+    assert report.exit_code(report.make_report(rep["config"], rep["counts"], rep["checks"])) == exit_code
+    failed = {c["name"]: c.get("witness") for c in rep["checks"] if c["status"] != "pass"}
+    assert failed == ({} if exit_code == 0 else {"y_inclusion_iff_lattice_inclusion": [(0, 2)]})
 
 
 def test_guard_trips_are_loud():

@@ -2,13 +2,15 @@
 the route through the dual lattice, and the point sets built on it."""
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
+from point_reference import lifted_point_sets, lifts, side_window
 from stratakit.gf import FieldCtx
-from stratakit import latcalc as lc
-from stratakit.linalg import row_spaces
+from stratakit import cli, latcalc as lc
+from stratakit.linalg import rank, row_spaces
 from stratakit.latcalc import (
     GuardError,
     HermSpace,
@@ -74,7 +76,7 @@ def test_gram_route_matches_dual_route(n, s):
     seen = Counter()
     for gram in lc.gram_family(ring, n):
         for sp, window in windows(ring, n, gram, (0, 5)):
-            for M in window.lattices():
+            for M in lifts(window):
                 want = outcome(dual_vertex_type, sp, M)
                 assert outcome(vertex_type, sp, M) == want, (gram, M)
                 seen[want] += 1
@@ -145,29 +147,115 @@ def _inclusion_space(n, s):
 
 @pytest.mark.parametrize("n,h,s", [(3, 2, 2), (4, 2, 1)])
 def test_point_set_layer_equals_the_full_window_filter(monkeypatch, n, h, s):
+    # the point set is solved over kappa: only its own points are lifted
     sp, catalog = _inclusion_space(n, s)
-    lifts = []
+    lifted = []
     lift = lc._Window.lift
 
     def counted(window, rows):
-        lifts.append(rows)
+        lifted.append(rows)
         return lift(window, rows)
 
     nonempty = 0
     for lam in catalog:
         t, lam_s = vertex_type(sp, lam), dual_sharp(sp, lam)
-        pairs = ([(lam, lam_s)] if t >= h else []) + ([(lam_s.scale(1), lam)] if t <= h else [])
-        for bot, top in pairs:
-            every = list(lc._Window(bot, top).lattices())
-            full = frozenset(M.key() for M in every if lc.n_point_conditions(sp, M, h))
+        for side in ("Z",) * (t >= h) + ("Y",) * (t <= h):
+            full = lifted_point_sets(sp, lam, lam_s, side, (h,))[h]
             with monkeypatch.context() as m:
                 m.setattr(lc._Window, "lift", counted)
-                lifts.clear()
-                assert lc._point_set(sp, bot, top, h, None) == full
-            # only the layer of type h is lifted
-            assert len(lifts) == sum(2 * M.det_valuation() + sp.det_val == h for M in every)
+                lifted.clear()
+                assert lc._point_set(sp, lam, lam_s, h, None, side) == full
+            assert len(lifted) == len(full)
             nonempty += bool(full)
     assert nonempty
+
+
+def residue_route_sweep(n, s, seeds, Ns=(2, 8), hs=None):
+    """(config, residue-route set, lift-and-test set) for every point set
+    of `latcalc inclusions` at n and s: each catalog lattice, each h in
+    0..n (or in ``hs``) and each side its type allows; a guard trip is an
+    outcome."""
+    for N in Ns:
+        ring = TruncRing(FieldCtx(3, 1, s), N)
+        for seed in seeds:
+            sp = HermSpace.build(ring, mixed_gram(ring, n, 0), tau_generator_set(ring, n, seed)[1])
+            for lam in lc.vertex_lattices_in_window(sp):
+                t, lam_s = vertex_type(sp, lam), dual_sharp(sp, lam)
+                for side, sided in (("Z", range(t + 1)), ("Y", range(t, n + 1))):
+                    sided = [h for h in sided if hs is None or h in hs]
+                    if not sided:
+                        continue
+                    try:
+                        want = lifted_point_sets(sp, lam, lam_s, side, sided)
+                    except GuardError:
+                        want = dict.fromkeys(sided, "guard")
+                    for h in sided:
+                        try:
+                            got = lc._point_set(sp, lam, lam_s, h, None, side)
+                        except GuardError:
+                            got = "guard"
+                        yield (N, seed, t, h, side), got, want[h]
+
+
+@pytest.mark.parametrize("n,s,seeds,Ns", [
+    pytest.param(n, s, range(6), (2, 8), id=f"n{n}-s{s}")
+    for n, s in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
+] + [pytest.param(4, 2, (0,), (2,), marks=pytest.mark.slow, id="n4-s2-seed0-N2")])
+def test_point_sets_equal_lift_and_test(n, s, seeds, Ns):
+    seen = Counter()
+    for config, got, want in residue_route_sweep(n, s, seeds, Ns):
+        assert got == want, config
+        seen["guard" if want == "guard" else bool(want)] += 1
+    assert seen[True] and seen[False], seen
+
+
+def test_a_residue_map_without_sigma_breaks_the_point_sets(monkeypatch):
+    # over kappa = GF(9) the residue map of tau is sigma-semilinear.  Built
+    # linear in the point sets, it keeps other planes, and some type-0
+    # point set of a type-4 lattice differs from lift-and-test; below n = 4
+    # a point set's subspaces are lines, whose jump is at most 1 anyway
+    point_set, tau_jump = lc._point_set, lc._Window.tau_jump
+
+    def linear_tau_jump(window, space):
+        jump_at_most, ctx = tau_jump(window, space), space.ring.ctx
+
+        def linear(*args):
+            with monkeypatch.context() as m:
+                m.setattr(ctx, "FROB", list(range(ctx.size)))
+                return jump_at_most(*args)
+
+        return linear
+
+    def without_sigma(*args):
+        with monkeypatch.context() as m:
+            m.setattr(lc._Window, "tau_jump", linear_tau_jump)
+            return point_set(*args)
+
+    monkeypatch.setattr(lc, "_point_set", without_sigma)
+    assert any(got != want for _, got, want in residue_route_sweep(4, 2, (0,), (2,), hs=(0,)))
+
+
+def test_residue_forms_of_every_catalog_window():
+    # the residue of pi h on lam#/lam is alternating, the residue of h on
+    # lam/pi lam# symmetric, and both are non-degenerate
+    checked = Counter()
+    for n, s in ((2, 2), (3, 2), (4, 1)):
+        for N in (2, 8):
+            ring = TruncRing(FieldCtx(3, 1, s), N)
+            ctx = ring.ctx
+            for gram in lc.gram_family(ring, n):
+                for seed in range(3):
+                    sp = HermSpace.build(ring, gram, tau_generator_set(ring, n, seed, gram)[1])
+                    for lam in lc.vertex_lattices_in_window(sp):
+                        lam_s = dual_sharp(sp, lam)
+                        for side, extra_pi, sign in (("Z", 1, ctx.NEG), ("Y", 0, range(ctx.size))):
+                            g = side_window(lam, lam_s, side).form(sp, extra_pi)
+                            d = len(g)
+                            assert all(g[i][j] == sign[g[j][i]] for i in range(d) for j in range(d))
+                            assert side == "Y" or not any(g[i][i] for i in range(d))
+                            assert rank(ctx, g) == d
+                            checked[side, d > 0] += 1
+    assert checked["Z", True] and checked["Y", True], checked
 
 
 def full_window_catalogs(ring, gram, taus):
@@ -177,7 +265,7 @@ def full_window_catalogs(ring, gram, taus):
     so they are computed once for all the tau matrices."""
     spaces = [HermSpace.build(ring, gram, A) for A in taus]
     sp = spaces[0]
-    vertex = [L for L in lc._standard_window(sp).lattices() if vertex_type(sp, L) is not None]
+    vertex = [L for L in lifts(lc._standard_window(sp)) if vertex_type(sp, L) is not None]
     return [(sp, [L for L in vertex if lc.lattice_eq(sp.tau(L), L)]) for sp in spaces]
 
 
@@ -203,50 +291,91 @@ def test_catalog_lifts_only_tau_stable_subspaces(monkeypatch, n, s):
     # sigma-semilinear residue map, so the lifts are the tau-stable
     # lattices of the window, counted here by lifting every lattice
     sp, catalog = _inclusion_space(n, s)
-    every = list(lc._standard_window(sp).lattices())
+    every = list(lifts(lc._standard_window(sp)))
     stable = sum(lc.lattice_eq(sp.tau(L), L) for L in every)
-    lifts = []
+    lifted = []
     lift = lc._Window.lift
 
     def counted(window, rows):
-        lifts.append(rows)
+        lifted.append(rows)
         return lift(window, rows)
 
     monkeypatch.setattr(lc._Window, "lift", counted)
     assert [L.key() for L in lc.vertex_lattices_in_window(sp)] == [L.key() for L in catalog]
-    assert len(lifts) == stable < len(every)
+    assert len(lifted) == stable < len(every)
 
 
 def test_catalog_refuses_a_window_top_that_tau_moves(monkeypatch):
     # with tau(L0-sharp) != L0-sharp the residue map is not defined, and
-    # the catalog raises rather than skip the residue test
+    # the catalog raises rather than skip the residue test.  With one
+    # pi-block L0-sharp is pi^-1 span(e1, e2, pi e3), which misses e3
     ring = TruncRing(FieldCtx(3, 1, 2), 8)
-    sp = HermSpace.build(ring, mixed_gram(ring, 2, 0), tau_generator_set(ring, 2, 0)[0])
-    top = lc._standard_window(sp).top
-    real_tau = HermSpace.tau
-
-    def moving(space, L):
-        return L.scale(1) if lc.lattice_eq(L, top) else real_tau(space, L)
-
-    monkeypatch.setattr(HermSpace, "tau", moving)
-    with pytest.raises(lc.LatticeError, match="not tau-stable"):
+    gram = mixed_gram(ring, 3, 1)
+    sp = HermSpace.build(ring, gram, tau_generator_set(ring, 3, 0, gram)[0])
+    e3 = [ring.zero, ring.zero, ring.one]
+    monkeypatch.setattr(HermSpace, "tau_vec", lambda space, v: e3)
+    with pytest.raises(lc.LatticeError, match="window top is not tau-stable"):
         lc.vertex_lattices_in_window(sp)
 
 
-def test_point_set_budget_counts_the_whole_window():
+def test_tau_jump_refuses_a_window_that_tau_moves():
+    # tau acts on top/bot only when it keeps both: a window whose bottom
+    # or top tau moves has no residue map, and the jump raises
+    ring = TruncRing(FieldCtx(3, 1, 2), 8)
+    sp = HermSpace.build(ring, mixed_gram(ring, 2, 0), tau_generator_set(ring, 2, 0)[1])
+    std = lc._standard_window(sp)
+    T = std.top
+    moved = next(M for M in lifts(std) if not lc.lattice_eq(sp.tau(M), M))
+    for bot, top, where in ((moved, T, "bottom"), (T.scale(1), moved, "top")):
+        with pytest.raises(lc.LatticeError, match=f"window {where} is not tau-stable"):
+            lc._Window(bot, top).tau_jump(sp)
+
+
+def test_point_set_budget_counts_the_whole_window(monkeypatch):
     sp, catalog = _inclusion_space(3, 2)
     lam = next(L for L in catalog if vertex_type(sp, L) == 2)
-    bot, top = lam, dual_sharp(sp, lam)
-    window = lc._Window(bot, top)
-    total = sum(1 for _ in window.lattices())
+    lam_s = dual_sharp(sp, lam)
+    total = sum(1 for _ in lifts(lc._Window(lam, lam_s)))
     # the budget counts every lattice of the window, not the one layer
-    # that is enumerated
-    assert 0 < len(lc._point_set(sp, bot, top, 2, total)) < total
+    # that is solved for
+    assert 0 < len(lc._point_set(sp, lam, lam_s, 0, total, "Z")) < total
     with pytest.raises(BudgetExceeded):
-        lc._point_set(sp, bot, top, 2, total - 1)
+        lc._point_set(sp, lam, lam_s, 0, total - 1, "Z")
     # so does a window with no layer of the type, by parity
     with pytest.raises(BudgetExceeded):
-        lc._point_set(sp, bot, top, 1, total - 1)
+        lc._point_set(sp, lam, lam_s, 1, total - 1, "Z")
+    # and the gate runs before any residue work: a guard trip there does
+    # not hide the overrun
+    monkeypatch.setattr(lc, "_residue", tripping_residue)
+    with pytest.raises(BudgetExceeded):
+        lc._point_set(sp, lam, lam_s, 0, total - 1, "Z")
+    with pytest.raises(GuardError):
+        lc._point_set(sp, lam, lam_s, 0, total, "Z")
+
+
+def tripping_residue(R, h0, pi_offset):
+    raise GuardError("forced trip")
+
+
+def test_a_guard_trip_in_the_residue_route_is_inconclusive(monkeypatch, capsys):
+    # the residues of the point sets' forms trip the guard (the catalog's
+    # do not): the report is the inconclusive guard check, exit 3
+    point_set, residue = lc._point_set, lc._residue
+    inside = []
+
+    def tracked(*args):
+        inside.append(True)
+        try:
+            return point_set(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(lc, "_point_set", tracked)
+    monkeypatch.setattr(lc, "_residue", lambda *a: (tripping_residue if inside else residue)(*a))
+    assert cli.main(["latcalc", "inclusions", "--n", "3", "--h", "2"]) == 3
+    rep = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["status"]) for c in rep["stable"]["checks"]] == [
+        ("guard", "inconclusive")]
 
 
 def test_inclusion_report_pays_one_dual_per_catalog_lattice(monkeypatch):
