@@ -24,7 +24,7 @@ import numpy as np
 
 from .gf import _is_probable_prime
 from .report import check, inconclusive
-from .space import BudgetExceeded
+from .space import BudgetExceeded, gate
 
 MATRIX_ENTRY_BUDGET = 10**8
 
@@ -122,9 +122,7 @@ def brute_rank1_count(a: int, b: int, q: int, ad_symmetric_block: int = 0,
     """
     entries = a * b
     total = q**entries
-    limit = MATRIX_ENTRY_BUDGET if budget is None else budget
-    if total * entries > limit:
-        raise BudgetExceeded(f"{total} matrices x {entries} entries exceeds budget {limit}")
+    gate(total * entries, budget, MATRIX_ENTRY_BUDGET, f"{total} matrices x {entries} entries")
     minors = [
         (i1 * b + j1, i1 * b + j2, i2 * b + j1, i2 * b + j2)
         for i1 in range(a)

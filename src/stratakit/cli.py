@@ -32,7 +32,7 @@ def _strata_config(args) -> strata.StrataConfig:
                                **{name: getattr(args, name) for name in strata.CASE_PARAMS[case]})
 
 
-def _run(args, body, config=None, seeded=True) -> int:
+def _run(args, body, config=None) -> int:
     """Time ``body()``, report its part and return the exit code.
 
     The part holds ``counts`` and ``checks`` and, unless the caller passes
@@ -48,7 +48,7 @@ def _run(args, body, config=None, seeded=True) -> int:
         part = {"config": config, "counts": [],
                 "checks": [report.inconclusive(name, witness=str(exc))]}
     rep = report.make_report(part["config"], part["counts"], part["checks"],
-                             seed=args.seed if seeded else None,
+                             seed=getattr(args, "seed", None),
                              wall_time_s=time.perf_counter() - t0)
     text = report.emit(rep, args.format)
     if args.out:
@@ -93,7 +93,7 @@ def cmd_strata_classify(args) -> int:
                                         data={"label": label.key(), "kr_class": kr,
                                               "chain_dims": chain_dims})]}
 
-    return _run(args, body, config=cfg.describe(), seeded=False)
+    return _run(args, body, config=cfg.describe())
 
 
 def cmd_weyl_audit(args) -> int:
@@ -105,8 +105,6 @@ def cmd_charts_reconcile(args) -> int:
     qs = (3, 5) if args.q is None else (args.q,)
 
     def body():
-        if args.e != 1:
-            raise charts.ChartError("charts count over a prime field: --e must be 1")
         if args.family:
             specs = [charts.ChartSpec(args.family, qs[0], n=args.n, h=args.h,
                                       t1=args.t1, t2=args.t2)]
@@ -129,10 +127,13 @@ def cmd_charts_rzdim(args) -> int:
                                         data={"formula": value, "oracle": oracle})]}
 
     return _run(args, body, config={"command": "charts rzdim", "n": args.n, "h": args.h,
-                                    "eps": args.eps}, seeded=False)
+                                    "eps": args.eps})
 
 
 def cmd_latcalc_dichotomy(args) -> int:
+    if args.budget is not None and not args.exhaustive:
+        raise ValueError("--budget bounds only an --exhaustive dichotomy")
+
     def body():
         if args.exhaustive:
             stats = latcalc.exhaustive_dichotomy(args.q, args.e, args.s, n=args.n,
@@ -169,13 +170,17 @@ def cmd_latcalc_inclusions(args) -> int:
                                      "h": args.h, "N": args.bign})
 
 
-def _add_common(p, budget: bool = True) -> None:
-    p.add_argument("--q", type=int, default=3, help="base field characteristic p")
-    p.add_argument("--e", type=int, default=1, help="base field degree (q = p^e)")
-    p.add_argument("--seed", type=int, default=0)
-    if budget:
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget; an overrun exits 3")
+_SHARED = {"q": {"default": 3, "help": "base field characteristic p"},
+           "e": {"default": 1, "help": "base field degree (q = p^e)"},
+           "seed": {"default": 0},
+           "budget": {"default": None, "help": "enumeration budget; an overrun exits 3"}}
+
+
+def _add_common(p, *flags: str) -> None:
+    """--format, --out and the named ``_SHARED`` flags: a command takes
+    only the flags it reads."""
+    for flag in flags:
+        p.add_argument(f"--{flag}", type=int, **_SHARED[flag])
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.add_argument("--out", default=None)
 
@@ -190,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("verify", cmd_strata_verify), ("count", cmd_strata_count),
                      ("classify", cmd_strata_classify)):
         p = st_sub.add_parser(name)
-        _add_common(p, budget=name != "classify")
+        _add_common(p, "q", "e", *(("seed", "budget") if name != "classify" else ()))
         p.add_argument("--case", required=True, choices=("z", "y", "zy", "Z", "Y", "ZY"))
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--n", type=int, default=0)
@@ -206,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     wy = sub.add_parser("weyl", help="signed permutation calculus audits")
     wy_sub = wy.add_subparsers(dest="command", required=True)
     p = wy_sub.add_parser("audit")
-    _add_common(p, budget=False)
+    _add_common(p, "seed")
     p.add_argument("--tmax", type=int, default=6)
     p.set_defaults(func=cmd_weyl_audit)
 
     ch = sub.add_parser("charts", help="local chart counting and dimensions")
     ch_sub = ch.add_subparsers(dest="command", required=True)
     p = ch_sub.add_parser("reconcile")
-    _add_common(p)
+    _add_common(p, "q", "seed", "budget")
     p.add_argument("--family", choices=("Z", "Y", "ZY", "pi-modular"), default=None)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--h", type=int, default=0)
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-entries", type=int, default=10)
     p.set_defaults(func=cmd_charts_reconcile, q=None)
     p = ch_sub.add_parser("rzdim")
-    _add_common(p, budget=False)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--eps", type=int, default=1, choices=(-1, 1))
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc = sub.add_parser("latcalc", help="truncated lattice calculus")
     lc_sub = lc.add_subparsers(dest="command", required=True)
     p = lc_sub.add_parser("dichotomy")
-    _add_common(p)
+    _add_common(p, "q", "e", "seed", "budget")
     p.add_argument("--s", type=int, default=2, help="coefficient field degree over GF(q)")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--trials", type=int, default=1000)
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_latcalc_dichotomy)
     p = lc_sub.add_parser("inclusions")
-    _add_common(p)
+    _add_common(p, "q", "e", "seed", "budget")
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--h", type=int, default=0)

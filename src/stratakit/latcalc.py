@@ -27,7 +27,7 @@ from functools import cache, partial
 from .gf import FieldCtx
 from . import linalg
 from .report import check, inconclusive
-from .space import BudgetExceeded
+from .space import gate
 
 LATTICE_BUDGET = 10**6
 
@@ -124,22 +124,15 @@ class TruncRing:
         return a == self.zero
 
     def unit_inv(self, a):
-        """Inverse of a unit (valuation 0), by power-series recursion."""
+        """Inverse of a unit (valuation 0) by Newton's step x <- 2x - a x^2
+        from the inverse of the constant term: a step doubles the number
+        of correct coefficients, so ceil(log2 width) steps reach the width."""
         if a[0] == 0:
             raise LatticeError("not a unit")
-        ADD, MUL, NEG = self.ctx.ADD, self.ctx.MUL, self.ctx.NEG
-        inv0 = self.ctx.INV[a[0]]
-        out = [inv0] + [0] * (self.width - 1)
-        if not any(a[1:]):
-            return tuple(out)
-        # Newton-free forward substitution: (a * out)_j = delta_{0j}
-        for j in range(1, self.width):
-            s = 0
-            for i in range(1, j + 1):
-                if a[i] and out[j - i]:
-                    s = ADD[s][MUL[a[i]][out[j - i]]]
-            out[j] = MUL[NEG[s]][inv0]
-        return tuple(out)
+        x = self.const(self.ctx.INV[a[0]])
+        for _ in range((self.width - 1).bit_length() if any(a[1:]) else 0):
+            x = self.sub_mul(self.add(x, x), x, self.mul(a, x))
+        return x
 
     def shift(self, a, j: int):
         """Multiply by pi^j (j may be negative: exact division required)."""
@@ -295,43 +288,35 @@ def lattice_sum(L1: Lattice, L2: Lattice) -> Lattice:
     return Lattice.from_columns(R, cols, v)
 
 
-def _solve_lower(R: TruncRing, basis, pivs, b):
-    """x with basis . x = b by forward substitution (basis lower triangular
-    with pivot valuations pivs), or None when b is not in the span."""
-    x = [R.zero] * len(pivs)
-    for r, pv in enumerate(pivs):
-        acc = b[r]
-        for j in range(r):
-            if not (R.is_zero(basis[r][j]) or R.is_zero(x[j])):
-                acc = R.sub_mul(acc, basis[r][j], x[j])
-        if R.val(acc) < pv:
-            return None
-        x[r] = R.shift(acc, -pv)
-    return x
-
-
-def _coordinates(big: Lattice, small: Lattice):
-    """small's columns in big's basis (big.basis . X = small, X a list of
-    columns), by forward substitution; None when small is not inside big."""
-    R = big.ring
-    shift = small.vfloor - big.vfloor
-    piv = big.pivot_valuations()
+def _coordinates(big: Lattice, cols, vfloor: int):
+    """The coordinates X in big's basis of the vectors pi^vfloor col
+    (big.basis . X = pi^(vfloor - big.vfloor) cols, X a list of columns),
+    by forward substitution down the lower triangular basis; None when
+    some vector is not in big.  The one solve of the lattice stack."""
+    R, basis = big.ring, big.basis
+    shift, piv = vfloor - big.vfloor, big.pivot_valuations()
     X = []
-    for col in small.columns():
+    for col in cols:
         try:
             b = [R.shift(x, shift) for x in col]
         except LatticeError:
             return None
-        x = _solve_lower(R, big.basis, piv, b)
-        if x is None:
-            return None
+        x = []
+        for r, pv in enumerate(piv):
+            acc = b[r]
+            for j in range(r):
+                if not (R.is_zero(basis[r][j]) or R.is_zero(x[j])):
+                    acc = R.sub_mul(acc, basis[r][j], x[j])
+            if R.val(acc) < pv:
+                return None
+            x.append(R.shift(acc, -pv))
         X.append(x)
     return X
 
 
 def contains(big: Lattice, small: Lattice) -> bool:
     """small subset of big."""
-    return _coordinates(big, small) is not None
+    return _coordinates(big, small.columns(), small.vfloor) is not None
 
 
 def index_in(big: Lattice, small: Lattice) -> int:
@@ -344,24 +329,20 @@ def lattice_eq(L1: Lattice, L2: Lattice) -> bool:
 
 
 def triangular_inverse(R: TruncRing, mat, pivs):
-    """(shift, C) with mat^{-1} = pi^{-shift} C, C over the ring.
+    """(shift, C) with mat^{-1} = pi^{-shift} C, C over the ring: the
+    coordinates of pi^shift I in the lower triangular mat with pivot
+    valuations pivs.
 
     The largest pivot valuation is not always enough: a unit below a pi
     pivot makes [[pi, 0], [1, pi]]^{-1} need pi^{-2}.  So the shift is the
-    least one from there up to the guard at which every column solves.
+    least one from there up to the guard at which pi^shift I solves.
     """
     n = len(mat)
+    span, identity = Lattice(R, n, 0, mat), mat_identity(R, n)
     for m in range(max(pivs, default=0), R.N + 1):
-        # solve mat * X = pi^m * I column by column (mat lower triangular)
-        cols = []
-        for col in range(n):
-            x = _solve_lower(R, mat, pivs,
-                             [R.pi_pow(m) if i == col else R.zero for i in range(n)])
-            if x is None:
-                break
-            cols.append(x)
-        else:
-            return m, _from_columns(cols)
+        X = _coordinates(span, identity, m)
+        if X is not None:
+            return m, _from_columns(X)
     raise GuardError("inverse needs a shift beyond the guard")
 
 
@@ -575,7 +556,7 @@ class _Window:
     def __init__(self, bot: Lattice, top: Lattice):
         R = self.ring = top.ring
         self.top = top
-        X = _coordinates(top, bot)
+        X = _coordinates(top, bot.columns(), bot.vfloor)
         if X is None:
             raise LatticeError("not contained")
         self.bot_rows, self.bot_pivots = linalg.rref(R.ctx, [[x[0] for x in col] for col in X])
@@ -599,12 +580,10 @@ class _Window:
     def gate(self, budget: int | None) -> None:
         """Refuse a window of more than ``budget`` lattices (default
         ``LATTICE_BUDGET``), counted in closed form before any residue
-        work, with :class:`BudgetExceeded`."""
-        ctx, dim = self.ring.ctx, self.dim
-        total = sum(linalg.gaussian_binomial(dim, d, ctx.size) for d in range(dim + 1))
-        limit = LATTICE_BUDGET if budget is None else budget
-        if total > limit:
-            raise BudgetExceeded(f"{total} intermediate lattices exceeds budget {limit}")
+        work (:func:`space.gate`)."""
+        size, dim = self.ring.ctx.size, self.dim
+        total = sum(linalg.gaussian_binomial(dim, d, size) for d in range(dim + 1))
+        gate(total, budget, LATTICE_BUDGET, f"{total} intermediate lattices")
 
     def subspaces(self, dims=None, gram=None):
         """(rows, pivots) in reduced echelon form of every residue subspace,
@@ -632,14 +611,12 @@ class _Window:
         tau(b_j) mod pi top, reduced modulo bot/pi top, is zero at the
         pivots, and its free entries are the image of b_j in top/bot.
         """
-        R, top = self.ring, self.top
-        ctx, piv = R.ctx, top.pivot_valuations()
-        images = []
-        for b in top.columns():
-            x = _solve_lower(R, top.basis, piv, space.tau_vec(b))
-            if x is None:
-                raise LatticeError("window top is not tau-stable")
-            images.append(linalg.residual(ctx, self.bot_rows, self.bot_pivots, [c[0] for c in x]))
+        top, ctx = self.top, self.ring.ctx
+        X = _coordinates(top, [space.tau_vec(b) for b in top.columns()], top.vfloor)
+        if X is None:
+            raise LatticeError("window top is not tau-stable")
+        images = [linalg.residual(ctx, self.bot_rows, self.bot_pivots, [c[0] for c in x])
+                  for x in X]
         if any(any(linalg._combine(ctx, top.n, linalg._nonzero(images), [ctx.FROB[c] for c in r]))
                for r in self.bot_rows):
             raise LatticeError("window bottom is not tau-stable")
@@ -705,9 +682,9 @@ def _point_set(space: HermSpace, lam: Lattice, lam_s: Lattice, h: int,
     return frozenset(out)
 
 
-def vertex_lattices_in_window(space: HermSpace, budget: int | None = None):
+def vertex_lattices_in_window(space: HermSpace, budget: int | None = None) -> dict:
     """Tau-stable vertex lattices between pi L0-sharp and L0-sharp, L0
-    standard.
+    standard, each mapped to its type, in scan order.
 
     T = L0-sharp is tau-stable (A is a constant unitary), so tau acts on
     T/pi T, and M = pi T + lift(S) is tau-stable exactly when S has jump 0
@@ -717,39 +694,17 @@ def vertex_lattices_in_window(space: HermSpace, budget: int | None = None):
     window = _standard_window(space)
     window.gate(budget)
     jump_at_most = window.tau_jump(space)  # raises unless tau keeps T
-    out = []
+    out = {}
     for rows, pivots in window.subspaces():
         if jump_at_most(rows, pivots, 0):
             L = window.lift(rows)
-            if vertex_type(space, L) is not None and lattice_eq(space.tau(L), L):
-                out.append(L)
+            t = vertex_type(space, L)
+            if t is not None and lattice_eq(space.tau(L), L):
+                out[L] = t
     return out
 
 
 # -- instance generation -----------------------------------------------------
-
-def _orthogonal_constants(ctx: FieldCtx, rng: random.Random, n: int):
-    """A few constant orthogonal matrices over the coefficient field."""
-    mats = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
-    # signed permutations
-    for _ in range(3):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        signs = [rng.choice([1, ctx.neg(1)]) for _ in range(n)]
-        mats.append([[signs[i] if perm[i] == j else 0 for j in range(n)]
-                     for i in range(n)])
-    # a rotation block a^2 + b^2 = 1 in the first two coordinates
-    if n >= 2:
-        pairs = [(a, b) for a in range(ctx.size) for b in range(ctx.size)
-                 if ctx.add(ctx.mul(a, a), ctx.mul(b, b)) == 1 and b != 0]
-        if pairs:
-            a, b = pairs[rng.randrange(len(pairs))]
-            rot = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            rot[0][0], rot[0][1] = a, b
-            rot[1][0], rot[1][1] = ctx.neg(b), a
-            mats.append(rot)
-    return mats
-
 
 def tau_generator_set(ring: TruncRing, n: int, seed: int = 0, gram=None):
     """Seeded unitary matrices for the given Gram (identity by default).
@@ -762,28 +717,39 @@ def tau_generator_set(ring: TruncRing, n: int, seed: int = 0, gram=None):
     ctx = ring.ctx
     if gram is None:
         gram = mixed_gram(ring, n, 0)
-    cands = _orthogonal_constants(ctx, rng, n)
-    for _ in range(4):
-        diag = [rng.randrange(1, ctx.size) for _ in range(n)]
-        cands.append([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    # paired unit diagonals matching hyperbolic pi-blocks
-    for _ in range(2):
+
+    def monomial(perm, entries):
+        """The constant matrix with entries[i] at (i, perm[i])."""
+        return [[x if j == p else 0 for j in range(n)] for p, x in zip(perm, entries)]
+
+    cands = [monomial(range(n), [1] * n)]
+    for _ in range(3):  # signed permutations
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cands.append(monomial(perm, [rng.choice([1, ctx.neg(1)]) for _ in range(n)]))
+    # a rotation block a^2 + b^2 = 1 in the first two coordinates
+    pairs = [(a, b) for a in range(ctx.size) for b in range(1, ctx.size)
+             if ctx.add(ctx.mul(a, a), ctx.mul(b, b)) == 1] if n >= 2 else []
+    if pairs:
+        a, b = pairs[rng.randrange(len(pairs))]
+        rot = monomial(range(n), [a, a] + [1] * (n - 2))
+        rot[0][1], rot[1][0] = b, ctx.neg(b)
+        cands.append(rot)
+    for _ in range(4):  # unit diagonals
+        cands.append(monomial(range(n), [rng.randrange(1, ctx.size) for _ in range(n)]))
+    for _ in range(2):  # paired unit diagonals matching hyperbolic pi-blocks
         diag = [1] * n
         for b in range(n // 2):
             u = rng.randrange(1, ctx.size)
             diag[2 * b], diag[2 * b + 1] = u, ctx.inv(u)
-        cands.append([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        cands.append(monomial(range(n), diag))
     out = []
-    seen = set()
-    for A0 in cands:
-        A = tuple(tuple(ring.const(x) for x in row) for row in A0)
-        if A in seen:
-            continue
+    for A in dict.fromkeys(tuple(tuple(ring.const(x) for x in row) for row in A0)
+                           for A0 in cands):
         try:
             HermSpace.build(ring, gram, A)
         except LatticeError:
             continue
-        seen.add(A)
         out.append(A)
     if len(out) < 2:
         raise LatticeError("tau generator set is too thin for this Gram")
@@ -830,11 +796,10 @@ def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
     ring = TruncRing(ctx, N)
     space = HermSpace.build(ring, mixed_gram(ring, n, 0),
                             tau_generator_set(ring, n, seed)[1])
-    catalog = vertex_lattices_in_window(space, budget=budget)
-    types = {L: vertex_type(space, L) for L in catalog}
-    zl = [L for L in catalog if types[L] >= h]
-    yl = [L for L in catalog if types[L] <= h]
-    sharp = {L: dual_sharp(space, L) for L in catalog}
+    types = vertex_lattices_in_window(space, budget=budget)
+    zl = [L for L, t in types.items() if t >= h]
+    yl = [L for L, t in types.items() if t <= h]
+    sharp = {L: dual_sharp(space, L) for L in types}
     zs = {L: _point_set(space, L, sharp[L], h, budget, "Z") for L in zl}
     ys = {L: _point_set(space, L, sharp[L], h, budget, "Y") for L in yl}
     # (name, left family, right family, set relation, lattice predicate).
@@ -859,7 +824,7 @@ def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
                if sets(a, b) != lattices(a, b)]
         checks.append(check(name, witness=bad[:3],
                             data={"pairs": len(left) * len(right) - len(bad)}))
-    singles = [L for L in catalog if types[L] == h]
+    singles = [L for L, t in types.items() if t == h]
     bad = [types[L] for L in singles
            if zs[L] != frozenset({L.key()}) or ys[L] != frozenset({L.key()})]
     worst = {"worst_points": len(singles)}

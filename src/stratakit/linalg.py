@@ -190,25 +190,26 @@ def row_spaces(ctx: FieldCtx, scalars, n: int, d: int, gram=None):
             coeffs = itertools.product((1,), *[scalars] * (len(kernel) - 1))
         return _build_rows(ctx, n, cols, kernel, coeffs)
 
-    def prefixes(pivots, slots, rows, funcs):
-        """The first d - 1 rows under ``pivots`` with the functionals
-        of the rows among them, in order."""
+    def extend(pivots, slots, rows, funcs):
+        """Every completion of ``rows`` under ``pivots``, in order, each
+        row solved against the functionals of the rows above it; the last
+        row is yielded in place and needs no functional."""
         i = len(rows)
+        found = solutions(pivots[i], slots[i], funcs)
         if i == d - 1:
-            yield rows, funcs
+            for row in found:
+                yield rows + (row,), pivots
             return
-        for row in solutions(pivots[i], slots[i], funcs):
+        for row in found:
             f = funcs if gram_nz is None else funcs + (_functional(ctx, gram_nz, row),)
-            yield from prefixes(pivots, slots, rows + (row,), f)
+            yield from extend(pivots, slots, rows + (row,), f)
 
     if not d:
         yield (), ()
         return
     for pivots in itertools.combinations(range(n), d):
         slots = [[c for c in range(pc + 1, n) if c not in pivots] for pc in pivots]
-        for rows, funcs in prefixes(pivots, slots, (), ()):
-            for row in solutions(pivots[-1], slots[-1], funcs):
-                yield rows + (row,), pivots
+        yield from extend(pivots, slots, (), ())
 
 
 def _build_rows(ctx: FieldCtx, n: int, cols, kernel, coeffs):

@@ -34,6 +34,14 @@ class BudgetExceeded(RuntimeError):
     """Raised when an enumeration would exceed the configured budget."""
 
 
+def gate(total: int, budget: int | None, default: int, what: str) -> None:
+    """The one budget gate: refuse ``total`` units of work, counted in
+    closed form before any starts, past ``budget`` (``default`` if None)."""
+    limit = default if budget is None else budget
+    if total > limit:
+        raise BudgetExceeded(f"{what} exceeds budget {limit}")
+
+
 def _standard_gram(ctx: FieldCtx, kind: str, dim: int):
     if kind == "none":
         return None

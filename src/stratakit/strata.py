@@ -425,15 +425,13 @@ def _blocks(cfg: StrataConfig, A: _Arrays, budget: int | None):
     iso = cfg.case in ("Z", "Y")
     scalars = ctx.subfield_codes(k)
     vmax = min(d, k - 1)
-    limit = SUBSPACE_BUDGET if budget is None else budget
-    # the one budget gate, exact: the stable members, then for each v the
-    # stable bottoms times the lines of their complement
+    # exact: the stable members, then for each v the stable bottoms times
+    # the lines of their complement
     estimate = spc.count_oracle(sp, d, iso) + sum(
         spc.count_oracle(sp, d - v, iso)
         * gaussian_binomial(sp.dim - (2 if iso else 1) * (d - v), 1, len(scalars))
         for v in range(1, vmax + 1))
-    if estimate > limit:
-        raise BudgetExceeded(f"estimated {estimate} member candidates exceeds budget {limit}")
+    spc.gate(estimate, budget, SUBSPACE_BUDGET, f"estimated {estimate} member candidates")
     stable = rational_subspaces(sp, d, iso)
     while batch := tuple(itertools.islice(stable, CHUNK)):
         yield _Block(0, batch, np.arange(len(batch)), np.zeros((len(batch), 0), dtype=np.int16))
@@ -664,17 +662,14 @@ def _minus(A: _Arrays, F) -> np.ndarray:
 
 
 def _rank(A: _Arrays, M) -> np.ndarray:
-    """The rank of each matrix M[i]: each column's first nonzero row
-    clears that column from every row, itself included, and counts one."""
+    """The rank of each matrix M[i]: the number of its rows that leave
+    the span of the rows before them (``_reduce``, ``_append``)."""
     rank = np.zeros(len(M), dtype=np.int64)
-    at = np.arange(len(M))
-    for c in range(M.shape[2]):
-        col = M[:, :, c]
-        first = (col != 0).argmax(1)
-        lead = col[at, first]
-        rank += lead != 0
-        prow = A.MUL[A.INV[lead][:, None], M[at, first]]
-        M = A.ADD[M, A.MUL[A.NEG[col][:, :, None], prow[:, None, :]]]
+    rows, pivots = [], []
+    for i in range(M.shape[1]):
+        res = _reduce(A, rows, pivots, M[:, i])
+        rank += res.any(1)
+        _append(A, rows, pivots, res)
     return rank
 
 

@@ -65,3 +65,21 @@ def test_every_public_function_has_a_caller_or_a_reason():
     uncalled = sorted(full for full, name, method in _public_functions()
                       if name not in attrs and (method or name not in names))
     assert uncalled == sorted(ALLOWED)
+
+
+def test_budget_exceeded_is_constructed_only_by_the_gate():
+    # every budget overrun goes through the one gate, space.gate
+    sites = []
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        own = {id(node): full for _, full, node in _functions(tree.body, path.stem)}
+        stack = [(tree, path.stem)]
+        while stack:
+            node, inside = stack.pop()
+            inside = own.get(id(node), inside)
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "BudgetExceeded" in (
+                    getattr(func, "id", None), getattr(func, "attr", None)):
+                sites.append(inside)
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    assert sites == ["space.gate"]

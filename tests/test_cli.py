@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from stratakit import strata
+from stratakit import space as spc, strata
 from stratakit.cli import main
+from stratakit.gf import FieldCtx
 from stratakit.report import emit_stable_json
 
 
@@ -99,6 +100,32 @@ def test_latcalc_budget_exit_three(capsys):
 def test_budget_only_where_something_is_bounded(capsys):
     for argv in (("weyl", "audit", "--tmax", "2"), ("charts", "rzdim", "--n", "5", "--h", "0")):
         assert main(list(argv) + ["--budget", "5"]) == 2, argv
+    capsys.readouterr()
+    # the random dichotomy enumerates nothing: its --budget used to be ignored
+    assert main(["latcalc", "dichotomy", "--n", "2", "--trials", "5", "--budget", "1"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.splitlines() == ["error: --budget bounds only an --exhaustive dichotomy"]
+
+
+def test_flags_that_nothing_reads_are_refused(tmp_path, capsys):
+    # each of these runs used to exit 0 with the stable JSON of the run
+    # without the flag
+    sp = spc.FormedSpace(FieldCtx(3, 1, 2), "symplectic", 4)
+    U = spc.Subspace.from_rows(sp, [sp.e(1), sp.e(2)])
+    path = tmp_path / "subspace.json"
+    path.write_text(json.dumps(spc.subspace_to_json(U)))
+    classify = ("strata", "classify", "--case", "z", "--k", "2", "--t", "4", "--h", "0",
+                "--input", str(path))
+    assert main(list(classify)) == 0
+    for argv in (("weyl", "audit", "--tmax", "2", "--q", "7"),
+                 ("weyl", "audit", "--tmax", "2", "--e", "2"),
+                 ("charts", "rzdim", "--n", "5", "--h", "0", "--q", "7"),
+                 ("charts", "rzdim", "--n", "5", "--h", "0", "--e", "3"),
+                 ("charts", "rzdim", "--n", "5", "--h", "0", "--seed", "9"),
+                 (*classify, "--seed", "5"),
+                 ("charts", "reconcile", "--max-entries", "2", "--e", "1")):
+        assert main(list(argv)) == 2, argv
     capsys.readouterr()
 
 

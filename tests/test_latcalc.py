@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import random
 from collections import Counter
@@ -124,6 +125,103 @@ def test_unit_inverse(data, R, kind):
     assert R.mul(a, inv) == R.one == schoolbook_mul(R, inv, a)
     with pytest.raises(LatticeError):
         R.unit_inv((0,) + a[1:])
+
+
+# GF(3), GF(9) as (3, 1, 2), GF(9) as (3, 2, 1) and GF(5), each at guards 2, 3, 5, 8
+NEWTON_RINGS = [TruncRing(FieldCtx(*f), N) for f in ((3, 1, 1), (3, 1, 2), (3, 2, 1), (5, 1, 1))
+                for N in (2, 3, 5, 8)]
+
+
+@pytest.mark.parametrize("R", NEWTON_RINGS, ids=lambda R: f"{R.ctx.p}-{R.ctx.e}-{R.ctx.k}-N{R.N}")
+def test_newton_unit_inverse_on_random_units(R):
+    # too few Newton steps leave the top coefficients wrong; the product
+    # is taken by the dense reference, not by the ring's own kernel
+    rng, q = random.Random(R.width * R.ctx.size), R.ctx.size
+    units = [R.const(c) for c in range(1, q)] + [
+        tuple([rng.randrange(1, q)] + [rng.randrange(q) for _ in range(R.width - 1)])
+        for _ in range(300)]
+    for a in units:
+        assert schoolbook_mul(R, a, R.unit_inv(a)) == R.one, a
+
+
+def random_normal_form(R, rng, n):
+    """(mat, pivs): lower triangular, diagonal pi^(a_i) with a_i at most
+    the guard, and the entries left of the diagonal of degree below a_i."""
+    pivs = [rng.randrange(R.N + 1) for _ in range(n)]
+    mat = [[R.pi_pow(a) if j == i else R.zero if j > i else
+            tuple([rng.randrange(R.ctx.size) for _ in range(a)] + [0] * (R.width - a))
+            for j in range(n)] for i, a in enumerate(pivs)]
+    return mat, pivs
+
+
+@pytest.mark.parametrize("N", (2, 3, 5))
+def test_triangular_inverse_on_random_normal_forms(N):
+    # mat C = pi^shift I, and a shift past the largest pivot is the least:
+    # C is not divisible by pi, so pi^(shift - 1) I is not in mat's span.
+    # A guard trip is a least shift past the guard, as a ring whose guard
+    # is past the valuation of det mat (at most 4N) shows
+    R, wide = TruncRing(CTX9, N), TruncRing(CTX9, 4 * N)
+    rng, seen = random.Random(N), Counter()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        mat, pivs = random_normal_form(R, rng, n)
+        try:
+            shift, C = lc.triangular_inverse(R, mat, pivs)
+        except GuardError:
+            padded = [[x + (0,) * (wide.width - R.width) for x in row] for row in mat]
+            assert lc.triangular_inverse(wide, padded, pivs)[0] > N, mat
+            seen["guard"] += 1
+            continue
+        assert lc.mat_mul(R, mat, C) == [[R.pi_pow(shift) if i == j else R.zero
+                                          for j in range(n)] for i in range(n)], mat
+        if shift > max(pivs):
+            assert any(x[0] for row in C for x in row), mat
+            seen["past_pivot"] += 1
+    assert seen["guard"] and seen["past_pivot"], seen
+
+
+# sha256 prefixes of the constant terms of tau_generator_set at seeds 0-9
+# (a refused Gram's LatticeError message in place of its list), for each
+# Gram of gram_family at n <= 4 and kappa = GF(3^s); recorded from the
+# candidate lists before their builders were merged into one
+TAU_GENERATOR_PINS = {
+    "n1 b0 s1": "1331ae4f6d36d27a",
+    "n2 b0 s1": "d0522cfd307b7542",
+    "n2 b1 s1": "2fc3b2eadb7a2bef",
+    "n3 b0 s1": "4a870bad49db01b4",
+    "n3 b1 s1": "0609d7e7d3140eaf",
+    "n4 b0 s1": "e344be9c291e57b1",
+    "n4 b1 s1": "4b1cd7e3615f25eb",
+    "n4 b2 s1": "fc98db4165a30186",
+    "n1 b0 s2": "2e88ee90c4a2bb4f",
+    "n2 b0 s2": "6b69554789cac9a3",
+    "n2 b1 s2": "258c23fd322098f0",
+    "n3 b0 s2": "d7c31f7e0d1d86ae",
+    "n3 b1 s2": "933f07fc86b7387d",
+    "n4 b0 s2": "63be46a1d901fe57",
+    "n4 b1 s2": "a0a6f49736e93bfa",
+    "n4 b2 s2": "dfca58017b8d9b74",
+}
+
+
+def test_tau_generator_set_is_pinned():
+    got = {}
+    for s in (1, 2):
+        R = TruncRing(FieldCtx(3, 1, s), 2)
+        for n in range(1, 5):
+            for b, gram in enumerate(lc.gram_family(R, n)):
+                lists = []
+                for seed in range(10):
+                    try:
+                        mats = tau_generator_set(R, n, seed, gram)
+                    except LatticeError as exc:
+                        lists.append(str(exc))
+                        continue
+                    assert all(not any(x[1:]) for A in mats for row in A for x in row)
+                    lists.append([[[x[0] for x in row] for row in A] for A in mats])
+                digest = hashlib.sha256(json.dumps(lists).encode()).hexdigest()[:16]
+                got[f"n{n} b{b} s{s}"] = digest
+    assert got == TAU_GENERATOR_PINS
 
 
 @PROPERTY

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from stratakit import space as spc, strata
+from stratakit import linalg, space as spc, strata
 from stratakit.gf import FieldCtx
 from stratakit.strata import (
     ConfigError,
@@ -389,6 +389,25 @@ def test_component_sign():
     sp = cfg_y(6, 6, 2, 1, k=1).build_space()
     with pytest.raises(ConfigError):
         _minus(sp, [spc.Subspace.from_rows(sp, [sp.e(1), sp.e(2)])])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_rank_matches_linalg_rank(k):
+    # batches of 3 x 4 matrices over GF(9) and GF(27) with zero rows,
+    # repeated rows, multiples and sums of other rows mixed in
+    ctx = FieldCtx(3, 1, k)
+    A = strata._Arrays(spc.FormedSpace(ctx, "none", 4))
+    rng = np.random.default_rng(k)
+    M = rng.integers(0, ctx.size, size=(400, 3, 4)).astype(np.int16)
+    M[0::8, 1] = 0
+    M[1::8, 2] = M[1::8, 1]
+    M[2::8, 1] = A.MUL[rng.integers(0, ctx.size, 50)[:, None], M[2::8, 0]]
+    M[3::8, 2] = A.ADD[M[3::8, 0], M[3::8, 1]]
+    M[5::8, 1:] = 0
+    M[7::8] = 0
+    want = [linalg.rank(ctx, m.tolist()) for m in M]
+    assert strata._rank(A, M).tolist() == want
+    assert set(want) == {0, 1, 2, 3}
 
 
 def test_component_sign_matches_intersection():
