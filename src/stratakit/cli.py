@@ -26,10 +26,22 @@ from . import charts, latcalc, report, strata, weyl
 from .space import BudgetExceeded, subspace_from_json
 
 
+def _given(args, names, allowed, where: str) -> dict:
+    """The flags among ``names`` given on the command line, refusing any
+    outside ``allowed``."""
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    stray = [f"--{name}" for name in given if name not in allowed]
+    if stray:
+        raise ValueError(f"{' '.join(stray)} not read {where}")
+    return given
+
+
 def _strata_config(args) -> strata.StrataConfig:
+    """The configuration of the given case flags, ``StrataConfig``'s
+    defaults for the rest."""
     case = args.case.upper()
-    return strata.StrataConfig(case, args.q, args.e, args.k,
-                               **{name: getattr(args, name) for name in strata.CASE_PARAMS[case]})
+    return strata.StrataConfig(case, args.q, args.e, args.k, **_given(
+        args, _STRATA_PARAMS, strata.CASE_PARAMS[case], f"in case {case}"))
 
 
 def _run(args, body, config=None) -> int:
@@ -103,11 +115,11 @@ def cmd_weyl_audit(args) -> int:
 def cmd_charts_reconcile(args) -> int:
     # without --q one family counts over GF(3) and the sweep over GF(3) and GF(5)
     qs = (3, 5) if args.q is None else (args.q,)
+    shape = _given(args, _CHART_PARAMS, _CHART_PARAMS if args.family else (), "without --family")
 
     def body():
         if args.family:
-            specs = [charts.ChartSpec(args.family, qs[0], n=args.n, h=args.h,
-                                      t1=args.t1, t2=args.t2)]
+            specs = [charts.ChartSpec(args.family, qs[0], **shape)]
         else:
             specs = charts.all_chart_specs(args.max_entries, qs=qs)
         parts = [charts.reconcile(spec, budget=args.budget) for spec in specs]
@@ -170,6 +182,9 @@ def cmd_latcalc_inclusions(args) -> int:
                                      "h": args.h, "N": args.bign})
 
 
+_STRATA_PARAMS = ("n", "h", "t", "t1", "t2", "eps")
+_CHART_PARAMS = ("n", "h", "t1", "t2")
+
 _SHARED = {"q": {"default": 3, "help": "base field characteristic p"},
            "e": {"default": 1, "help": "base field degree (q = p^e)"},
            "seed": {"default": 0},
@@ -198,12 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, "q", "e", *(("seed", "budget") if name != "classify" else ()))
         p.add_argument("--case", required=True, choices=("z", "y", "zy", "Z", "Y", "ZY"))
         p.add_argument("--k", type=int, default=1)
-        p.add_argument("--n", type=int, default=0)
-        p.add_argument("--h", type=int, default=0)
-        p.add_argument("--t", type=int, default=0)
-        p.add_argument("--t1", type=int, default=0)
-        p.add_argument("--t2", type=int, default=0)
-        p.add_argument("--eps", type=int, default=-1, choices=(-1, 1))
+        # None marks a flag not given: a case refuses the ones it does not read
+        for flag in _STRATA_PARAMS:
+            p.add_argument(f"--{flag}", type=int, choices=(-1, 1) if flag == "eps" else None)
         if name == "classify":
             p.add_argument("--input", required=True)
         p.set_defaults(func=fn)
@@ -220,10 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = ch_sub.add_parser("reconcile")
     _add_common(p, "q", "seed", "budget")
     p.add_argument("--family", choices=("Z", "Y", "ZY", "pi-modular"), default=None)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--h", type=int, default=0)
-    p.add_argument("--t1", type=int, default=0)
-    p.add_argument("--t2", type=int, default=0)
+    for flag in _CHART_PARAMS:
+        p.add_argument(f"--{flag}", type=int)
     p.add_argument("--max-entries", type=int, default=10)
     p.set_defaults(func=cmd_charts_reconcile, q=None)
     p = ch_sub.add_parser("rzdim")

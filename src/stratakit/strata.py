@@ -366,7 +366,8 @@ class _Block(NamedTuple):
 
 class _Arrays:
     """The block kernel's view of a space: the field tables as int16
-    arrays (codes are below 4096) and the Gram as its nonzero entries
+    arrays (codes are below 4096), a square root of each square code
+    (-1 for the non-squares) and the Gram as its nonzero entries
     (i, j, g_ij), or None when formless."""
 
     def __init__(self, sp: FormedSpace):
@@ -375,6 +376,9 @@ class _Arrays:
         self.ADD, self.MUL, self.NEG, self.INV, self.FROB, self.FROB_INV = (
             np.array(t, dtype=np.int16)
             for t in (ctx.ADD, ctx.MUL, ctx.NEG, ctx.INV, ctx.FROB, ctx.FROB_INV))
+        codes = np.arange(ctx.size, dtype=np.int16)
+        self.SQRT = np.full(ctx.size, -1, dtype=np.int16)
+        self.SQRT[self.MUL[codes, codes]] = codes
         self.gram = None if sp.gram is None else [
             (i, j, g) for i, nz in enumerate(sp._gram_nz) for j, g in nz]
 
@@ -407,72 +411,178 @@ def _blocks(cfg: StrataConfig, A: _Arrays, budget: int | None):
     Phi^-k y = y, v <= k - 1: at v = k the span would contain Phi^-v y,
     and past k it would have dimension below d.
 
-    Both scans come from ``linalg.row_spaces``, which solves for the
-    isotropic subspaces rather than filtering: the stable ones over GF(q)
-    (``rational_subspaces``), and the lines <y> of the complement over
-    GF(q^k) in its coordinates, under the complement's Gram in the
-    symmetric kinds (in the symplectic and formless kinds every line is
-    isotropic).  Phi^k fixes every vector of the working field, so the
-    complement is the rows of rref(B^perp) whose pivots are not B's: y is
-    zero at B's pivots with a leading 1.
+    The stable bottoms come from ``linalg.row_spaces`` over GF(q)
+    (``rational_subspaces``), which solves for the isotropic ones.  Phi^k
+    fixes every vector of the working field, so B's complement is the m
+    rows of rref(B^perp) (all of V when formless) whose pivots are not
+    B's, and y is zero at B's pivots with a leading 1.  ``_lines`` solves
+    for the isotropic lines of the complements of many bottoms at once.
 
     ``budget`` (default ``SUBSPACE_BUDGET``) bounds the stable members
     plus the (B, line of its complement) candidates, isotropic or not,
     counted in closed form before the scan starts.
     """
-    sp, ctx = A.space, A.space.ctx
+    sp = A.space
     d, k = cfg.member_dim, cfg.k
     iso = cfg.case in ("Z", "Y")
-    scalars = ctx.subfield_codes(k)
-    vmax = min(d, k - 1)
+    # the dimension m of the complements of the stable (d - v)-subspaces
+    dims = {v: sp.dim - (2 if iso else 1) * (d - v) for v in range(1, min(d, k - 1) + 1)}
     # exact: the stable members, then for each v the stable bottoms times
     # the lines of their complement
     estimate = spc.count_oracle(sp, d, iso) + sum(
-        spc.count_oracle(sp, d - v, iso)
-        * gaussian_binomial(sp.dim - (2 if iso else 1) * (d - v), 1, len(scalars))
-        for v in range(1, vmax + 1))
+        spc.count_oracle(sp, d - v, iso) * gaussian_binomial(m, 1, sp.ctx.size)
+        for v, m in dims.items())
     spc.gate(estimate, budget, SUBSPACE_BUDGET, f"estimated {estimate} member candidates")
     stable = rational_subspaces(sp, d, iso)
     while batch := tuple(itertools.islice(stable, CHUNK)):
         yield _Block(0, batch, np.arange(len(batch)), np.zeros((len(batch), 0), dtype=np.int16))
-    for v in range(1, vmax + 1):
-        yield from _chunked(v, ((B, _lines(A, B, iso, scalars))
-                                for B in rational_subspaces(sp, d - v, iso)))
+    for v, m in dims.items():
+        yield from _chunked(v, _lines(A, rational_subspaces(sp, d - v, iso), m, iso))
 
 
-def _lines(A: _Arrays, B: Subspace, iso: bool, scalars):
-    """The lines of B's complement, one y a row, in arrays of at most
-    ``CHUNK`` rows: each line's solver coefficients combine the
-    complement's rows."""
+# coefficient rows solved at once for a group of bottoms in the y-scan
+_GROUP = 8 * CHUNK
+
+
+def _lines(A: _Arrays, bottoms, m: int, iso: bool):
+    """(B, y) pairs, y an array of lines of B's m-dimensional complement
+    (the isotropic ones in the symmetric kinds; in the symplectic and
+    formless kinds every line is isotropic), bottom after bottom, each
+    bottom's lines in the order of ``linalg.row_spaces``.
+
+    Bottoms are taken in groups of about ``_GROUP`` coefficient rows, a
+    group's complements stacked as one (G, m, dim) array with their Grams
+    from the kernel's ``_form``; ``_line_coeffs`` solves the group's lines
+    in coefficients, and each y is their combination of its bottom's
+    complement rows.  A bottom with more than ``CHUNK`` rows is a group of
+    its own, streamed in pieces.
+    """
     sp = A.space
-    amb = perp(B) if iso else spc.full_subspace(sp)
-    comp = [r for r, pc in zip(amb.rows, amb.pivots) if pc not in B.pivots]
-    gram = [[sp.form(a, b) for b in comp] for a in comp] if sp.kind.startswith("symmetric") else None
-    lines = linalg.row_spaces(sp.ctx, scalars, len(comp), 1, gram)
-    comp = np.array(comp, dtype=np.int16)
-    while coeffs := [x for (x,), _ in itertools.islice(lines, CHUNK)]:
-        y = np.zeros((len(coeffs), sp.dim), dtype=np.int16)
-        for c, row in zip(np.array(coeffs, dtype=np.int16).T, comp):
-            y = A.ADD[y, A.MUL[c[:, None], row]]
-        yield y
+    symmetric = sp.kind.startswith("symmetric")
+    rows = sum(sp.ctx.size ** _free(m, pc, symmetric) for pc in range(m))
+    size = _GROUP // rows if 0 < rows <= CHUNK else 1
+    while group := tuple(itertools.islice(bottoms, size)):
+        comp = np.array([_complement(B, iso) for B in group],
+                        dtype=np.int16).reshape(len(group), m, sp.dim)
+        grams = _form(A, comp[:, :, None], comp[:, None]) if symmetric else None
+        for which, x in _line_coeffs(A, grams, len(group), m):
+            y = np.zeros((len(x), sp.dim), dtype=np.int16)
+            for j in range(m):
+                y = A.ADD[y, A.MUL[x[:, j, None], comp[which, j]]]
+            bounds = np.searchsorted(which, np.arange(len(group) + 1)).tolist()
+            for B, lo, hi in zip(group, bounds, bounds[1:]):
+                yield B, y[lo:hi]
+
+
+def _complement(B: Subspace, iso: bool) -> list:
+    """The rows of rref(B^perp) (of V when formless) whose pivots are not
+    B's: they span a complement of B there."""
+    W = perp(B) if iso else spc.full_subspace(B.space)
+    return [r for r, pc in zip(W.rows, W.pivots) if pc not in B.pivots]
+
+
+def _free(m: int, pc: int, solve: bool) -> int:
+    """The coefficients a line of lead pc enumerates: every entry after
+    the lead, but for the last when it is solved for."""
+    return m - pc - 1 - (solve and pc < m - 1)
+
+
+def _line_coeffs(A: _Arrays, grams, count: int, m: int):
+    """The lines of GF(q^k)^m for each of ``count`` bottoms, as (which, x)
+    pieces: x[i] is the leading-1 coefficient row of a line of bottom
+    which[i].  With Grams (count, m, m) of a symmetric form only the
+    isotropic lines come out; with None, every line.
+
+    Concatenated, the pieces run bottom-major, each bottom's lines in the
+    order of ``linalg.row_spaces``: by lead position, then the free
+    entries after the lead in product order over the field codes (the
+    earliest slowest), the solved last entry ascending (``_roots``).  Each
+    lead's free entries are one mixed-radix array, in slices of at most
+    ``CHUNK`` rows; a lone bottom is yielded slice by slice, a group in
+    one piece.
+    """
+    q = A.space.ctx.size
+    pieces = []
+    for pc in range(m):
+        free = _free(m, pc, grams is not None)
+        for lo in range(0, q ** free, CHUNK):
+            x = np.zeros((min(CHUNK, q ** free - lo), m), dtype=np.int16)
+            x[:, pc] = 1
+            index = np.arange(lo, lo + len(x))
+            for j in range(free):
+                x[:, pc + 1 + j] = index // q ** (free - 1 - j) % q
+            if grams is None:
+                piece = np.repeat(np.arange(count), len(x)), np.tile(x, (count, 1))
+            else:
+                piece = _roots(A, grams, pc, x)
+            if count == 1:
+                yield piece
+            else:
+                pieces.append(piece)
+    if pieces:
+        which = np.concatenate([w for w, _ in pieces]).astype(np.int16)
+        order = np.argsort(which, kind="stable")
+        yield which[order], np.concatenate([x for _, x in pieces])[order]
+
+
+def _roots(A: _Arrays, grams, pc: int, x):
+    """The isotropic lines among the rows x of lead pc under each Gram,
+    as (which, x) with x's last entry solved, bottom-major, then by row,
+    the roots ascending.
+
+    With the last entry t and x' the row as given (its last entry 0),
+    x G x = a t^2 + b t + c for a = g_mm, b = 2 (x' G)_m and c = x' G x',
+    and the roots follow ``linalg._quadratic_roots``: for a != 0 the two,
+    one or no roots (-b +- r) / 2a, r^2 the discriminant (``SQRT``); for
+    a = 0 and b != 0 the one root -c / b; for a = b = 0 every scalar when
+    c = 0, none otherwise.  At pc = m - 1 the row is the last basis
+    vector, a line when a = 0.
+    """
+    G, L, m = len(grams), len(x), x.shape[1]
+    a = grams[:, m - 1, m - 1, None]
+    if pc == m - 1:
+        which = (a[:, 0] == 0).nonzero()[0]
+        return which, np.repeat(x, len(which), axis=0)
+    xg = np.zeros((G, L, m - pc), dtype=np.int16)  # x' G, columns pc..m-1
+    for j in range(pc, m - 1):
+        xg = A.ADD[xg, A.MUL[x[None, :, j, None], grams[:, None, j, pc:]]]
+    c = np.zeros((G, L), dtype=np.int16)
+    for j in range(pc, m - 1):
+        c = A.ADD[c, A.MUL[x[None, :, j], xg[..., j - pc]]]
+    b = A.ADD[xg[..., -1], xg[..., -1]]
+    two_a = A.ADD[a, a]
+    r = A.SQRT[A.ADD[A.MUL[b, b], A.NEG[A.MUL[A.ADD[two_a, two_a], c]]]]
+    inv, minus_b = A.INV[two_a], A.NEG[b]
+    # where r = -1 (no root) t and u are read off and never used
+    t, u = A.MUL[A.ADD[minus_b, r], inv], A.MUL[A.ADD[minus_b, A.NEG[r]], inv]
+    quadratic = np.broadcast_to(a != 0, b.shape)
+    every = ~quadratic & (b == 0)
+    count = np.where(quadratic, (r >= 0).astype(np.intp) + (r > 0),
+                     np.where(every, np.where(c == 0, A.space.ctx.size, 0), 1)).ravel()
+    first = np.where(quadratic, np.minimum(t, u), A.MUL[A.NEG[c], A.INV[b]]).ravel()
+    cells = np.repeat(np.arange(count.size), count)
+    rank = np.arange(len(cells)) - np.repeat(np.cumsum(count) - count, count)
+    out = x[cells % L]
+    out[:, m - 1] = np.where(every.ravel()[cells], rank,
+                             np.where(rank == 0, first[cells], np.maximum(t, u).ravel()[cells]))
+    return cells // L, out
 
 
 def _chunked(v: int, pairs):
-    """Blocks of at most ``CHUNK`` candidates from (bottom, line arrays)
-    pairs, in order; a bottom whose lines do not fit continues in the
-    next block."""
+    """Blocks of at most ``CHUNK`` candidates from (bottom, lines) pairs,
+    in order; lines that do not fit continue in the next block."""
     bottoms, which, ys, size = [], [], [], 0
-    for B, parts in pairs:
-        for lines in parts:
-            while len(lines):
-                part, lines = lines[:CHUNK - size], lines[CHUNK - size:]
-                which.append(np.full(len(part), len(bottoms)))
+    for B, lines in pairs:
+        while len(lines):
+            if not bottoms or bottoms[-1] is not B:
                 bottoms.append(B)
-                ys.append(part)
-                size += len(part)
-                if size == CHUNK:
-                    yield _Block(v, tuple(bottoms), np.concatenate(which), np.concatenate(ys))
-                    bottoms, which, ys, size = [], [], [], 0
+            part, lines = lines[:CHUNK - size], lines[CHUNK - size:]
+            which.append(np.full(len(part), len(bottoms) - 1))
+            ys.append(part)
+            size += len(part)
+            if size == CHUNK:
+                yield _Block(v, tuple(bottoms), np.concatenate(which), np.concatenate(ys))
+                bottoms, which, ys, size = [], [], [], 0
     if size:
         yield _Block(v, tuple(bottoms), np.concatenate(which), np.concatenate(ys))
 

@@ -124,9 +124,20 @@ def test_flags_that_nothing_reads_are_refused(tmp_path, capsys):
                  ("charts", "rzdim", "--n", "5", "--h", "0", "--e", "3"),
                  ("charts", "rzdim", "--n", "5", "--h", "0", "--seed", "9"),
                  (*classify, "--seed", "5"),
-                 ("charts", "reconcile", "--max-entries", "2", "--e", "1")):
+                 ("charts", "reconcile", "--max-entries", "2", "--e", "1"),
+                 # strata flags that the case does not read, chart shape
+                 # flags without a family
+                 ("strata", "verify", "--case", "z", "--k", "2", "--t", "4", "--h", "0",
+                  "--n", "7", "--eps", "1", "--t1", "6"),
+                 ("strata", "count", "--case", "zy", "--k", "2", "--t1", "4", "--h", "2",
+                  "--t", "2"),
+                 (*classify, "--eps", "-1"),
+                 ("charts", "reconcile", "--max-entries", "2", "--n", "4", "--h", "2",
+                  "--t1", "6")):
         assert main(list(argv)) == 2, argv
-    capsys.readouterr()
+    _, err = capsys.readouterr()
+    assert "error: --n --t1 --eps not read in case Z\n" in err
+    assert "error: --n --h --t1 not read without --family\n" in err
 
 
 def test_rzdim_value(capsys):

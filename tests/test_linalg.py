@@ -1,12 +1,15 @@
 """The echelon solver ``linalg.row_spaces``: its order without a Gram
-matrix, and the isotropic subspaces it solves for with one."""
+matrix, and the isotropic subspaces it solves for with one; and the numpy
+line solver of the strata y-scan, checked against it."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stratakit import linalg, space as spc
+from stratakit import linalg, space as spc, strata
 from stratakit.gf import FieldCtx
 from subspace_scan import enumerate_subspaces
 
@@ -140,3 +143,101 @@ def test_isotropic_lines_take_every_quadratic_branch(monkeypatch):
                 assert len(reps) == len(set(reps))
                 assert reps == _isotropic_lines_by_filter(ctx, scalars, g)
     assert seen == {"a=0", "a=0, b=0", "a!=0"}
+
+
+# The y-scan of ``strata`` solves the lines of many complements at once in
+# numpy (``strata._line_coeffs``); ``row_spaces`` and the filtered scan are
+# its references.  Fields of every code, so the scalars are the whole field.
+SOLVER_FIELDS = {"GF(3)": FieldCtx(3, 1, 1), "GF(9)": FieldCtx(3, 2, 1),
+                 "GF(25)": FieldCtx(5, 2, 1), "GF(27)": FieldCtx(3, 3, 1)}
+SOLVER_KINDS = {"symmetric-even-split": (2, 4), "symmetric-even-nonsplit": (2, 4),
+                "symmetric-odd": (1, 3), "symplectic": (2, 4), "none": (1, 2, 3)}
+
+
+def _rebased(ctx, g, rng):
+    """P G P^T for a random invertible P over every code of ctx."""
+    m = len(g)
+    while True:
+        P = [[rng.randrange(ctx.size) for _ in range(m)] for _ in range(m)]
+        if linalg.rank(ctx, P) == m:
+            return [[_bilinear(ctx, g, P[a], P[b]) for b in range(m)] for a in range(m)]
+
+
+def _solved_lines(ctx, grams, m, count=1):
+    """Each bottom's lines from ``strata._line_coeffs``, as tuples, for a
+    batch of symmetric Grams (None: every line, for ``count`` bottoms)."""
+    A = strata._Arrays(spc.FormedSpace(ctx, "none", m))
+    if grams is not None:
+        grams, count = np.array(grams, dtype=np.int16), len(grams)
+    out, seen = [[] for _ in range(count)], []
+    for which, x in strata._line_coeffs(A, grams, count, m):
+        seen += which.tolist()
+        for b, row in zip(which.tolist(), x.tolist()):
+            out[b].append(tuple(row))
+    assert seen == sorted(seen)  # bottom-major across the pieces
+    return out
+
+
+@pytest.mark.parametrize("field", sorted(SOLVER_FIELDS))
+def test_line_solver_is_row_spaces(field):
+    # every kind, in the standard basis and two random ones, as one batch:
+    # each bottom's lines are those of row_spaces and of the filtered scan,
+    # in the same order
+    ctx = SOLVER_FIELDS[field]
+    codes = range(ctx.size)
+    rng = random.Random(field)
+    for kind, dims in SOLVER_KINDS.items():
+        for m in dims:
+            if ctx.size ** (m - 1) > 1000:
+                continue
+            g0 = spc.FormedSpace(ctx, kind, m).gram
+            grams = None if g0 is None else [g0] + [_rebased(ctx, g0, rng) for _ in range(2)]
+            want = [[rows[0] for rows, _ in linalg.row_spaces(ctx, codes, m, 1, g)]
+                    for g in (grams or [None])]
+            if kind.startswith("symmetric"):
+                got = _solved_lines(ctx, grams, m)
+            else:  # every line is isotropic, in each basis
+                got = _solved_lines(ctx, None, m, count=len(want))
+            for g, lines, reference in zip(grams or [None], got, want):
+                assert lines == reference, (kind, m)
+                assert lines == _isotropic_lines_by_filter(ctx, codes, g or [[0] * m] * m)
+
+
+def test_line_solver_takes_every_root_branch(monkeypatch):
+    # a batch of the standard split and non-split 4-spaces and two random
+    # bases of each: bottoms of different a in one call, and the cells of
+    # every branch of the quadratic in the last entry
+    seen = set()
+    solve = strata._roots
+
+    def spy(A, grams, pc, x):
+        ctx, m = A.space.ctx, x.shape[1]
+        if pc < m - 1:
+            assert len(set(grams[:, -1, -1].tolist())) > 1  # bottoms of different a
+            for g in grams.tolist():
+                a = g[-1][-1]
+                for row in x.tolist():
+                    c = _bilinear(ctx, g, row, row)
+                    l = _bilinear(ctx, g, row, [0] * (m - 1) + [1])
+                    b = ctx.add(l, l)
+                    if a:
+                        disc = ctx.add(ctx.mul(b, b), ctx.neg(ctx.mul(ctx.mul(4 % ctx.p, a), c)))
+                        square = any(ctx.mul(s, s) == disc for s in range(ctx.size))
+                        seen.add("a!=0, " + ("zero" if not disc else
+                                             "square" if square else "non-square"))
+                    else:
+                        seen.add("a=0, " + ("b!=0" if b else "b=0, c=0" if not c else "b=0, c!=0"))
+        return solve(A, grams, pc, x)
+
+    monkeypatch.setattr(strata, "_roots", spy)
+    for field in ("GF(3)", "GF(9)"):
+        ctx, rng = SOLVER_FIELDS[field], random.Random(field)
+        codes = range(ctx.size)
+        grams = []
+        for kind in ("symmetric-even-split", "symmetric-even-nonsplit"):
+            g0 = spc.FormedSpace(ctx, kind, 4).gram
+            grams += [g0, _rebased(ctx, g0, rng), _rebased(ctx, g0, rng)]
+        for g, lines in zip(grams, _solved_lines(ctx, grams, 4)):
+            assert lines == [rows[0] for rows, _ in linalg.row_spaces(ctx, codes, 4, 1, g)]
+    assert seen == {"a!=0, square", "a!=0, zero", "a!=0, non-square",
+                    "a=0, b!=0", "a=0, b=0, c=0", "a=0, b=0, c!=0"}

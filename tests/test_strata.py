@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -170,6 +171,66 @@ def test_fast_path_matches_generic_enumeration():
         fast = [u.rows for u in enumerate_members(cfg)]
         assert len(fast) == len(set(fast)) == total, cfg.describe()
         assert set(fast) == _rational_scan(cfg), cfg.describe()
+
+
+# sha256 of the candidate stream of ``strata._blocks`` (per candidate: v,
+# its bottom's rows, y), recorded with the one-bottom-at-a-time scan
+# through ``linalg.row_spaces``: the benchmark's strata configurations,
+# then Z q3 t6 h2 k2 and Z q3 t6 h4 k2
+STREAM_SHA256 = {
+    cfg_z(4, 2, p=5): "3463b106b98576bf381eb2dc5c1109df7855f0e73ab90f77301d3a3bc0db48ad",
+    cfg_z(4, 0, p=5): "de938590246b43b50f584188d115a8af172cc07ff1ca165c8bc50566ceba92f4",
+    cfg_y(6, 4, 0, -1): "18484086a43c94abfb07501d450d7461d06200b8843caf1684edf8ce425883f5",
+    cfg_y(6, 6, 0, 1): "f67ab631e2131d166b17aec426504e5c6d8e60daf8a1414d6122040f04dc9215",
+    cfg_zy(8, 4, 0): "45cabcc61c57cec8d2ea611ccff3002b02b8bf1f66a2c5cf7c793592a8d0d361",
+    cfg_z(4, 0, k=3): "05c84b7f10b25e31baf3a397dc32ad8fc1d29b42471a1e7f5a7d6114a64494c3",
+    cfg_z(4, 2, k=3): "6562c26a0bd3abf89466cdf0863b0eab42a84ea1f8885321775d6e385fd679d4",
+    cfg_y(4, 2, 0, -1, k=3): "0443d1e0e379f5b64d399e435a2e157601ddc32b4d72c7cbbed082cf2e6b7a4c",
+    # no candidate: the non-split plane has no isotropic line over GF(27)
+    cfg_y(2, 2, 0, 1, k=3): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    cfg_zy(6, 2, 0, k=3): "a29790bd7bb5c621a276acd25b32670e0e84bb94ecc8192636bdeb0b7731a820",
+    cfg_z(6, 2): "f9c644d0f1fd2b9196ab2a0463b018255c725c17ac6fa9b09be1aff0192e6b10",
+    cfg_z(6, 4): "db2625fb15f86afe30c10b7e3072c8e1fee67c5096009f317c939b71cecb70d2",
+}
+
+
+def _stream_sha256(cfg):
+    A = strata._Arrays(cfg.build_space())
+    digest = hashlib.sha256()
+    for blk in strata._blocks(cfg, A, None):
+        assert len(blk.y) <= strata.CHUNK
+        bottoms = np.array([B.rows for B in blk.bottoms], dtype=np.int16).reshape(
+            len(blk.bottoms), blk.bottoms[0].dim * A.space.dim)[blk.which]
+        v = np.full((len(blk.y), 1), blk.v, dtype=np.int16)
+        digest.update(np.concatenate([v, bottoms, blk.y], axis=1).astype(np.int16).tobytes())
+    return digest.hexdigest()
+
+
+def test_candidate_stream_is_pinned(monkeypatch):
+    # the same candidates in the same order, so the blocks, their labels
+    # and the enumeration order are unchanged; and on Z t6 h4 k2, whose one
+    # bottom has 66,430 lines, the scan holds at most CHUNK coefficient rows
+    # of a bottom and yields at most CHUNK lines at a time
+    rows, lines = [], []
+    line_coeffs, solve = strata._line_coeffs, strata._lines
+
+    def coeffs_spy(*args):
+        for which, x in line_coeffs(*args):
+            rows.append(np.bincount(which, minlength=1).max())
+            yield which, x
+
+    def lines_spy(*args):
+        for B, y in solve(*args):
+            lines.append(len(y))
+            yield B, y
+
+    monkeypatch.setattr(strata, "_line_coeffs", coeffs_spy)
+    monkeypatch.setattr(strata, "_lines", lines_spy)
+    for cfg, want in STREAM_SHA256.items():
+        rows.clear(), lines.clear()
+        assert _stream_sha256(cfg) == want, cfg.describe()
+    assert sum(lines) == sum(rows) == 66_430 and len(rows) > 30
+    assert max(rows) <= strata.CHUNK and max(lines) <= strata.CHUNK
 
 
 def test_nonsplit_quadric_points_at_odd_k():
