@@ -264,6 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the least value of each count flag: below it a run would audit nothing
+# and pass, or report a budget overrun that no budget can cause
+_FLOORS = {"trials": 1, "tmax": 1, "budget": 0}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -271,6 +276,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for name, floor in _FLOORS.items():
+            if (value := getattr(args, name, None)) is not None and value < floor:
+                raise ValueError(f"--{name} must be at least {floor}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,10 @@ several times cheaper than indexing a numpy array and yields a plain
 ``int`` rather than a numpy scalar.  Every entry is one of the shared
 ``int`` objects of ``list(range(size))``, so a table costs one pointer per
 entry.  numpy builds the tables, and the block kernel of ``strata``
-copies them into int16 arrays once per tally, to classify a whole block
-of members with each table lookup.
+copies them once per tally into flat int16 arrays (``ADD`` and ``MUL``
+row-major), to classify a whole block of members with each table
+lookup: one 1-D ``take`` at the codes, or at x * size + y for a sum or
+product.
 
 The context views its field as the degree-``k`` extension of a base field
 GF(q), q = p^e, and exposes the arithmetic Frobenius ``x -> x**q``.  The

@@ -365,22 +365,39 @@ class _Block(NamedTuple):
 
 
 class _Arrays:
-    """The block kernel's view of a space: the field tables as int16
-    arrays (codes are below 4096), a square root of each square code
-    (-1 for the non-squares) and the Gram as its nonzero entries
-    (i, j, g_ij), or None when formless."""
+    """The block kernel's view of a space: the field tables as flat int16
+    arrays (codes are below ``gf.ENUMERATION_BOUND`` = 4096), a square
+    root of each square code (-1 for the non-squares) and the Gram as its
+    nonzero entries (i, j, g_ij), or None when formless.
+
+    Every table read is a 1-D ``take``, the cheapest gather numpy has:
+    ``NEG.take(z)`` and the like, and ``add``/``mul`` for the two-operand
+    tables, stored row-major, which read entry x * size + y.  ``stride``
+    is the size typed as that index: int16 while size^2 < 2^15, int32
+    above.
+    """
 
     def __init__(self, sp: FormedSpace):
         ctx = sp.ctx
         self.space = sp
+        self.stride = (np.int16 if ctx.size ** 2 < 2 ** 15 else np.int32)(ctx.size)
         self.ADD, self.MUL, self.NEG, self.INV, self.FROB, self.FROB_INV = (
-            np.array(t, dtype=np.int16)
+            np.array(t, dtype=np.int16).ravel()
             for t in (ctx.ADD, ctx.MUL, ctx.NEG, ctx.INV, ctx.FROB, ctx.FROB_INV))
         codes = np.arange(ctx.size, dtype=np.int16)
         self.SQRT = np.full(ctx.size, -1, dtype=np.int16)
-        self.SQRT[self.MUL[codes, codes]] = codes
+        self.SQRT[self.mul(codes, codes)] = codes
         self.gram = None if sp.gram is None else [
             (i, j, g) for i, nz in enumerate(sp._gram_nz) for j, g in nz]
+
+    def add(self, x, y) -> np.ndarray:
+        """x + y, elementwise over the broadcast of the code arrays (or
+        ints) x and y."""
+        return self.ADD.take(x * self.stride + y)
+
+    def mul(self, x, y) -> np.ndarray:
+        """x * y, elementwise over the broadcast of x and y."""
+        return self.MUL.take(x * self.stride + y)
 
 
 def rational_subspaces(sp: FormedSpace, d: int, isotropic_only: bool):
@@ -468,7 +485,7 @@ def _lines(A: _Arrays, bottoms, m: int, iso: bool):
         for which, x in _line_coeffs(A, grams, len(group), m):
             y = np.zeros((len(x), sp.dim), dtype=np.int16)
             for j in range(m):
-                y = A.ADD[y, A.MUL[x[:, j, None], comp[which, j]]]
+                y = A.add(y, A.mul(x[:, j, None], comp[which, j]))
             bounds = np.searchsorted(which, np.arange(len(group) + 1)).tolist()
             for B, lo, hi in zip(group, bounds, bounds[1:]):
                 yield B, y[lo:hi]
@@ -545,21 +562,21 @@ def _roots(A: _Arrays, grams, pc: int, x):
         return which, np.repeat(x, len(which), axis=0)
     xg = np.zeros((G, L, m - pc), dtype=np.int16)  # x' G, columns pc..m-1
     for j in range(pc, m - 1):
-        xg = A.ADD[xg, A.MUL[x[None, :, j, None], grams[:, None, j, pc:]]]
+        xg = A.add(xg, A.mul(x[None, :, j, None], grams[:, None, j, pc:]))
     c = np.zeros((G, L), dtype=np.int16)
     for j in range(pc, m - 1):
-        c = A.ADD[c, A.MUL[x[None, :, j], xg[..., j - pc]]]
-    b = A.ADD[xg[..., -1], xg[..., -1]]
-    two_a = A.ADD[a, a]
-    r = A.SQRT[A.ADD[A.MUL[b, b], A.NEG[A.MUL[A.ADD[two_a, two_a], c]]]]
-    inv, minus_b = A.INV[two_a], A.NEG[b]
+        c = A.add(c, A.mul(x[None, :, j], xg[..., j - pc]))
+    b = A.add(xg[..., -1], xg[..., -1])
+    two_a = A.add(a, a)
+    r = A.SQRT.take(A.add(A.mul(b, b), A.NEG.take(A.mul(A.add(two_a, two_a), c))))
+    inv, minus_b = A.INV.take(two_a), A.NEG.take(b)
     # where r = -1 (no root) t and u are read off and never used
-    t, u = A.MUL[A.ADD[minus_b, r], inv], A.MUL[A.ADD[minus_b, A.NEG[r]], inv]
+    t, u = A.mul(A.add(minus_b, r), inv), A.mul(A.add(minus_b, A.NEG.take(r)), inv)
     quadratic = np.broadcast_to(a != 0, b.shape)
     every = ~quadratic & (b == 0)
     count = np.where(quadratic, (r >= 0).astype(np.intp) + (r > 0),
                      np.where(every, np.where(c == 0, A.space.ctx.size, 0), 1)).ravel()
-    first = np.where(quadratic, np.minimum(t, u), A.MUL[A.NEG[c], A.INV[b]]).ravel()
+    first = np.where(quadratic, np.minimum(t, u), A.mul(A.NEG.take(c), A.INV.take(b))).ravel()
     cells = np.repeat(np.arange(count.size), count)
     rank = np.arange(len(cells)) - np.repeat(np.cumsum(count) - count, count)
     out = x[cells % L]
@@ -662,7 +679,7 @@ def classify_block(cfg: StrataConfig, A: _Arrays, blk: _Block, kr: bool):
     rows, pivots, keep = [y], [(y != 0).argmax(1)], np.ones(len(y), dtype=bool)
     z = last = y
     for j in range(1, v + 1):
-        z = A.FROB_INV[z]
+        z = A.FROB_INV.take(z)
         if formed and j < v:
             keep &= _form(A, y, z) == 0
         res = _reduce(A, rows, pivots, z)
@@ -677,7 +694,7 @@ def classify_block(cfg: StrataConfig, A: _Arrays, blk: _Block, kr: bool):
     aniso = np.zeros(len(index), dtype=bool)
     live = np.ones(len(index), dtype=bool)
     while True:
-        z = A.FROB[z]
+        z = A.FROB.take(z)
         if formed:
             exits = live & (_form(A, z, last) != 0)
             aniso |= exits
@@ -701,7 +718,7 @@ def classify_block(cfg: StrataConfig, A: _Arrays, blk: _Block, kr: bool):
         krc = 3
         if formed:
             U = np.concatenate([_bottom_rows(blk, index), np.stack(rows[:v], 1)], 1)
-            krc = np.where(_pairs_nonzero(A, U, A.FROB[U]), 2, 3)
+            krc = np.where(_pairs_nonzero(A, U, A.FROB.take(U)), 2, 3)
     return index, _code(u, w, sign, krc)
 
 
@@ -717,16 +734,15 @@ def _form(A: _Arrays, x, y) -> np.ndarray:
     over the others."""
     acc = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), dtype=np.int16)
     for i, j, g in A.gram:
-        acc = A.ADD[acc, A.MUL[A.MUL[g][x[..., i]], y[..., j]]]
+        acc = A.add(acc, A.mul(A.mul(g, x[..., i]), y[..., j]))
     return acc
 
 
 def _reduce(A: _Arrays, rows, pivots, z) -> np.ndarray:
     """Each z reduced by its semi-echelon rows: zero exactly where z lies
     in their span."""
-    at = np.arange(len(z))
     for r, p in zip(rows, pivots):
-        z = A.ADD[z, A.MUL[A.NEG[z[at, p]][:, None], r]]
+        z = A.add(z, A.mul(A.NEG.take(np.take_along_axis(z, p[:, None], 1)), r))
     return z
 
 
@@ -734,7 +750,7 @@ def _append(A: _Arrays, rows: list, pivots: list, res) -> None:
     """Add residuals as the next semi-echelon rows, each scaled to a 1 at
     its first nonzero entry, its pivot (a zero residual stays zero)."""
     p = (res != 0).argmax(1)
-    rows.append(A.MUL[A.INV[res[np.arange(len(res)), p]][:, None], res])
+    rows.append(A.mul(A.INV.take(np.take_along_axis(res, p[:, None], 1)), res))
     pivots.append(p)
 
 
@@ -767,7 +783,7 @@ def _minus(A: _Arrays, F) -> np.ndarray:
         s = next((x for x in range(ctx.size) if ctx.MUL[x][x] == delta), None)
         if s is None:
             raise ConfigError("no maximal isotropic exists where delta is not a square")
-        cols[..., -1] = A.ADD[A.MUL[s][F[..., -1]], A.NEG[F[..., m - 1]]]
+        cols[..., -1] = A.add(A.mul(s, F[..., -1]), A.NEG.take(F[..., m - 1]))
     return _rank(A, cols) % 2 == 1
 
 

@@ -140,6 +140,27 @@ def test_flags_that_nothing_reads_are_refused(tmp_path, capsys):
     assert "error: --n --h --t1 not read without --family\n" in err
 
 
+def test_counts_that_audit_nothing_are_refused(capsys):
+    # each of these runs used to exit 0 having audited nothing, or 3 on a
+    # budget no run can meet
+    z = ("strata", "count", "--case", "z", "--k", "2", "--t", "4", "--h", "2")
+    for argv, flag in ((("latcalc", "dichotomy", "--n", "3", "--s", "2", "--trials", "0"),
+                        "--trials must be at least 1"),
+                       (("latcalc", "dichotomy", "--n", "3", "--s", "2", "--trials", "-3"),
+                        "--trials must be at least 1"),
+                       (("weyl", "audit", "--tmax", "0"), "--tmax must be at least 1"),
+                       (("weyl", "audit", "--tmax", "-2"), "--tmax must be at least 1"),
+                       ((*z, "--budget", "-5"), "--budget must be at least 0"),
+                       (("latcalc", "inclusions", "--n", "2", "--h", "2", "--budget", "-1"),
+                        "--budget must be at least 0")):
+        assert main(list(argv)) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {flag}\n", argv
+    # the least values still run: a zero budget is an overrun (exit 3)
+    assert main([*z, "--budget", "0"]) == 3
+    assert main(["weyl", "audit", "--tmax", "1"]) == 0
+
+
 def test_rzdim_value(capsys):
     code, out = run(capsys, "charts", "rzdim", "--n", "5", "--h", "0", "--format", "csv")
     assert code == 0

@@ -462,13 +462,49 @@ def test_block_rank_matches_linalg_rank(k):
     M = rng.integers(0, ctx.size, size=(400, 3, 4)).astype(np.int16)
     M[0::8, 1] = 0
     M[1::8, 2] = M[1::8, 1]
-    M[2::8, 1] = A.MUL[rng.integers(0, ctx.size, 50)[:, None], M[2::8, 0]]
-    M[3::8, 2] = A.ADD[M[3::8, 0], M[3::8, 1]]
+    M[2::8, 1] = A.mul(rng.integers(0, ctx.size, 50)[:, None], M[2::8, 0])
+    M[3::8, 2] = A.add(M[3::8, 0], M[3::8, 1])
     M[5::8, 1:] = 0
     M[7::8] = 0
     want = [linalg.rank(ctx, m.tolist()) for m in M]
     assert strata._rank(A, M).tolist() == want
     assert set(want) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("p,e,k", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5)])
+def test_block_arithmetic_is_the_field_tables(p, e, k):
+    # the kernel's gathers against FieldCtx's scalar tables, every pair
+    # and every code, over GF(9) .. GF(81) (int16 index) and GF(243),
+    # whose index x * 243 + y needs int32
+    ctx = FieldCtx(p, e, k)
+    q = ctx.size
+    A = strata._Arrays(spc.FormedSpace(ctx, "none", 1))
+    assert A.stride.dtype == (np.int32 if q > 181 else np.int16)
+    codes = np.arange(q, dtype=np.int16)
+    # 3-D broadcasts as in _roots, and an int times a code array as in
+    # _form
+    assert A.add(codes[None, :, None], codes[:, None, None])[..., 0].T.tolist() == ctx.ADD
+    assert A.mul(codes[:, None], codes[None, :]).tolist() == ctx.MUL
+    for g in (0, 1, q - 1):
+        assert A.mul(g, codes).tolist() == ctx.MUL[g]
+    for table in ("NEG", "INV", "FROB", "FROB_INV"):
+        assert getattr(A, table).take(codes).tolist() == getattr(ctx, table), table
+    sqrt = A.SQRT.take(codes).tolist()
+    squares = {ctx.MUL[x][x] for x in range(q)}
+    assert all((s == -1) == (c not in squares) for c, s in enumerate(sqrt))
+    assert all(ctx.MUL[s][s] == c for c, s in enumerate(sqrt) if s >= 0)
+
+
+def test_tally_over_a_field_with_a_wide_index():
+    # over GF(3^5) and GF(17^2), whose table index needs int32, the
+    # tallies the 2-D fancy-index kernel gave: a conic, and the signed
+    # Lagrangians of a non-split 4-space
+    conic = StrataConfig("Y", 3, 1, 5, n=3, h=2, t=0)
+    assert strata._tally(conic, None, kr=True) == {
+        ("id", StratumLabel(0, 0, "id")): 4, ("w", StratumLabel(1, 0, "w")): 240}
+    signed = cfg_y(4, 4, 0, 1, k=2, p=17)
+    assert strata._tally(signed, None, kr=True) == {
+        ("w", StratumLabel(1, 0, "w", "+")): 290, ("w", StratumLabel(1, 0, "w", "-")): 290}
 
 
 def test_component_sign_matches_intersection():
