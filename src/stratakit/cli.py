@@ -50,7 +50,8 @@ def _run(args, body, config=None) -> int:
     The part holds ``counts`` and ``checks`` and, unless the caller passes
     ``config``, its own ``config``.  A budget overrun anywhere in the body
     becomes an inconclusive ``enumeration`` check, and a truncation guard
-    trip that no trial absorbed an inconclusive ``guard`` check (exit 3).
+    trip that no trial absorbed an inconclusive ``guard`` check (exit 3);
+    a broken strata chain is a failed ``chain`` check (exit 1).
     """
     t0 = time.perf_counter()
     try:
@@ -59,6 +60,9 @@ def _run(args, body, config=None) -> int:
         name = "enumeration" if isinstance(exc, BudgetExceeded) else "guard"
         part = {"config": config, "counts": [],
                 "checks": [report.inconclusive(name, witness=str(exc))]}
+    except strata.ChainError as exc:
+        part = {"config": config, "counts": [],
+                "checks": [report.check("chain", ok=False, witness=str(exc))]}
     rep = report.make_report(part["config"], part["counts"], part["checks"],
                              seed=getattr(args, "seed", None),
                              wall_time_s=time.perf_counter() - t0)

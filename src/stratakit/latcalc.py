@@ -9,6 +9,12 @@ form together with a global pi-power rescaling (``vfloor``); a hermitian
 Gram matrix H and a sigma-semilinear operator tau(x) = A sigma(x) with
 A unitary complete the data.
 
+A ring element is its tuple of coefficient codes cut after the last
+nonzero one (zero is the empty tuple), one canonical form, so tuple
+equality, hashing and lattice keys are exact and each operation costs
+the degrees of its operands rather than the width 2N; only counterexample
+records print the dense width-2N tuples (:meth:`TruncRing.dense`).
+
 All arithmetic is exact in R.  The interpretation as lattices over the
 untruncated power series ring is valid while every valuation produced
 stays below the guard N = half the truncation order; any operation that
@@ -45,7 +51,9 @@ class ChainBreach(LatticeError):
 
 
 class TruncRing:
-    """GF(q^s)[pi]/(pi^(2N)) with conjugation and Frobenius."""
+    """GF(q^s)[pi]/(pi^(2N)) with conjugation and Frobenius.  An element
+    is its coefficient tuple, lowest power first, cut after the last
+    nonzero code: zero is (), the only false element, and one is (1,)."""
 
     def __init__(self, ctx: FieldCtx, N: int):
         if N < 2:
@@ -53,21 +61,33 @@ class TruncRing:
         self.ctx = ctx
         self.N = N
         self.width = 2 * N
-        self.zero = (0,) * self.width
-        self.one = (1,) + (0,) * (self.width - 1)
+        self.zero = ()
+        self.one = (1,)
         self._neg_mul = [ctx.MUL[ctx.NEG[x]] for x in range(ctx.size)]
 
     def const(self, code: int) -> tuple[int, ...]:
-        return (code,) + (0,) * (self.width - 1)
+        return (code,) if code else ()
 
     def pi_pow(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.width:
             raise GuardError(f"pi^{j} outside the ring window")
-        return (0,) * j + (1,) + (0,) * (self.width - j - 1)
+        return (0,) * j + (1,)
+
+    def dense(self, a) -> tuple[int, ...]:
+        """All width coefficients of a, the form a counterexample record
+        prints."""
+        return a + (0,) * (self.width - len(a))
 
     def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
         ADD = self.ctx.ADD
-        return tuple(ADD[x][y] for x, y in zip(a, b))
+        out = [ADD[x][y] for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return (*out, *a[len(b):])
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def neg(self, a):
         NEG = self.ctx.NEG
@@ -86,19 +106,28 @@ class TruncRing:
 
     def _mul_into(self, acc, a, b, rows):
         """acc plus rows[a_i][b_j] pi^(i+j) over the nonzero terms of a and
-        b, up to the width (``rows`` is MUL, or MUL of the negated a_i)."""
-        ADD, w = self.ctx.ADD, self.width
-        terms = [(j, y) for j, y in enumerate(b) if y]
-        if not terms:
+        b, below the width (``rows`` is MUL, or MUL of the negated a_i),
+        with the zeros that cancelling or the width leave on top stripped."""
+        if not (a and b):
             return acc
+        ADD, top = self.ctx.ADD, len(a) + len(b) - 1
+        if top > self.width:
+            top = self.width
         out = list(acc)
+        if len(out) < top:
+            out += [0] * (top - len(out))
         for i, x in enumerate(a):
             if x:
                 row = rows[x]
-                for j, y in terms:
-                    if i + j >= w:
+                j = i
+                for y in b:
+                    if j == top:
                         break
-                    out[i + j] = ADD[out[i + j]][row[y]]
+                    if y:
+                        out[j] = ADD[out[j]][row[y]]
+                    j += 1
+        while out and not out[-1]:
+            out.pop()
         return tuple(out)
 
     def conj(self, a):
@@ -120,32 +149,28 @@ class TruncRing:
                 return i
         return self.width
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     def unit_inv(self, a):
         """Inverse of a unit (valuation 0) by Newton's step x <- 2x - a x^2
         from the inverse of the constant term: a step doubles the number
         of correct coefficients, so ceil(log2 width) steps reach the width."""
-        if a[0] == 0:
+        if not a or a[0] == 0:
             raise LatticeError("not a unit")
-        x = self.const(self.ctx.INV[a[0]])
-        for _ in range((self.width - 1).bit_length() if any(a[1:]) else 0):
+        x = (self.ctx.INV[a[0]],)
+        for _ in range((self.width - 1).bit_length() if len(a) > 1 else 0):
             x = self.sub_mul(self.add(x, x), x, self.mul(a, x))
         return x
 
     def shift(self, a, j: int):
         """Multiply by pi^j (j may be negative: exact division required)."""
-        if j == 0:
+        if j == 0 or not a:
             return a
         if j > 0:
-            if any(a[self.width - j :]):
+            if len(a) + j > self.width:
                 raise GuardError("shift pushes support past the truncation order")
-            return (0,) * j + a[: self.width - j]
-        j = -j
-        if any(a[:j]):
+            return (0,) * j + a
+        if any(a[:-j]):
             raise LatticeError("inexact division by pi power")
-        return a[j:] + (0,) * j
+        return a[-j:]
 
 
 # -- matrices over the ring ------------------------------------------------
@@ -155,10 +180,10 @@ def mat_mul(R: TruncRing, A, B):
     for i in range(len(A)):
         for k in range(len(B)):
             a = A[i][k]
-            if R.is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(B[k]):
-                if not R.is_zero(b):
+                if b:
                     out[i][j] = R.add_mul(out[i][j], a, b)
     return out
 
@@ -199,8 +224,8 @@ def column_hnf(R: TruncRing, cols, n: int):
         best = None
         bestv = R.width
         for j in range(r, len(work)):
-            v = R.val(work[j][r])
-            if v < bestv:
+            x = work[j][r]
+            if x and (v := R.val(x)) < bestv:
                 bestv, best = v, j
         if best is None or bestv == R.width:
             raise LatticeError("rank-deficient generating set")
@@ -208,23 +233,23 @@ def column_hnf(R: TruncRing, cols, n: int):
             raise GuardError("pivot valuation beyond the guard")
         work[r], work[best] = work[best], work[r]
         # normalize pivot column so the pivot entry is exactly pi^a
-        unit = R.shift(work[r][r], -bestv)
+        unit = work[r][r][bestv:]
         if unit != R.one:
             uinv = R.unit_inv(unit)
             work[r] = [R.mul(uinv, x) for x in work[r]]
         piv = work[r]
-        for j in range(len(work)):
-            if j == r or R.is_zero(work[j][r]):
-                continue
+        for j, col in enumerate(work):
             # the quotient by pi^a with the residue mod pi^a dropped; below
             # the pivot no entry has smaller valuation, so it is exact there
-            q = work[j][r][bestv:] + (0,) * bestv
-            if R.is_zero(q):
+            q = col[r][bestv:]
+            if j == r or not q:
                 continue
-            work[j] = [R.sub_mul(work[j][i], q, piv[i]) for i in range(n)]
+            # the pivot column is zero above row r, where earlier steps
+            # eliminated it
+            work[j] = col[:r] + [R.sub_mul(col[i], q, piv[i]) for i in range(r, n)]
         pivs.append(bestv)
     for j in range(n, len(work)):
-        if any(not R.is_zero(x) for x in work[j]):
+        if any(work[j]):
             raise LatticeError("extra generators outside the span (bug)")
     # One pass is canonical: after step r every other column is reduced
     # in row r (zero right of the pivot, a residue mod pi^(a_r) left of
@@ -246,9 +271,9 @@ class Lattice:
         n = len(cols[0])
         _, mat = column_hnf(ring, cols, n)
         # pull a common pi power into the floor
-        g = min(ring.val(x) for row in mat for x in row if not ring.is_zero(x))
+        g = min(ring.val(x) for row in mat for x in row if x)
         if g > 0:
-            mat = [[ring.shift(x, -g) if not ring.is_zero(x) else x for x in row] for row in mat]
+            mat = [[x[g:] for x in row] for row in mat]
             vfloor += g
         if abs(vfloor) > ring.N:
             raise GuardError("lattice floor beyond the guard")
@@ -305,11 +330,11 @@ def _coordinates(big: Lattice, cols, vfloor: int):
         for r, pv in enumerate(piv):
             acc = b[r]
             for j in range(r):
-                if not (R.is_zero(basis[r][j]) or R.is_zero(x[j])):
+                if basis[r][j] and x[j]:
                     acc = R.sub_mul(acc, basis[r][j], x[j])
             if R.val(acc) < pv:
                 return None
-            x.append(R.shift(acc, -pv))
+            x.append(acc[pv:])
         X.append(x)
     return X
 
@@ -362,9 +387,18 @@ class HermSpace:
 
     @staticmethod
     def build(ring: TruncRing, gram, tau_matrix) -> "HermSpace":
+        """The space of a Gram and a tau matrix, refused unless every entry
+        is a ring element in canonical form (a trailing zero or a code
+        outside the field would break equality), H is hermitian and tau
+        unitary."""
         H = tuple(tuple(r) for r in gram)
         A = tuple(tuple(r) for r in tau_matrix)
-        n = len(H)
+        n, size = len(H), ring.ctx.size
+        for what, M in (("Gram", H), ("tau", A)):
+            for x in (x for row in M for x in row):
+                if (len(x) > ring.width or (x and not x[-1])
+                        or not all(0 <= c < size for c in x)):
+                    raise LatticeError(f"{what} entry {x} is not a ring element in canonical form")
         Hct = mat_conj_T(ring, H)
         if any(H[i][j] != Hct[i][j] for i in range(n) for j in range(n)):
             raise LatticeError("Gram matrix is not hermitian")
@@ -538,7 +572,7 @@ def _residue(R: TruncRing, h0, pi_offset: int) -> int:
         return 0
     if idx >= R.width:
         raise GuardError("residue index beyond the window")
-    return h0[idx]
+    return h0[idx] if idx < len(h0) else 0
 
 
 class _Window:
@@ -559,7 +593,8 @@ class _Window:
         X = _coordinates(top, bot.columns(), bot.vfloor)
         if X is None:
             raise LatticeError("not contained")
-        self.bot_rows, self.bot_pivots = linalg.rref(R.ctx, [[x[0] for x in col] for col in X])
+        self.bot_rows, self.bot_pivots = linalg.rref(
+            R.ctx, [[x[0] if x else 0 for x in col] for col in X])
         self.free = [i for i in range(top.n) if i not in self.bot_pivots]
         self.dim = len(self.free)
         if index_in(top, bot) != self.dim:
@@ -615,7 +650,8 @@ class _Window:
         X = _coordinates(top, [space.tau_vec(b) for b in top.columns()], top.vfloor)
         if X is None:
             raise LatticeError("window top is not tau-stable")
-        images = [linalg.residual(ctx, self.bot_rows, self.bot_pivots, [c[0] for c in x])
+        images = [linalg.residual(ctx, self.bot_rows, self.bot_pivots,
+                                  [c[0] if c else 0 for c in x])
                   for x in X]
         if any(any(linalg._combine(ctx, top.n, linalg._nonzero(images), [ctx.FROB[c] for c in r]))
                for r in self.bot_rows):
@@ -867,10 +903,13 @@ def _audit_outcome(space: HermSpace, draw):
         if res["verified"]:
             return tuple(counters), None
         result = {k: v for k, v in res.items() if k != "audits"}
+    def dense(mat):
+        return [[list(space.ring.dense(x)) for x in row] for row in mat]
+
     return tuple(counters), {
-        "gram": [[list(x) for x in row] for row in space.gram],
-        "tau": [[list(x) for x in row] for row in space.tau_matrix],
-        "lattice": [list(map(list, r)) for r in M.basis],
+        "gram": dense(space.gram),
+        "tau": dense(space.tau_matrix),
+        "lattice": dense(M.basis),
         "vfloor": M.vfloor,
         "result": result,
     }

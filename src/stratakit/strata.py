@@ -62,7 +62,8 @@ class ConfigError(ValueError):
 
 
 class ChainError(RuntimeError):
-    """A chain step changed dimension by more than one: malformed member."""
+    """A chain step changed dimension by more than one, or an up walk
+    outran the dimension: malformed member or wrong arithmetic."""
 
 
 @dataclass(frozen=True)
@@ -693,7 +694,8 @@ def classify_block(cfg: StrataConfig, A: _Arrays, blk: _Block, kr: bool):
     u = np.zeros(len(index), dtype=np.int64)
     aniso = np.zeros(len(index), dtype=bool)
     live = np.ones(len(index), dtype=bool)
-    while True:
+    # a live residual joins the independent rows, so at most dim - v join
+    for _ in range(y.shape[1] - v + 1):
         z = A.FROB.take(z)
         if formed:
             exits = live & (_form(A, z, last) != 0)
@@ -706,6 +708,8 @@ def classify_block(cfg: StrataConfig, A: _Arrays, blk: _Block, kr: bool):
         res[~live] = 0
         _append(A, rows, pivots, res)
         u += live
+    else:
+        raise ChainError(f"up walk still live past the dimension {y.shape[1]}")
     w = aniso | (cfg.case == "ZY")
     sign = np.zeros(len(index), dtype=np.int64)
     for kind, of_kind, top in (("w", w, rows[:v]), ("wprime", ~w, rows)):

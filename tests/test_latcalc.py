@@ -38,8 +38,19 @@ def ring9(N=8):
 
 
 def elem(R, coeffs):
-    """The ring element with the given low coefficients."""
-    return tuple(coeffs) + (0,) * (R.width - len(coeffs))
+    """The ring element with the given low coefficients: the tuple cut
+    after its last nonzero code."""
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def is_canonical(R, a):
+    """A tuple of field codes no longer than the width, with no trailing
+    zero: the one form of a ring element."""
+    return (type(a) is tuple and len(a) <= R.width and (not a or a[-1] != 0)
+            and all(0 <= x < R.ctx.size for x in a))
 
 
 def id_space(ring, n, tau_index=0):
@@ -58,6 +69,8 @@ def test_ring_arithmetic():
     b = elem(R, [2, 1])
     assert R.mul(a, b) == R.mul(b, a)
     assert R.mul(a, R.unit_inv(a)) == R.one
+    assert R.add(a, R.neg(a)) == R.zero == R.sub_mul(R.mul(a, b), b, a) == ()
+    assert R.dense(R.zero) == (0,) * R.width and R.dense(b) == (2, 1) + (0,) * (R.width - 2)
     assert R.conj(R.conj(a)) == a
     assert R.sigma(R.conj(a)) == R.conj(R.sigma(a))
     # pi^(2N) = 0
@@ -66,13 +79,15 @@ def test_ring_arithmetic():
         R.shift(R.one, R.width)
 
 
-# the kernel's products skip zero terms; the reference walks every pair
+# the kernel's products skip zero terms and stop at the degrees; the
+# reference walks every pair of the dense coefficient tuples
 RINGS = [TruncRing(ctx, N) for ctx in (CTX3, CTX9) for N in (2, 3, 8)]
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def schoolbook_mul(R, a, b):
-    """Dense reference product: every coefficient pair below the width."""
+    """Dense reference product of two dense (``R.dense``) coefficient
+    tuples: every coefficient pair below the width."""
     ctx = R.ctx
     out = [0] * R.width
     for i in range(R.width):
@@ -83,17 +98,18 @@ def schoolbook_mul(R, a, b):
 
 @st.composite
 def ring_elements(draw, R, kind=None):
-    """A zero, constant, monomial c pi^j or dense element of R."""
+    """A zero, constant, monomial c pi^j or dense element of R (random
+    codes at every power, cut after the last nonzero one)."""
     kind = kind or draw(st.sampled_from(("zero", "constant", "monomial", "dense")))
     q = R.ctx.size
     if kind == "zero":
         return R.zero
     if kind == "dense":
-        return tuple(draw(st.lists(st.integers(0, q - 1), min_size=R.width,
-                                   max_size=R.width)))
+        return elem(R, draw(st.lists(st.integers(0, q - 1), min_size=R.width,
+                                     max_size=R.width)))
     j = 0 if kind == "constant" else draw(st.integers(0, R.width - 1))
     c = draw(st.integers(1, q - 1))
-    return tuple(c if i == j else 0 for i in range(R.width))
+    return (0,) * j + (c,)
 
 
 rings = st.sampled_from(RINGS)
@@ -103,17 +119,38 @@ rings = st.sampled_from(RINGS)
 @given(st.data(), rings)
 def test_mul_matches_schoolbook(data, R):
     a, b = data.draw(ring_elements(R)), data.draw(ring_elements(R))
-    assert R.mul(a, b) == schoolbook_mul(R, a, b)
+    ab = R.mul(a, b)
+    assert is_canonical(R, ab)
+    assert R.dense(ab) == schoolbook_mul(R, R.dense(a), R.dense(b))
 
 
 @PROPERTY
 @given(st.data(), rings, st.sampled_from(("add_mul", "sub_mul")))
 def test_fused_mul_matches_schoolbook(data, R, op):
+    # half the accumulators are a drawn element minus what the op adds,
+    # so that the top coefficients cancel
     acc, a, b = (data.draw(ring_elements(R)) for _ in range(3))
-    ab = schoolbook_mul(R, a, b)
+    if data.draw(st.booleans()):
+        acc = R.add(acc, R.mul(a, b) if op == "sub_mul" else R.neg(R.mul(a, b)))
+    ab = schoolbook_mul(R, R.dense(a), R.dense(b))
     if op == "sub_mul":
         ab = tuple(R.ctx.neg(y) for y in ab)
-    assert getattr(R, op)(acc, a, b) == tuple(R.ctx.add(x, y) for x, y in zip(acc, ab))
+    out = getattr(R, op)(acc, a, b)
+    assert is_canonical(R, out)
+    assert R.dense(out) == tuple(R.ctx.add(x, y) for x, y in zip(R.dense(acc), ab))
+
+
+@PROPERTY
+@given(st.data(), rings)
+def test_add_matches_coefficientwise(data, R):
+    # b is drawn, or -a plus a drawn element of lower degree, so that the
+    # top coefficients cancel
+    a, b = data.draw(ring_elements(R)), data.draw(ring_elements(R))
+    if data.draw(st.booleans()):
+        b = R.add(R.neg(a), elem(R, b[: max(len(a) - 1, 0)]))
+    out = R.add(a, b)
+    assert is_canonical(R, out) and is_canonical(R, R.neg(a))
+    assert R.dense(out) == tuple(R.ctx.add(x, y) for x, y in zip(R.dense(a), R.dense(b)))
 
 
 @PROPERTY
@@ -122,9 +159,11 @@ def test_unit_inverse(data, R, kind):
     a0 = data.draw(st.integers(1, R.ctx.size - 1))
     a = (a0,) + data.draw(ring_elements(R, kind))[1:]
     inv = R.unit_inv(a)
-    assert R.mul(a, inv) == R.one == schoolbook_mul(R, inv, a)
+    assert is_canonical(R, inv)
+    assert R.mul(a, inv) == R.one
+    assert schoolbook_mul(R, R.dense(inv), R.dense(a)) == R.dense(R.one)
     with pytest.raises(LatticeError):
-        R.unit_inv((0,) + a[1:])
+        R.unit_inv(elem(R, (0,) + a[1:]))
 
 
 # GF(3), GF(9) as (3, 1, 2), GF(9) as (3, 2, 1) and GF(5), each at guards 2, 3, 5, 8
@@ -138,10 +177,10 @@ def test_newton_unit_inverse_on_random_units(R):
     # is taken by the dense reference, not by the ring's own kernel
     rng, q = random.Random(R.width * R.ctx.size), R.ctx.size
     units = [R.const(c) for c in range(1, q)] + [
-        tuple([rng.randrange(1, q)] + [rng.randrange(q) for _ in range(R.width - 1)])
+        elem(R, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(R.width - 1)])
         for _ in range(300)]
     for a in units:
-        assert schoolbook_mul(R, a, R.unit_inv(a)) == R.one, a
+        assert schoolbook_mul(R, R.dense(a), R.dense(R.unit_inv(a))) == R.dense(R.one), a
 
 
 def random_normal_form(R, rng, n):
@@ -149,7 +188,7 @@ def random_normal_form(R, rng, n):
     the guard, and the entries left of the diagonal of degree below a_i."""
     pivs = [rng.randrange(R.N + 1) for _ in range(n)]
     mat = [[R.pi_pow(a) if j == i else R.zero if j > i else
-            tuple([rng.randrange(R.ctx.size) for _ in range(a)] + [0] * (R.width - a))
+            elem(R, [rng.randrange(R.ctx.size) for _ in range(a)])
             for j in range(n)] for i, a in enumerate(pivs)]
     return mat, pivs
 
@@ -159,7 +198,8 @@ def test_triangular_inverse_on_random_normal_forms(N):
     # mat C = pi^shift I, and a shift past the largest pivot is the least:
     # C is not divisible by pi, so pi^(shift - 1) I is not in mat's span.
     # A guard trip is a least shift past the guard, as a ring whose guard
-    # is past the valuation of det mat (at most 4N) shows
+    # is past the valuation of det mat (at most 4N) shows; an element of
+    # R is one of the wider ring as it stands
     R, wide = TruncRing(CTX9, N), TruncRing(CTX9, 4 * N)
     rng, seen = random.Random(N), Counter()
     for _ in range(200):
@@ -168,14 +208,13 @@ def test_triangular_inverse_on_random_normal_forms(N):
         try:
             shift, C = lc.triangular_inverse(R, mat, pivs)
         except GuardError:
-            padded = [[x + (0,) * (wide.width - R.width) for x in row] for row in mat]
-            assert lc.triangular_inverse(wide, padded, pivs)[0] > N, mat
+            assert lc.triangular_inverse(wide, mat, pivs)[0] > N, mat
             seen["guard"] += 1
             continue
         assert lc.mat_mul(R, mat, C) == [[R.pi_pow(shift) if i == j else R.zero
                                           for j in range(n)] for i in range(n)], mat
         if shift > max(pivs):
-            assert any(x[0] for row in C for x in row), mat
+            assert any(x and x[0] for row in C for x in row), mat
             seen["past_pivot"] += 1
     assert seen["guard"] and seen["past_pivot"], seen
 
@@ -217,8 +256,8 @@ def test_tau_generator_set_is_pinned():
                     except LatticeError as exc:
                         lists.append(str(exc))
                         continue
-                    assert all(not any(x[1:]) for A in mats for row in A for x in row)
-                    lists.append([[[x[0] for x in row] for row in A] for A in mats])
+                    assert all(len(x) <= 1 for A in mats for row in A for x in row)
+                    lists.append([[[R.dense(x)[0] for x in row] for row in A] for A in mats])
                 digest = hashlib.sha256(json.dumps(lists).encode()).hexdigest()[:16]
                 got[f"n{n} b{b} s{s}"] = digest
     assert got == TAU_GENERATOR_PINS
@@ -380,7 +419,10 @@ def test_a_chain_lemma_breach_is_a_counterexample(monkeypatch, capsys):
     [record] = found["witness"]
     assert record["result"] == "chain step has index > 1 (hypothesis violated)"
     R = TruncRing(FieldCtx(3, 1, 2), 8)
-    lattice = Lattice(R, 2, record["vfloor"], tuple(tuple(map(tuple, r)) for r in record["lattice"]))
+    assert all(len(x) == R.width for key in ("gram", "tau", "lattice")
+               for row in record[key] for x in row)
+    lattice = Lattice(R, 2, record["vfloor"],
+                      tuple(tuple(elem(R, x) for x in r) for r in record["lattice"]))
     assert lattice.key() == calls[2].key()
 
 
@@ -425,6 +467,9 @@ def test_dichotomy_audit_fails_on_a_refused_link(monkeypatch, capsys):
     for record in found["witness"]:
         assert set(record) == {"gram", "tau", "lattice", "vfloor", "result"}
         assert record["result"]["verified"] is False
+        # dense coefficient lists of width 2N = 16
+        assert {len(x) for key in ("gram", "tau", "lattice") for row in record[key]
+                for x in row} == {16}
 
 
 def test_exhaustive_dichotomy_small():
@@ -588,10 +633,13 @@ def test_tau_axioms_on_vectors():
     rng = random.Random(7)
 
     def direct_herm(H, x, y):
-        acc = R.zero
+        """The dense coefficients of the form."""
+        acc = R.dense(R.zero)
         for i, xi in enumerate(x):
             for j, yj in enumerate(y):
-                acc = R.add(acc, schoolbook_mul(R, schoolbook_mul(R, R.conj(xi), H[i][j]), yj))
+                term = schoolbook_mul(R, schoolbook_mul(R, R.dense(R.conj(xi)), R.dense(H[i][j])),
+                                      R.dense(yj))
+                acc = tuple(R.ctx.add(u, v) for u, v in zip(acc, term))
         return acc
 
     for H in (mixed_gram(R, 3, 0), mixed_gram(R, 3, 1)):
@@ -601,7 +649,7 @@ def test_tau_axioms_on_vectors():
                 x = [elem(R, [rng.randrange(9) for _ in range(4)]) for _ in range(3)]
                 y = [elem(R, [rng.randrange(9) for _ in range(4)]) for _ in range(3)]
                 c = elem(R, [rng.randrange(9) for _ in range(3)])
-                assert sp.herm(x, y) == direct_herm(H, x, y)
+                assert R.dense(sp.herm(x, y)) == direct_herm(H, x, y)
                 assert sp.herm(sp.tau_vec(x), sp.tau_vec(y)) == R.sigma(sp.herm(x, y))
                 cx = [R.mul(c, xi) for xi in x]
                 assert sp.tau_vec(cx) == [R.mul(R.sigma(c), t) for t in sp.tau_vec(x)]
@@ -626,26 +674,48 @@ def test_rejects_non_unitary_tau():
         HermSpace.build(R, mixed_gram(R, 2, 0), bad)
 
 
-def test_is_zero_is_the_zero_tuple(monkeypatch, capsys):
-    # every ring element reaching is_zero in one lattice command is a
-    # width-length tuple, so tuple equality is the coefficientwise test
+@pytest.mark.parametrize("entry", [(0,), (1, 0), (0, 0, 0, 0, 1), (9,), (2, -1)],
+                         ids=["zero-code", "trailing-zero", "past-width", "code-9", "negative"])
+@pytest.mark.parametrize("which", ["gram", "tau"])
+def test_build_refuses_non_canonical_entries(which, entry):
+    # an entry outside the canonical form would compare unequal to the
+    # same ring element, so the entry point refuses it before any check
+    R = ring9(2)  # width 4 over GF(9)
+    H, A = mixed_gram(R, 2, 0), tau_generator_set(R, 2, 0)[0]
+    HermSpace.build(R, H, A)
+    M = [list(row) for row in (H if which == "gram" else A)]
+    M[1][0] = entry
+    args = (M, A) if which == "gram" else (H, M)
+    with pytest.raises(LatticeError, match="canonical form"):
+        HermSpace.build(R, *args)
+
+
+RING_OPS = ("const", "pi_pow", "add", "neg", "mul", "add_mul", "sub_mul", "_mul_into",
+            "conj", "sigma", "unit_inv", "shift")
+
+
+def test_ring_ops_return_canonical_elements(monkeypatch, capsys):
+    # every element a ring op returns in one lattice command has no
+    # trailing zero and fits the width, so tuple equality and truthiness
+    # are ring equality and the zero test
     from stratakit.cli import main
 
-    fast = TruncRing.is_zero
-    seen = []
+    seen = Counter()
+    for name in RING_OPS:
+        def recording(self, *args, _op=getattr(TruncRing, name), _name=name):
+            out = _op(self, *args)
+            assert is_canonical(self, out), (_name, args, out)
+            seen[_name, len(out)] += 1
+            return out
 
-    def recording(self, a):
-        seen.append((self, a))
-        return fast(self, a)
-
-    monkeypatch.setattr(TruncRing, "is_zero", recording)
+        monkeypatch.setattr(TruncRing, name, recording)
     assert main(["latcalc", "dichotomy", "--n", "2", "--s", "2", "--exhaustive"]) == 0
     capsys.readouterr()
-    zero = sum(1 for _, a in seen if all(x == 0 for x in a))
-    assert zero and zero < len(seen)
-    for ring, a in seen:
-        assert type(a) is tuple and len(a) == ring.width
-        assert fast(ring, a) == all(x == 0 for x in a)
+    # the run meets zeros, constants and longer elements
+    lengths = Counter()
+    for (_, length), count in seen.items():
+        lengths[min(length, 2)] += count
+    assert lengths[0] and lengths[1] and lengths[2], seen
 
 
 def _without_counterexamples(stats):
@@ -767,9 +837,9 @@ def fresh_dichotomy_trials(p, e, s, n, trials, seed=0, N=8):
         stats[{"Y": "case_Y", "Z": "case_Z", "Both": "case_Both"}.get(res["case"], "anomalous")] += 1
         if not res["verified"]:
             stats["counterexamples"].append({
-                "gram": [[list(x) for x in row] for row in space.gram],
-                "tau": [[list(x) for x in row] for row in space.tau_matrix],
-                "lattice": [list(map(list, r)) for r in M.basis],
+                "gram": [[list(ring.dense(x)) for x in row] for row in space.gram],
+                "tau": [[list(ring.dense(x)) for x in row] for row in space.tau_matrix],
+                "lattice": [[list(ring.dense(x)) for x in row] for row in M.basis],
                 "vfloor": M.vfloor,
                 "result": {k: v for k, v in res.items() if k != "audits"},
             })

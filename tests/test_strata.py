@@ -507,6 +507,27 @@ def test_tally_over_a_field_with_a_wide_index():
         ("w", StratumLabel(1, 0, "w", "+")): 290, ("w", StratumLabel(1, 0, "w", "-")): 290}
 
 
+def test_wrong_arithmetic_stops_the_up_walk(monkeypatch, capsys):
+    # with NEG read as the identity no residual of the conic's up walk
+    # reaches zero: the walk stops at the space dimension and raises, and
+    # the CLI reports a failed chain check instead of hanging
+    from stratakit.cli import main
+
+    init = strata._Arrays.__init__
+
+    def identity_neg(self, sp):
+        init(self, sp)
+        self.NEG = np.arange(sp.ctx.size, dtype=np.int16)
+
+    monkeypatch.setattr(strata._Arrays, "__init__", identity_neg)
+    with pytest.raises(strata.ChainError, match="up walk"):
+        strata._tally(StrataConfig("Y", 3, 1, 5, n=3, h=2, t=0), None, kr=True)
+    assert main("strata count --case y --q 3 --k 5 --n 3 --h 2 --t 0".split()) == 1
+    [check] = json.loads(capsys.readouterr().out)["stable"]["checks"]
+    assert check["name"] == "chain" and check["status"] == "fail"
+    assert check["witness"].startswith("up walk")
+
+
 def test_component_sign_matches_intersection():
     # the kernel's one-rank sign against dim(F cap L_ref), on every
     # Lagrangian member of the non-split 6-space and every stable top of
