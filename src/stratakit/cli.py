@@ -204,67 +204,66 @@ def _add_common(p, *flags: str) -> None:
     p.add_argument("--out", default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_STRATA_FLAGS = {"case": dict(required=True, choices=("z", "y", "zy", "Z", "Y", "ZY")),
+                 "k": dict(type=int, default=1),
+                 # None marks a flag not given: a case refuses the ones it does not read
+                 **{flag: dict(type=int, choices=(-1, 1) if flag == "eps" else None)
+                    for flag in _STRATA_PARAMS}}
+_LATCALC_FLAGS = {"s": dict(type=int, default=2, help="coefficient field degree over GF(q)"),
+                  "n": dict(type=int, default=2),
+                  "bign": dict(type=int, default=8, help="truncation guard N")}
+
+
+def _commands() -> dict:
+    """module -> (help, {command: (handler, its _SHARED flags, its own
+    flags)}).  Built per call, so each handler is looked up when the parser
+    is: a wrapper installed on a ``cmd_*`` function (the benchmark's
+    spans) sees the command."""
+    return {
+        "strata": ("stratum membership and decomposition checks", {
+            "verify": (cmd_strata_verify, ("q", "e", "seed", "budget"), _STRATA_FLAGS),
+            "count": (cmd_strata_count, ("q", "e", "seed", "budget"), _STRATA_FLAGS),
+            "classify": (cmd_strata_classify, ("q", "e"),
+                         {**_STRATA_FLAGS, "input": dict(required=True)})}),
+        "weyl": ("signed permutation calculus audits", {
+            "audit": (cmd_weyl_audit, ("seed",), {"tmax": dict(type=int, default=6)})}),
+        "charts": ("local chart counting and dimensions", {
+            "reconcile": (cmd_charts_reconcile, ("seed", "budget"), {
+                "q": dict(type=int, help="base field characteristic p; a sweep without it "
+                                         "runs over 3 and 5, a --family over 3"),
+                "family": dict(choices=("Z", "Y", "ZY", "pi-modular")),
+                **{flag: dict(type=int) for flag in _CHART_PARAMS},
+                "max-entries": dict(type=int, default=10)}),
+            "rzdim": (cmd_charts_rzdim, (), {
+                "n": dict(type=int, required=True), "h": dict(type=int, required=True),
+                "eps": dict(type=int, default=1, choices=(-1, 1))})}),
+        "latcalc": ("truncated lattice calculus", {
+            "dichotomy": (cmd_latcalc_dichotomy, ("q", "e", "seed", "budget"), {
+                **_LATCALC_FLAGS, "trials": dict(type=int, default=1000),
+                "exhaustive": dict(action="store_true")}),
+            "inclusions": (cmd_latcalc_inclusions, ("q", "e", "seed", "budget"),
+                           {**_LATCALC_FLAGS, "h": dict(type=int, default=0)})}),
+    }
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """Every module and command parser, so usage errors and ``--help`` list
+    every choice, but flags (``-h`` too) only on the command ``argv``
+    names: the parse reaches no other command, and filling all nine would
+    more than double the time of a ``charts rzdim`` call's parse."""
     ap = argparse.ArgumentParser(prog="stratakit",
                                  description="finite-field stratification verifier")
     sub = ap.add_subparsers(dest="module", required=True)
-
-    st = sub.add_parser("strata", help="stratum membership and decomposition checks")
-    st_sub = st.add_subparsers(dest="command", required=True)
-    for name, fn in (("verify", cmd_strata_verify), ("count", cmd_strata_count),
-                     ("classify", cmd_strata_classify)):
-        p = st_sub.add_parser(name)
-        _add_common(p, "q", "e", *(("seed", "budget") if name != "classify" else ()))
-        p.add_argument("--case", required=True, choices=("z", "y", "zy", "Z", "Y", "ZY"))
-        p.add_argument("--k", type=int, default=1)
-        # None marks a flag not given: a case refuses the ones it does not read
-        for flag in _STRATA_PARAMS:
-            p.add_argument(f"--{flag}", type=int, choices=(-1, 1) if flag == "eps" else None)
-        if name == "classify":
-            p.add_argument("--input", required=True)
-        p.set_defaults(func=fn)
-
-    wy = sub.add_parser("weyl", help="signed permutation calculus audits")
-    wy_sub = wy.add_subparsers(dest="command", required=True)
-    p = wy_sub.add_parser("audit")
-    _add_common(p, "seed")
-    p.add_argument("--tmax", type=int, default=6)
-    p.set_defaults(func=cmd_weyl_audit)
-
-    ch = sub.add_parser("charts", help="local chart counting and dimensions")
-    ch_sub = ch.add_subparsers(dest="command", required=True)
-    p = ch_sub.add_parser("reconcile")
-    _add_common(p, "q", "seed", "budget")
-    p.add_argument("--family", choices=("Z", "Y", "ZY", "pi-modular"), default=None)
-    for flag in _CHART_PARAMS:
-        p.add_argument(f"--{flag}", type=int)
-    p.add_argument("--max-entries", type=int, default=10)
-    p.set_defaults(func=cmd_charts_reconcile, q=None)
-    p = ch_sub.add_parser("rzdim")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--eps", type=int, default=1, choices=(-1, 1))
-    p.set_defaults(func=cmd_charts_rzdim)
-
-    lc = sub.add_parser("latcalc", help="truncated lattice calculus")
-    lc_sub = lc.add_subparsers(dest="command", required=True)
-    p = lc_sub.add_parser("dichotomy")
-    _add_common(p, "q", "e", "seed", "budget")
-    p.add_argument("--s", type=int, default=2, help="coefficient field degree over GF(q)")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--bign", type=int, default=8, help="truncation guard N")
-    p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(func=cmd_latcalc_dichotomy)
-    p = lc_sub.add_parser("inclusions")
-    _add_common(p, "q", "e", "seed", "budget")
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--h", type=int, default=0)
-    p.add_argument("--bign", type=int, default=8)
-    p.set_defaults(func=cmd_latcalc_inclusions)
-
+    for module, (text, commands) in _commands().items():
+        mod_sub = sub.add_parser(module, help=text).add_subparsers(dest="command", required=True)
+        for name, (func, shared, flags) in commands.items():
+            invoked = list(argv[:2]) == [module, name]
+            p = mod_sub.add_parser(name, add_help=invoked)
+            if invoked:
+                _add_common(p, *shared)
+                for flag, kwargs in flags.items():
+                    p.add_argument(f"--{flag}", **kwargs)
+                p.set_defaults(func=func)
     return ap
 
 
@@ -274,9 +273,9 @@ _FLOORS = {"trials": 1, "tmax": 1, "budget": 0}
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -820,14 +820,24 @@ def same_index_lemma_holds(space: HermSpace, M: Lattice) -> bool:
     return index_in(space.tau_step(Ms), Ms) == 1
 
 
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise LatticeError(f"rank n = {n} must be at least 1")
+
+
 def inclusion_report(p: int, e: int, s: int, n: int, h: int, seed: int = 0,
                      N: int = 8, budget: int | None = None) -> dict:
     """Check the five stratum inclusion bullets on an enumerated catalog.
 
     The catalog holds the tau-stable vertex lattices between pi L0 and
     L0-sharp for the identity Gram; point sets are computed over the
-    coefficient field kappa = GF(q^s).
+    coefficient field kappa = GF(q^s).  The level h is even with
+    0 <= h <= 2 floor(n/2), the range of ``charts.is_admissible``: at
+    any other level the bullets would report false counterexamples.
     """
+    _check_rank(n)
+    if h % 2 or not 0 <= h <= 2 * (n // 2):
+        raise LatticeError(f"level h = {h} must be even and in 0..{2 * (n // 2)} at n = {n}")
     ctx = FieldCtx(p, e, s)
     ring = TruncRing(ctx, N)
     space = HermSpace.build(ring, mixed_gram(ring, n, 0),
@@ -928,6 +938,7 @@ def _dichotomy_audit(p: int, e: int, s: int, n: int, seed: int, N: int,
     its lattices may recur; a raise out of the loop closes it, and so the
     scopes.
     """
+    _check_rank(n)
     ring = TruncRing(FieldCtx(p, e, s), N)
     spaces = [HermSpace.build(ring, H, A) for H in gram_family(ring, n)
               for A in tau_generator_set(ring, n, seed, H)]

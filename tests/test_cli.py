@@ -1,11 +1,18 @@
+import argparse
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from stratakit import space as spc, strata
+from stratakit import cli, space as spc, strata
 from stratakit.cli import main
 from stratakit.gf import FieldCtx
 from stratakit.report import emit_stable_json
+from test_golden import README_COMMANDS
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -263,10 +270,90 @@ def test_latcalc_dichotomy_cli(capsys):
     assert names["no_counterexamples"] == "pass"
 
 
-def test_unknown_command_usage_error(capsys):
-    assert main(["strata"]) == 2
-    assert main(["bogus"]) == 2
+def test_unknown_command_usage_error(monkeypatch, capsys):
+    for argv, shown in (([], ["required: module"]),
+                        (["bogus"], ["invalid choice", "strata", "weyl", "charts", "latcalc"]),
+                        (["strata"], ["required: command"]),
+                        (["strata", "bogus"], ["invalid choice", "verify", "count", "classify"]),
+                        (["charts", "rzdim", "--n", "5", "--h", "0", "--bogus"],
+                         ["unrecognized arguments: --bogus"])):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert all(text in err for text in shown), (argv, err)
+    # help at each level lists the modules, the commands and the flags
+    for argv, shown in ((["--help"], ["{strata,weyl,charts,latcalc}"]),
+                        (["latcalc", "--help"], ["{dichotomy,inclusions}"]),
+                        (["charts", "rzdim", "--help"],
+                         ["--format", "--out", "--n N", "--h H", "--eps {-1,1}"])):
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert all(text in out for text in shown), (argv, out)
+    monkeypatch.setattr(sys, "argv", ["stratakit", "charts", "rzdim", "--n", "5", "--h", "0",
+                                      "--format", "csv"])
+    assert main() == 0
+    assert capsys.readouterr().out.splitlines()[1] == '"rz_dim",2'
+
+
+def _filled_parser():
+    """A parser with every command's flags added from ``cli._commands()``."""
+    ap = argparse.ArgumentParser(prog="stratakit")
+    sub = ap.add_subparsers(dest="module", required=True)
+    for module, (text, commands) in cli._commands().items():
+        mod_sub = sub.add_parser(module, help=text).add_subparsers(dest="command", required=True)
+        for name, (func, shared, flags) in commands.items():
+            p = mod_sub.add_parser(name)
+            cli._add_common(p, *shared)
+            for flag, kwargs in flags.items():
+                p.add_argument(f"--{flag}", **kwargs)
+            p.set_defaults(func=func)
+    return ap
+
+
+def test_the_invoked_command_parses_as_in_a_filled_parser():
+    lines = [line.format(input="subspace.json") for _, line in README_COMMANDS]
+    lines += [cmd.key for wl in workloads.WORKLOADS for seed in (0, 1)
+              for cmd in workloads.commands(wl, seed)]
+    filled = _filled_parser()
+    for line in lines:
+        argv = line.split()
+        assert cli.build_parser(argv).parse_args(argv) == filled.parse_args(argv), line
+
+
+def test_the_parser_holds_the_invoked_command_alone(monkeypatch, capsys):
+    # a structural bound, not a timing: the invoked command's flags plus
+    # one -h per parser created; filling every command would make 95 calls
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args[0])
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["charts", "rzdim", "--n", "5", "--h", "0"]) == 0
     capsys.readouterr()
+    _, shared, flags = cli._commands()["charts"][1]["rzdim"]
+    own = [f"--{flag}" for flag in (*shared, "format", "out", *flags)]
+    parsers = 1 + sum(1 + len(commands) for _, commands in cli._commands().values())
+    assert len(added) <= len(own) + parsers
+    assert [flag for flag in added if flag != "-h"] == own
+
+
+@pytest.mark.parametrize("line,code", [
+    # odd or out-of-range levels used to exit 1 on a false counterexample,
+    # n < 1 to end in an IndexError traceback or, exhaustive at n = -2, to
+    # pass having audited nothing
+    ("inclusions --n 2 --h 3", 2), ("inclusions --n 2 --h -2", 2),
+    ("inclusions --n 3 --h 4", 2), ("inclusions --n 0", 2), ("dichotomy --n 0", 2),
+    ("dichotomy --n 0 --exhaustive", 2), ("dichotomy --n -2", 2),
+    ("dichotomy --n -2 --exhaustive", 2),
+    ("dichotomy --n 1 --trials 20", 0), ("dichotomy --n 1 --exhaustive", 0),
+    ("inclusions --n 1", 0)])
+def test_latcalc_refuses_ranks_below_one_and_levels_outside_the_range(line, code, capsys):
+    assert main(["latcalc", *line.split()]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert not captured.out and captured.err.startswith(("error: rank n", "error: level h"))
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):
