@@ -162,7 +162,9 @@ def cmd_latcalc_dichotomy(args) -> int:
         denom = max(1, audited + stats["inconclusive"])
         rate_ok = stats["inconclusive"] / denom < 0.05
         checks = [
-            report.check("no_counterexamples", witness=stats["counterexamples"][:3]),
+            # a run in which no draw reached a case has audited nothing
+            report.check("no_counterexamples", witness=stats["counterexamples"][:3])
+            if audited + stats["anomalous"] else report.inconclusive("no_counterexamples"),
             report.check("no_anomalous_cases", ok=stats["anomalous"] == 0),
             report.check("same_index_lemma", ok=stats["same_index_failures"] == 0),
             # the counts behind the rate are reported only when it is too high

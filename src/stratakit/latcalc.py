@@ -371,6 +371,9 @@ def triangular_inverse(R: TruncRing, mat, pivs):
     raise GuardError("inverse needs a shift beyond the guard")
 
 
+_MISSING = object()
+
+
 @dataclass(frozen=True)
 class HermSpace:
     """Ambient hermitian space: Gram H (conj-transpose symmetric, unit
@@ -382,7 +385,7 @@ class HermSpace:
     gram: tuple
     tau_matrix: tuple
     det_val: int
-    # (op, vfloor, basis) -> lattice while an audit_scope is open, else None
+    # (op, vfloor, basis) -> result while an audit_scope is open, else None
     memo: dict | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
@@ -421,20 +424,21 @@ class HermSpace:
 
     @contextmanager
     def audit_scope(self):
-        """Within the block, :meth:`tau`, :meth:`tau_step` and :func:`dual_sharp`
-        compute each lattice of this space once (one audit's memo)."""
+        """Within the block, :meth:`tau`, :meth:`tau_step`, :func:`dual_sharp`
+        and :func:`vertex_type` compute each lattice of this space once (one
+        audit's memo)."""
         object.__setattr__(self, "memo", {})
         try:
             yield
         finally:
             object.__setattr__(self, "memo", None)
 
-    def _memoized(self, op: str, compute, L: Lattice) -> Lattice:
+    def _memoized(self, op: str, compute, L: Lattice):
         if self.memo is None:
             return compute(self, L)
         key = (op, L.vfloor, L.basis)
-        out = self.memo.get(key)
-        if out is None:  # a raising compute stores nothing
+        out = self.memo.get(key, _MISSING)  # a stored None is a result
+        if out is _MISSING:  # a raising compute stores nothing
             out = self.memo[key] = compute(self, L)
         return out
 
@@ -469,19 +473,46 @@ def vertex_type(space: HermSpace, L: Lattice):
     """dim(L-dual / L) when pi L-dual <= L <= L-dual, else None.
 
     Read off the Gram G = B^dagger H B of the basis B, L = pi^f span(B),
-    whose Gram is (-1)^f pi^(2f) G: L <= L-dual exactly when pi^(2f) G is
-    integral, and then the index t is 2 val det L + val det H, and
-    pi L-dual <= L exactly when every elementary divisor of pi^(2f) G is 1
-    or pi, that is when its rank mod pi is n - t.
+    whose Gram is (-1)^f pi^(2f) G: the index t is 2 val det L + val det H,
+    and :func:`_sandwich_type` decides at level K = -2f.
     """
-    R, f = space.ring, L.vfloor
-    B = L.basis
-    G = mat_mul(R, mat_conj_T(R, B), mat_mul(R, space.gram, B))
-    if f < 0 and any(R.val(x) < -2 * f for row in G for x in row):
+    return space._memoized("type", _vertex_type, L)
+
+
+def _vertex_type(space: HermSpace, L: Lattice):
+    level = partial(_level, _basis_gram(space, L.basis))
+    return _sandwich_type(space.ring, level, -2 * L.vfloor, L.n,
+                          2 * L.det_valuation() + space.det_val)
+
+
+def _basis_gram(space: HermSpace, B):
+    """G = B^dagger H B, the Gram matrix of the basis columns B."""
+    R = space.ring
+    return mat_mul(R, mat_conj_T(R, B), mat_mul(R, space.gram, B))
+
+
+def _level(G, l: int):
+    """The pi^l coefficient matrix over kappa of the ring matrix G."""
+    return [[x[l] if l < len(x) else 0 for x in row] for row in G]
+
+
+def _sandwich_type(R: TruncRing, level, K: int, n: int, t: int):
+    """t when the rank-n lattice L = pi^f span(B) of index t is a vertex
+    lattice, else None; K = -2f, and ``level(l)`` is the pi^l coefficient
+    matrix over kappa of G = B^dagger H B.
+
+    L <= L-dual exactly when pi^-K G is integral, that is when the levels
+    below K vanish, and then pi L-dual <= L exactly when every elementary
+    divisor of pi^-K G is 1 or pi, that is when level K has rank n - t.  A
+    level at or past the ring width is unknown at this truncation:
+    deciding there trips the guard.  The one sandwich decision, for both
+    Gram sources (:func:`vertex_type` and :meth:`_Window.vertex_typer`).
+    """
+    if any(any(row) for l in range(min(K, R.width)) for row in level(l)):
         return None
-    t = 2 * L.det_valuation() + space.det_val
-    residues = [[_residue(R, x, 2 * f) for x in row] for row in G]
-    return t if linalg.rank(R.ctx, residues) == L.n - t else None
+    if K >= R.width:
+        raise GuardError("residue index beyond the window")
+    return t if linalg.rank(R.ctx, level(K) if K >= 0 else ()) == n - t else None
 
 
 def tau_chain(space: HermSpace, M: Lattice):
@@ -636,6 +667,67 @@ class _Window:
         return tuple(tuple(sign[_residue(R, space.herm(x, y), extra_pi + 2 * f)]
                            for y in self.vecs) for x in self.vecs)
 
+    def vertex_typer(self, space: HermSpace):
+        """(rows, pivots) -> the vertex type of M = pi top + lift(S), or
+        None, for the residue subspace S in reduced echelon form, decided
+        over kappa without lifting (:func:`_sandwich_type`); the window must
+        be [pi top, top].
+
+        With top = pi^f span(B), the columns of B X, X = [S^T | pi e_g for
+        g not a pivot], are a basis of M, of index 2(val det top + n - d)
+        + val det H for d = dim S, and its Gram is X^dagger G X with
+        G = B^dagger H B.  Conjugation fixes kappa and negates pi, so with
+        G_l the pi^l level of G (zero for l < 0) its pi^l level is
+        [[S G_l S^T, (S G_(l-1))_g], [-(G_(l-1) S^T)_g, -(G_(l-2))_gg]].
+        At K = -2f past the ring width this trips the guard wherever the
+        levels below the width vanish, also on a lattice whose own basis
+        has a higher floor (pi top, for one) and which the ring route can
+        still decide; the instance Grams keep K at 2 or below.
+        """
+        top, R = self.top, self.ring
+        if self.dim != top.n:
+            raise LatticeError("window bottom is not pi times its top")
+        ctx, n = R.ctx, top.n
+        ADD, MUL, NEG = ctx.ADD, ctx.MUL, ctx.NEG
+        K = -2 * top.vfloor
+        base = 2 * (top.det_valuation() + n) + space.det_val
+        G = _basis_gram(space, top.basis)
+        # the levels _sandwich_type reads, as the _nonzero rows of each G_l
+        # (for r G_l) and of its transpose (for G_l r^T)
+        levels = [_level(G, l) for l in range(min(K, R.width - 1) + 1)]
+        by_rows = [linalg._nonzero(g) for g in levels]
+        by_cols = [linalg._nonzero(zip(*g)) for g in levels]
+        zero = [0] * n
+
+        @cache  # echelon rows recur across subspaces
+        def functional(row, l, transposed):
+            """row G_l, or G_l row^T when transposed; zero below level 0."""
+            if l < 0:
+                return zero
+            return linalg._functional(ctx, (by_cols if transposed else by_rows)[l], row)
+
+        def dot(u, v):
+            acc = 0
+            for x, y in zip(u, v):
+                if x and y:
+                    acc = ADD[acc][MUL[x][y]]
+            return acc
+
+        def type_of(rows, pivots):
+            free = [g for g in range(n) if g not in pivots]
+
+            def level(l):
+                upper = [[dot(functional(r, l, False), s) for s in rows]
+                         + [functional(r, l - 1, False)[g] for g in free] for r in rows]
+                cols = [functional(s, l - 1, True) for s in rows]
+                low = levels[l - 2] if l >= 2 else [zero] * n
+                return upper + [[NEG[c[g]] for c in cols] + [NEG[low[g][h]] for h in free]
+                                for g in free]
+
+            return _sandwich_type(R, level, K, n, base - 2 * len(rows))
+
+        return type_of
+
     def tau_jump(self, space: HermSpace):
         """(rows, pivots, bound) -> whether dim(S + tau S) - dim S <= bound
         for the residue subspace S in reduced echelon form, tau acting on
@@ -724,18 +816,19 @@ def vertex_lattices_in_window(space: HermSpace, budget: int | None = None) -> di
 
     T = L0-sharp is tau-stable (A is a constant unitary), so tau acts on
     T/pi T, and M = pi T + lift(S) is tau-stable exactly when S has jump 0
-    (:meth:`_Window.tau_jump`).  Only such S are lifted; the lifted
-    tau-image and the vertex type decide.
+    (:meth:`_Window.tau_jump`).  The window types such S over kappa
+    (:meth:`_Window.vertex_typer`), and only the vertex lattices among
+    them are lifted; the lifted tau-image decides.
     """
     window = _standard_window(space)
     window.gate(budget)
     jump_at_most = window.tau_jump(space)  # raises unless tau keeps T
+    type_of = window.vertex_typer(space)
     out = {}
     for rows, pivots in window.subspaces():
-        if jump_at_most(rows, pivots, 0):
+        if jump_at_most(rows, pivots, 0) and (t := type_of(rows, pivots)) is not None:
             L = window.lift(rows)
-            t = vertex_type(space, L)
-            if t is not None and lattice_eq(space.tau(L), L):
+            if lattice_eq(space.tau(L), L):
                 out[L] = t
     return out
 
@@ -898,7 +991,7 @@ def _audit_outcome(space: HermSpace, draw):
     counters = []
     try:
         M = draw()
-        if not check_hypotheses(space, M):
+        if M is None or not check_hypotheses(space, M):
             return ("hypothesis_rejected",), None
         if not same_index_lemma_holds(space, M):
             counters.append("same_index_failures")
@@ -930,8 +1023,9 @@ def _dichotomy_audit(p: int, e: int, s: int, n: int, seed: int, N: int,
     """The dichotomy audit loop shared by the exhaustive and random modes.
 
     ``draws(spaces)`` yields (space, key, draw) triples, where
-    ``draw()`` returns the lattice to audit and ``key`` names it, or is
-    None for a lattice no other draw repeats.  The first draw of a key is
+    ``draw()`` returns the lattice to audit, or None for one that fails
+    the vertex sandwich (:func:`_vertex_draw`), and ``key`` names it, or
+    is None for a lattice no other draw repeats.  The first draw of a key is
     audited (:func:`_audit_outcome`) and later ones reuse its outcome,
     counterexample record included, so every draw counts as before.  The
     generator holds each space's :meth:`HermSpace.audit_scope` open while
@@ -958,6 +1052,20 @@ def _dichotomy_audit(p: int, e: int, s: int, n: int, seed: int, N: int,
     return stats
 
 
+def _vertex_draw(space: HermSpace, window: _Window, type_of, rows, pivots):
+    """The lattice pi top + lift(S) of the standard window's residue
+    subspace S (reduced echelon rows and pivots), lifted only when
+    ``type_of`` (:meth:`_Window.vertex_typer`) finds a vertex lattice, else
+    None; the type found is kept in the space's memo, so
+    :func:`vertex_type` does not run on the lattice again."""
+    t = type_of(rows, pivots)
+    if t is None:
+        return None
+    M = window.lift(rows)
+    space._memoized("type", lambda sp, L: t, M)
+    return M
+
+
 def exhaustive_dichotomy(p: int, e: int, s: int, n: int = 2, seed: int = 0,
                          N: int = 8, budget: int | None = None) -> dict:
     """Audit every lattice between pi L0-sharp and L0-sharp for every tau
@@ -970,8 +1078,10 @@ def exhaustive_dichotomy(p: int, e: int, s: int, n: int = 2, seed: int = 0,
             with space.audit_scope():
                 window = _standard_window(space)
                 window.gate(budget)
-                for rows, _ in window.subspaces():
-                    yield space, None, partial(window.lift, rows)
+                type_of = window.vertex_typer(space)
+                for rows, pivots in window.subspaces():
+                    yield space, None, partial(_vertex_draw, space, window, type_of,
+                                               rows, pivots)
 
     return _dichotomy_audit(p, e, s, n, seed, N, "instances", draws)
 
@@ -982,8 +1092,10 @@ def dichotomy_trials(p: int, e: int, s: int, n: int, trials: int, seed: int = 0,
 
     A trial draws a space, then d uniform in 0..dim, then d random
     coefficient rows of its standard window.  The lift is kappa-linear, so
-    the lattice depends only on the rows' span, and (space index, reduced
-    echelon form) keys the draw."""
+    the lattice depends only on the rows' span: (space index, reduced
+    echelon form) keys the draw, the window types that span over kappa,
+    and a draw that is no vertex lattice is rejected without a lift
+    (:func:`_vertex_draw`)."""
     rng = random.Random(seed)
 
     def draws(spaces):
@@ -992,11 +1104,14 @@ def dichotomy_trials(p: int, e: int, s: int, n: int, trials: int, seed: int = 0,
             for space in spaces:  # chain ends recur across trials: one memo per run
                 scopes.enter_context(space.audit_scope())
             windows = [_standard_window(space) for space in spaces]
+            typers = [w.vertex_typer(space) for w, space in zip(windows, spaces)]
             for _ in range(trials):
                 i = rng.randrange(len(spaces))
                 dim = windows[i].dim
                 d = rng.randrange(0, dim + 1)
                 rows = [[rng.randrange(ctx.size) for _ in range(dim)] for _ in range(d)]
-                yield spaces[i], (i, linalg.rref(ctx, rows)[0]), partial(windows[i].lift, rows)
+                red, pivots = linalg.rref(ctx, rows)
+                yield spaces[i], (i, red), partial(_vertex_draw, spaces[i], windows[i],
+                                                   typers[i], red, pivots)
 
     return _dichotomy_audit(p, e, s, n, seed, N, "trials", draws)

@@ -270,6 +270,23 @@ def test_latcalc_dichotomy_cli(capsys):
     assert names["no_counterexamples"] == "pass"
 
 
+def test_a_dichotomy_that_audits_nothing_is_inconclusive(capsys):
+    # both draws fail the vertex sandwich, so no draw reaches a case
+    code, out = run(capsys, "latcalc", "dichotomy", "--n", "3", "--s", "2", "--trials", "2",
+                    "--seed", "0")
+    stable = json.loads(out)["stable"]
+    counts = {c["label"]: c["count"] for c in stable["counts"]}
+    assert counts["hypothesis_rejected"] == counts["trials"] == 2
+    assert code == 3
+    assert [(c["name"], c["status"]) for c in stable["checks"]] == [
+        ("no_counterexamples", "inconclusive"), ("no_anomalous_cases", "pass"),
+        ("same_index_lemma", "pass"), ("inconclusive_rate_below_5_percent", "pass")]
+    # one audited case is enough to decide it
+    code, out = run(capsys, "latcalc", "dichotomy", "--n", "3", "--s", "2", "--trials", "20",
+                    "--seed", "0")
+    assert code == 0
+
+
 def test_unknown_command_usage_error(monkeypatch, capsys):
     for argv, shown in (([], ["required: module"]),
                         (["bogus"], ["invalid choice", "strata", "weyl", "charts", "latcalc"]),

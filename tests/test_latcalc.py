@@ -743,8 +743,8 @@ def test_inclusion_report_independent_of_truncation(n, h, s):
 
 def _assert_each_lattice_computed_once(monkeypatch, audit):
     """Run the audit counting, per space, the audit scopes opened, the
-    memoized dual, tau and tau-step bodies run, keyed by (op, vfloor,
-    basis), and the memo lookups."""
+    memoized dual, tau, tau-step and vertex-type bodies run, keyed by (op,
+    vfloor, basis), and the memo lookups."""
     opened, runs, asked = Counter(), Counter(), Counter()
     open_scope, memoized = HermSpace.audit_scope, HermSpace._memoized
 
@@ -771,7 +771,7 @@ def _assert_each_lattice_computed_once(monkeypatch, audit):
     assert opened and set(opened.values()) == {1}
     assert runs and set(runs.values()) == {1}
     computed = Counter(op for _, op, _, _ in runs)
-    assert set(computed) == {"dual", "tau", "step"}
+    assert set(computed) == {"dual", "tau", "step", "type"}
     # the memo is what saves the work: each op is asked for more often
     assert all(asked[op] > computed[op] for op in computed)
 
@@ -927,6 +927,27 @@ def test_no_space_keeps_a_memo_after_the_audits(monkeypatch):
     lc.dichotomy_trials(3, 1, 2, 3, 50, seed=0)
     lc.inclusion_report(3, 1, 2, n=2, h=2)
     assert built and all(sp.memo is None for sp in built)
+
+
+def test_a_none_vertex_type_is_memoized(monkeypatch):
+    # a lattice outside the vertex sandwich is typed None, and the memo
+    # serves that None as it serves a type
+    calls = []
+    body = lc._vertex_type
+
+    def counted(space, L):
+        calls.append(L)
+        return body(space, L)
+
+    monkeypatch.setattr(lc, "_vertex_type", counted)
+    sp, L0 = id_space(ring9(), 2), standard_lattice(ring9(), 2)
+    with sp.audit_scope():
+        for _ in range(3):
+            assert vertex_type(sp, L0.scale(1)) is None
+            assert vertex_type(sp, L0) == 0
+    assert calls == [L0.scale(1), L0]
+    vertex_type(sp, L0)  # no scope, no memo
+    assert len(calls) == 3
 
 
 def test_guard_trip_is_not_memoized(monkeypatch):

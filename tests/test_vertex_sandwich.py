@@ -1,8 +1,10 @@
 """The vertex sandwich pi L# <= L <= L# read off the Gram matrix, against
 the route through the dual lattice, and the point sets built on it."""
 
+import inspect
 import itertools
 import json
+import textwrap
 from collections import Counter
 
 import pytest
@@ -136,6 +138,163 @@ def test_residue_past_the_ring_width_is_a_guard_trip():
     L = Lattice(R, 2, -R.N, ((piN, R.zero), (R.zero, piN)))
     with pytest.raises(GuardError):
         vertex_type(sp, L)
+
+
+def guarded(route, *args):
+    try:
+        return route(*args)
+    except GuardError:
+        return "guard"
+
+
+# (p, s, n, N): kappa = GF(p^s), rank n, guard N
+WINDOW_CONFIGS = [(3, 2, 2, 8), (3, 2, 3, 8), (3, 1, 4, 8), (3, 2, 2, 2), (3, 1, 3, 3),
+                  (5, 1, 3, 8), (3, 1, 4, 2)]
+
+
+def deep_grams(ring, n):
+    """Grams with an elementary divisor pi^2, outside the instance family:
+    diag(pi^2, 1, ..., 1), a hyperbolic pi^2-block with a unit tail, and
+    at n >= 3 a pi-block, pi^2 and a unit tail.  L0-sharp has floor -2,
+    so the window decides at level 4, where the (pi e_f, pi e_g) block of
+    its Gram is -G_2, not zero as for the family's Grams."""
+    pi2 = ring.pi_pow(2)
+    diagonal = [list(row) for row in mixed_gram(ring, n, 0)]
+    diagonal[0][0] = pi2
+    grams = [diagonal]
+    if n >= 2:
+        hyperbolic = [list(row) for row in mixed_gram(ring, n, 0)]
+        hyperbolic[0][0] = hyperbolic[1][1] = ring.zero
+        hyperbolic[0][1] = hyperbolic[1][0] = pi2
+        grams.append(hyperbolic)
+    if n >= 3:
+        mixed = [list(row) for row in mixed_gram(ring, n, 1)]
+        mixed[2][2] = pi2
+        grams.append(mixed)
+    return grams
+
+
+def window_type_sweep(p, s, n, N):
+    """(config, window's type, vertex type of the lift) for every residue
+    subspace of the standard window of every Gram of the family with every
+    tau generator of seeds 0 and 1, and, below the ring width (N >= 3), of
+    each :func:`deep_grams` Gram with tau the identity (the vertex type
+    does not see tau); a guard trip, the lift's included, is an outcome."""
+    ring = TruncRing(FieldCtx(p, 1, s), N)
+    spaces = [HermSpace.build(ring, gram, A) for gram in lc.gram_family(ring, n)
+              for seed in (0, 1) for A in tau_generator_set(ring, n, seed, gram)]
+    if N >= 3:
+        spaces += [HermSpace.build(ring, gram, lc.mat_identity(ring, n))
+                   for gram in deep_grams(ring, n)]
+    for sp in spaces:
+        window = lc._standard_window(sp)
+        type_of = window.vertex_typer(sp)
+        for rows, pivots in window.subspaces():
+            want = guarded(lambda: vertex_type(sp, window.lift(rows)))
+            yield (sp.gram, sp.tau_matrix, rows), guarded(type_of, rows, pivots), want
+
+
+@pytest.mark.parametrize("p,s,n,N", WINDOW_CONFIGS)
+def test_window_types_equal_the_vertex_type_of_the_lift(p, s, n, N):
+    seen = Counter()
+    for config, got, want in window_type_sweep(p, s, n, N):
+        assert got == want, config
+        seen["type" if isinstance(want, int) else want] += 1
+    assert seen["type"] and seen[None], seen
+
+
+# source edits of _Window.vertex_typer that the cross-check must catch
+TYPER_MUTATIONS = {
+    "pi-block-dropped": ("[NEG[low[g][h]] for h in free]", "[0 for h in free]"),
+    "mixed-blocks-at-level-l": ("l - 1, ", "l, "),
+}
+
+
+@pytest.mark.parametrize("old,new", TYPER_MUTATIONS.values(), ids=list(TYPER_MUTATIONS))
+def test_a_mutated_window_typer_fails_the_cross_check(monkeypatch, old, new):
+    source = textwrap.dedent(inspect.getsource(lc._Window.vertex_typer))
+    assert old in source
+    namespace = dict(vars(lc))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(lc._Window, "vertex_typer", namespace["vertex_typer"])
+    assert any(got != want for config in WINDOW_CONFIGS
+               for _, got, want in window_type_sweep(*config))
+
+
+def test_window_typer_trips_the_guard_at_the_ring_width():
+    # with H = pi^2 I at N = 2, T = L0-sharp = pi^-2 L0, so M's Gram in
+    # T's basis is decided at level K = 4, the ring width: the window
+    # trips wherever the levels below it vanish and otherwise agrees with
+    # the lift.  The lift of S = 0, pi T = pi^-1 L0, has a basis a floor
+    # higher, whose Gram the ring route reads at level 2 (type 0); the
+    # window stays inconclusive there
+    R = TruncRing(FieldCtx(3, 1, 2), 2)
+    gram = [[R.pi_pow(2) if i == j else R.zero for j in range(2)] for i in range(2)]
+    sp = HermSpace.build(R, gram, tau_generator_set(R, 2, 0, gram)[0])
+    window = lc._standard_window(sp)
+    type_of = window.vertex_typer(sp)
+    seen = Counter()
+    for rows, pivots in window.subspaces():
+        got = guarded(type_of, rows, pivots)
+        want = guarded(lambda: vertex_type(sp, window.lift(rows)))
+        assert got == want or (got == "guard" and not rows), rows
+        seen[got] += 1
+    assert seen["guard"] and seen[None], seen
+
+
+def test_window_typer_needs_the_standard_shape():
+    # [lam, lam#] for a type-2 lattice of rank 3 is no standard window
+    sp, catalog = _inclusion_space(3, 2)
+    lam = next(L for L in catalog if vertex_type(sp, L) == 2)
+    with pytest.raises(lc.LatticeError, match="not pi times its top"):
+        lc._Window(lam, dual_sharp(sp, lam)).vertex_typer(sp)
+
+
+@pytest.mark.parametrize("audit", [lambda: lc.dichotomy_trials(3, 1, 2, 3, 300, seed=0),
+                                   lambda: lc.exhaustive_dichotomy(3, 1, 2, n=2)],
+                         ids=["trials", "exhaustive"])
+def test_dichotomy_lifts_only_the_draws_the_window_types(monkeypatch, audit):
+    # each lift follows the window typing the same rows as a vertex
+    # lattice, each such typing is followed by its lift, and the ring
+    # route never types a lifted draw again in the draw's space
+    events, spaces = [], {}
+    typer, lift, body = lc._Window.vertex_typer, lc._Window.lift, lc._vertex_type
+
+    def recording_typer(window, space):
+        type_of, spaces[window] = typer(window, space), space
+
+        def typed(rows, pivots):
+            events.append(("typed", window, rows, type_of(rows, pivots)))
+            return events[-1][3]
+
+        return typed
+
+    def recording_lift(window, rows):
+        L = lift(window, rows)
+        events.append(("lift", window, rows, (spaces[window], L.key())))
+        return L
+
+    def recording_body(space, L):
+        events.append(("ring", (space, L.key())))
+        return body(space, L)
+
+    monkeypatch.setattr(lc._Window, "vertex_typer", recording_typer)
+    monkeypatch.setattr(lc._Window, "lift", recording_lift)
+    monkeypatch.setattr(lc, "_vertex_type", recording_body)
+    stats = audit()
+    seen, lifted = Counter(), set()
+    for i, event in enumerate(events):
+        kind = event[0]
+        if kind == "typed" and event[3] is not None:
+            assert events[i + 1][:3] == ("lift", *event[1:3])
+        elif kind == "lift":
+            assert events[i - 1][:3] == ("typed", *event[1:3]) and events[i - 1][3] is not None
+            lifted.add(event[3])
+        elif kind == "ring":
+            assert event[1] not in lifted
+        seen[kind, kind != "typed" or event[3] is not None] += 1
+    assert seen["typed", False] and seen["lift", True] and seen["ring", True], seen
+    assert stats["hypothesis_rejected"] >= seen["typed", False]
 
 
 def _inclusion_space(n, s):
@@ -288,11 +447,13 @@ def test_catalog_equals_the_full_window_filter(n, s):
 @pytest.mark.parametrize("n,s", [(2, 2), (3, 2), (4, 1), pytest.param(4, 2, marks=pytest.mark.slow)])
 def test_catalog_lifts_only_tau_stable_subspaces(monkeypatch, n, s):
     # pi T + lift(S) is tau-stable exactly when S is stable under the
-    # sigma-semilinear residue map, so the lifts are the tau-stable
-    # lattices of the window, counted here by lifting every lattice
+    # sigma-semilinear residue map, and the window types S over kappa, so
+    # the lifts are the tau-stable vertex lattices of the window, counted
+    # here by lifting every lattice
     sp, catalog = _inclusion_space(n, s)
     every = list(lifts(lc._standard_window(sp)))
-    stable = sum(lc.lattice_eq(sp.tau(L), L) for L in every)
+    stable = [L for L in every if lc.lattice_eq(sp.tau(L), L)]
+    vertex = sum(vertex_type(sp, L) is not None for L in stable)
     lifted = []
     lift = lc._Window.lift
 
@@ -302,7 +463,7 @@ def test_catalog_lifts_only_tau_stable_subspaces(monkeypatch, n, s):
 
     monkeypatch.setattr(lc._Window, "lift", counted)
     assert [L.key() for L in lc.vertex_lattices_in_window(sp)] == [L.key() for L in catalog]
-    assert len(lifted) == stable < len(every)
+    assert len(lifted) == vertex < len(stable) < len(every)
 
 
 def test_catalog_refuses_a_window_top_that_tau_moves(monkeypatch):
