@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import charts, latcalc, report, strata, weyl
-from .space import BudgetExceeded, subspace_from_json
+from .space import BudgetExceeded, ChainError, subspace_from_json
 
 
 def _given(args, names, allowed, where: str) -> dict:
@@ -51,7 +51,7 @@ def _run(args, body, config=None) -> int:
     ``config``, its own ``config``.  A budget overrun anywhere in the body
     becomes an inconclusive ``enumeration`` check, and a truncation guard
     trip that no trial absorbed an inconclusive ``guard`` check (exit 3);
-    a broken strata chain is a failed ``chain`` check (exit 1).
+    a broken strata or tau chain is a failed ``chain`` check (exit 1).
     """
     t0 = time.perf_counter()
     try:
@@ -60,7 +60,7 @@ def _run(args, body, config=None) -> int:
         name = "enumeration" if isinstance(exc, BudgetExceeded) else "guard"
         part = {"config": config, "counts": [],
                 "checks": [report.inconclusive(name, witness=str(exc))]}
-    except strata.ChainError as exc:
+    except ChainError as exc:
         part = {"config": config, "counts": [],
                 "checks": [report.check("chain", ok=False, witness=str(exc))]}
     rep = report.make_report(part["config"], part["counts"], part["checks"],
@@ -99,11 +99,12 @@ def cmd_strata_classify(args) -> int:
         U = subspace_from_json(json.load(fh))
 
     def body():
-        if not strata.member(cfg, U):
+        classified = strata.classify(cfg, U)
+        if classified is None:
             return {"counts": [], "checks": [report.check(
                 "membership", ok=False,
                 witness="subspace is not a member of the configured stratum space")]}
-        label, chain_dims, kr = strata.classify(cfg, U)
+        label, chain_dims, kr = classified
         return {"counts": [{"label": label.key(), "count": 1}],
                 "checks": [report.check("membership", ok=True,
                                         data={"label": label.key(), "kr_class": kr,

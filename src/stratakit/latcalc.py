@@ -33,7 +33,7 @@ from functools import cache, partial
 from .gf import FieldCtx
 from . import linalg
 from .report import check, inconclusive
-from .space import gate
+from .space import ChainError, gate
 
 LATTICE_BUDGET = 10**6
 
@@ -44,10 +44,6 @@ class GuardError(RuntimeError):
 
 class LatticeError(ValueError):
     pass
-
-
-class ChainBreach(LatticeError):
-    """A tau-chain broke the chain lemma; an audit records a counterexample."""
 
 
 class TruncRing:
@@ -412,12 +408,6 @@ class HermSpace:
             raise LatticeError("tau matrix is not unitary for this Gram")
         return HermSpace(ring, n, H, A, sum(column_hnf(ring, _columns(H), n)[0]))
 
-    def herm(self, x, y):
-        """h(x, y) = conj(x)^T H y, conjugate-linear in the first argument."""
-        R = self.ring
-        Hy = mat_mul(R, self.gram, [[yj] for yj in y])
-        return mat_mul(R, [[R.conj(xi) for xi in x]], Hy)[0][0]
-
     def tau_vec(self, v):
         R = self.ring
         return [row[0] for row in mat_mul(R, self.tau_matrix, [[R.sigma(x)] for x in v])]
@@ -524,11 +514,11 @@ def tau_chain(space: HermSpace, M: Lattice):
         if lattice_eq(nxt, cur):
             return len(chain) - 1, chain
         if index_in(nxt, cur) != 1:
-            raise ChainBreach("chain step has index > 1 (hypothesis violated)")
+            raise ChainError("chain step has index > 1 (hypothesis violated)")
         chain.append(nxt)
         cur = nxt
         if len(chain) > 4 * space.n + 4:
-            raise ChainBreach("chain failed to stabilize (bug)")
+            raise ChainError("chain failed to stabilize (bug)")
 
 
 def check_hypotheses(space: HermSpace, M: Lattice) -> bool:
@@ -591,21 +581,6 @@ def crucial_dichotomy(space: HermSpace, M: Lattice) -> dict:
 
 # -- residue windows -------------------------------------------------------
 
-def _residue(R: TruncRing, h0, pi_offset: int) -> int:
-    """Residue mod pi of pi^pi_offset * h0, for an integral product.
-
-    ``pi_offset`` already carries the floor bookkeeping.  A positive one
-    puts the product in pi * (integers); one of -width or below asks for a
-    coefficient past the window, unknown at this truncation.
-    """
-    idx = -pi_offset
-    if idx < 0:
-        return 0
-    if idx >= R.width:
-        raise GuardError("residue index beyond the window")
-    return h0[idx] if idx < len(h0) else 0
-
-
 class _Window:
     """The lattices between ``bot`` and ``top`` (pi top <= bot <= top): the
     subspaces of the residue space top/bot over kappa, each lifted through
@@ -661,11 +636,19 @@ class _Window:
 
     def form(self, space: HermSpace, extra_pi: int):
         """Gram over kappa of the residue of pi^extra_pi h on top/bot, in
-        the basis ``vecs``: h(pi^f x, pi^f y) = (-1)^f pi^(2f) h(x, y)."""
-        R, f = self.ring, self.vfloor
+        the basis ``vecs``: h(pi^f x, pi^f y) = (-1)^f pi^(2f) h(x, y), so
+        it is (-1)^f times level l = -(extra_pi + 2f) of the Gram of
+        ``vecs`` (an integral product), zero for l < 0.  A level at or past
+        the ring width is unknown at this truncation: the guard trips."""
+        R, f, d = self.ring, self.vfloor, self.dim
+        l = -(extra_pi + 2 * f)
+        if not d or l < 0:
+            return ((0,) * d,) * d
+        if l >= R.width:
+            raise GuardError("residue index beyond the window")
         sign = R.ctx.NEG if f % 2 else range(R.ctx.size)
-        return tuple(tuple(sign[_residue(R, space.herm(x, y), extra_pi + 2 * f)]
-                           for y in self.vecs) for x in self.vecs)
+        G = _level(_basis_gram(space, _from_columns(self.vecs)), l)
+        return tuple(tuple(sign[x] for x in row) for row in G)
 
     def vertex_typer(self, space: HermSpace):
         """(rows, pivots) -> the vertex type of M = pi top + lift(S), or
@@ -679,10 +662,11 @@ class _Window:
         G = B^dagger H B.  Conjugation fixes kappa and negates pi, so with
         G_l the pi^l level of G (zero for l < 0) its pi^l level is
         [[S G_l S^T, (S G_(l-1))_g], [-(G_(l-1) S^T)_g, -(G_(l-2))_gg]].
-        At K = -2f past the ring width this trips the guard wherever the
-        levels below the width vanish, also on a lattice whose own basis
-        has a higher floor (pi top, for one) and which the ring route can
-        still decide; the instance Grams keep K at 2 or below.
+        At K = -2f at or past the ring width, where the levels below the
+        width vanish, level K is unknown here; M's own basis may have a
+        higher floor (pi top, for one), so such an S is lifted and typed
+        on the ring (:func:`vertex_type`).  The instance Grams keep K at 2
+        or below.
         """
         top, R = self.top, self.ring
         if self.dim != top.n:
@@ -704,7 +688,7 @@ class _Window:
             """row G_l, or G_l row^T when transposed; zero below level 0."""
             if l < 0:
                 return zero
-            return linalg._functional(ctx, (by_cols if transposed else by_rows)[l], row)
+            return linalg._combine(ctx, n, (by_cols if transposed else by_rows)[l], row)
 
         def dot(u, v):
             acc = 0
@@ -724,7 +708,10 @@ class _Window:
                 return upper + [[NEG[c[g]] for c in cols] + [NEG[low[g][h]] for h in free]
                                 for g in free]
 
-            return _sandwich_type(R, level, K, n, base - 2 * len(rows))
+            try:
+                return _sandwich_type(R, level, K, n, base - 2 * len(rows))
+            except GuardError:
+                return vertex_type(space, self.lift(rows))
 
         return type_of
 
@@ -804,7 +791,7 @@ def _point_set(space: HermSpace, lam: Lattice, lam_s: Lattice, h: int,
     for rows, pivots in window.subspaces((d,), gram):
         if jump_at_most(rows, pivots, 1):
             if y:
-                XG = [linalg._functional(ctx, gram_nz, r) for r in rows]
+                XG = [linalg._combine(ctx, window.dim, gram_nz, r) for r in rows]
                 rows = linalg.nullspace(ctx, XG, window.dim)[0]
             out.add(window.lift(rows).key())
     return frozenset(out)
@@ -998,7 +985,7 @@ def _audit_outcome(space: HermSpace, draw):
         res = crucial_dichotomy(space, M)
     except GuardError:
         return (*counters, "inconclusive"), None
-    except ChainBreach as exc:
+    except ChainError as exc:
         counters.append("anomalous")
         result = str(exc)
     else:

@@ -112,18 +112,14 @@ def residual(ctx: FieldCtx, rows, pivots, vec) -> list[int]:
     return v
 
 
-def contains_vector(ctx: FieldCtx, red_rows: Mat, pivots, vec) -> bool:
-    """Membership of vec in the row space given by rref data."""
-    return not any(residual(ctx, red_rows, pivots, vec))
-
-
 def _nonzero(rows) -> list[list[tuple[int, int]]]:
     """The nonzero entries (j, x) of each row."""
     return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
 
 
 def _combine(ctx: FieldCtx, n: int, basis, coeffs) -> tuple[int, ...]:
-    """The vector sum of c * b over coeffs and the ``_nonzero`` basis rows."""
+    """The vector sum of c * b over coeffs and the ``_nonzero`` basis rows;
+    over the rows of a Gram matrix G, the functional r G of the row r."""
     ADD, MUL = ctx.ADD, ctx.MUL
     out = [0] * n
     for c, vec in zip(coeffs, basis):
@@ -132,18 +128,6 @@ def _combine(ctx: FieldCtx, n: int, basis, coeffs) -> tuple[int, ...]:
             for j, x in vec:
                 out[j] = ADD[out[j]][m[x]]
     return tuple(out)
-
-
-def _functional(ctx: FieldCtx, gram_nz, r) -> list[int]:
-    """The row vector r G for a Gram matrix G given by its ``_nonzero`` rows."""
-    ADD, MUL = ctx.ADD, ctx.MUL
-    out = [0] * len(gram_nz)
-    for x, nz in zip(r, gram_nz):
-        if x:
-            m = MUL[x]
-            for j, g in nz:
-                out[j] = ADD[out[j]][m[g]]
-    return out
 
 
 def row_spaces(ctx: FieldCtx, scalars, n: int, d: int, gram=None):
@@ -201,7 +185,7 @@ def row_spaces(ctx: FieldCtx, scalars, n: int, d: int, gram=None):
                 yield rows + (row,), pivots
             return
         for row in found:
-            f = funcs if gram_nz is None else funcs + (_functional(ctx, gram_nz, row),)
+            f = funcs if gram_nz is None else funcs + (_combine(ctx, n, gram_nz, row),)
             yield from extend(pivots, slots, rows + (row,), f)
 
     if not d:

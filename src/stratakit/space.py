@@ -34,6 +34,11 @@ class BudgetExceeded(RuntimeError):
     """Raised when an enumeration would exceed the configured budget."""
 
 
+class ChainError(RuntimeError):
+    """A chain step changed dimension or index by more than one, or a chain
+    outran its bound: a broken hypothesis or wrong arithmetic."""
+
+
 def gate(total: int, budget: int | None, default: int, what: str) -> None:
     """The one budget gate: refuse ``total`` units of work, counted in
     closed form before any starts, past ``budget`` (``default`` if None)."""
@@ -140,9 +145,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, vec) -> bool:
-        return linalg.contains_vector(self.space.ctx, self.rows, self.pivots, vec)
-
 
 def full_subspace(space: FormedSpace) -> Subspace:
     rows = tuple(space.e(i + 1) for i in range(space.dim))
@@ -163,12 +165,6 @@ def _phi_vector(space: FormedSpace, v: tuple[int, ...], inverse: bool = False) -
     return tuple([FROB[x] for x in v])
 
 
-def sum_spaces(U: Subspace, W: Subspace) -> Subspace:
-    _check_same(U, W)
-    red, piv = linalg.rref(U.space.ctx, U.rows + W.rows)
-    return Subspace(U.space, red, piv)
-
-
 def intersect(U: Subspace, W: Subspace) -> Subspace:
     _check_same(U, W)
     rows, piv = linalg.intersect(U.space.ctx, U.rows, W.rows, U.space.dim)
@@ -180,7 +176,7 @@ def perp(U: Subspace) -> Subspace:
     if space.gram is None:
         raise SpaceError("perp needs a formed space")
     # row r's functional form(r, .) is r G, read off the sparse Gram rows
-    mat = [linalg._functional(space.ctx, space._gram_nz, r) for r in U.rows]
+    mat = [linalg._combine(space.ctx, space.dim, space._gram_nz, r) for r in U.rows]
     basis, piv = linalg.nullspace(space.ctx, mat, space.dim)
     return Subspace(space, basis, piv)
 

@@ -1,4 +1,4 @@
-"""Membership tests, the Krylov-walk classifier, and decomposition checks.
+"""Member enumeration, the Krylov-walk classifier, and decomposition checks.
 
 Three families of point sets are covered, all living inside a formed (or
 formless) space base-changed to GF(q^k):
@@ -17,7 +17,9 @@ classifies them in blocks (``classify_block``): one numpy kernel keeps
 the members of a block and walks all of them at once, adding Phi y,
 Phi^2 y, ... until each span turns non-isotropic (kind ``w``) or
 stabilizes while isotropic (kind ``wprime``; ``id`` for stable members).
-A single subspace is a block of one (``classify``).
+A single subspace U is a block of one: ``classify`` walks U's down
+chain, which decides membership (U is isotropic and dim(U + Phi U) <=
+dim U + 1) and yields (B, y).
 Each case places its labels in one frame (top, level, bottom), the
 (rank, level) that the ``weyl`` word families take (``StrataConfig.frame``):
 members have dimension top - level, and a member whose chain runs v steps
@@ -41,13 +43,13 @@ from .linalg import gaussian_binomial
 from .report import check, inconclusive
 from .space import (
     BudgetExceeded,
+    ChainError,
     FormedSpace,
     Subspace,
     apply_phi,
     intersect,
     is_isotropic,
     perp,
-    sum_spaces,
 )
 
 SUBSPACE_BUDGET = 10**7
@@ -59,11 +61,6 @@ CASE_PARAMS = {"Z": ("t", "h"), "Y": ("n", "h", "t", "eps"), "ZY": ("t1", "h", "
 
 class ConfigError(ValueError):
     pass
-
-
-class ChainError(RuntimeError):
-    """A chain step changed dimension by more than one, or an up walk
-    outran the dimension: malformed member or wrong arithmetic."""
 
 
 @dataclass(frozen=True)
@@ -173,21 +170,6 @@ class StrataConfig:
 
 # -- membership and classification ---------------------------------------
 
-def member(cfg: StrataConfig, U: Subspace) -> bool:
-    """U has the member dimension d, is isotropic unless the case is
-    formless, and meets Phi(U) in dimension >= d - 1; as dim Phi(U) = d,
-    that is dim(U + Phi(U)) <= d + 1.  U must live in the configured
-    space over the configured field GF(q^k)."""
-    sp, ctx = U.space, U.space.ctx
-    if (sp.kind, sp.dim, ctx.p, ctx.e, ctx.k) != (cfg.space_kind, cfg.space_dim,
-                                                  cfg.p, cfg.e, cfg.k):
-        raise ConfigError("subspace does not live in the configured space")
-    d = cfg.member_dim
-    if U.dim != d:
-        return False
-    return (cfg.case == "ZY" or is_isotropic(U)) and sum_spaces(U, apply_phi(U)).dim <= d + 1
-
-
 def _phi_stable(U: Subspace) -> bool:
     """Frobenius stability: a canonical matrix is stable exactly when all
     its entries are Frobenius-fixed."""
@@ -195,31 +177,40 @@ def _phi_stable(U: Subspace) -> bool:
     return all(FROB[x] == x for row in U.rows for x in row)
 
 
-def _krylov_data(U: Subspace):
-    """(B, y, v) from one down chain to the bottom B: y spans U_(v-1) mod
-    B, reduced against B's rows (so zero at B's pivots) with a leading 1,
-    as the block scan draws it; y is None when U is stable."""
-    above, cur, v = None, U, 0
-    while not _phi_stable(cur):
-        above, cur, v = cur, intersect(cur, apply_phi(cur)), v + 1
-        if cur.dim != above.dim - 1:
-            raise ChainError(f"down step dropped {above.dim - cur.dim} dimensions")
-    if not v:
-        return cur, None, 0
-    ctx = U.space.ctx
-    r = next(r for r in above.rows if not cur.contains(r))
-    y = linalg.residual(ctx, cur.rows, cur.pivots, r)
-    scale = ctx.MUL[ctx.INV[next(x for x in y if x)]]
-    return cur, tuple(scale[x] for x in y), v
+def classify(cfg: StrataConfig, U: Subspace) -> tuple[StratumLabel, list[int], str] | None:
+    """(label, chain dimensions, KR class) of U when it is a member, else
+    None; U must live in the configured space over GF(q^k).
 
-
-def classify(cfg: StrataConfig, U: Subspace) -> tuple[StratumLabel, list[int], str]:
-    """(label, chain dimensions, KR class) of one member: its down chain
-    gives (B, y, v), and ``classify_block`` classifies it as a block of one."""
-    B, y, v = _krylov_data(U)
-    line = np.array([y if v else ()], dtype=np.int16)
-    blk = _Block(v, (B,), np.zeros(1, dtype=np.intp), line)
-    _, codes = classify_block(cfg, _Arrays(U.space), blk, kr=True)
+    A member has the member dimension d, is isotropic unless the case is
+    formless, and meets Phi(U) in dimension >= d - 1 (dim(U + Phi(U)) <=
+    d + 1).  Its down chain U_(i+1) = U_i cap Phi(U_i) then loses one
+    dimension a step to the stable bottom B = U_v, and y, the first nonzero
+    residual of U_(v-1)'s rows modulo B scaled to a leading 1, spans
+    U_(v-1) mod B as the block scan draws it; ``classify_block`` classifies
+    (B, y) as a block of one.  A first step that loses more dimensions
+    marks a non-member; a later one is a ``ChainError``.
+    """
+    sp, ctx = U.space, U.space.ctx
+    if (sp.kind, sp.dim, ctx.p, ctx.e, ctx.k) != (cfg.space_kind, cfg.space_dim,
+                                                  cfg.p, cfg.e, cfg.k):
+        raise ConfigError("subspace does not live in the configured space")
+    if U.dim != cfg.member_dim or not (cfg.case == "ZY" or is_isotropic(U)):
+        return None
+    above, B, v = None, U, 0
+    while not _phi_stable(B):
+        above, B, v = B, intersect(B, apply_phi(B)), v + 1
+        if B.dim != above.dim - 1:
+            if v == 1:
+                return None
+            raise ChainError(f"down step dropped {above.dim - B.dim} dimensions")
+    y = ()
+    if v:
+        y = next(r for r in (linalg.residual(ctx, B.rows, B.pivots, a) for a in above.rows)
+                 if any(r))
+        scale = ctx.MUL[ctx.INV[next(x for x in y if x)]]
+        y = tuple(scale[x] for x in y)
+    blk = _Block(v, (B,), np.zeros(1, dtype=np.intp), np.array([y], dtype=np.int16))
+    _, codes = classify_block(cfg, _Arrays(sp), blk, kr=True)
     return _decode(cfg, v, int(codes[0]))
 
 

@@ -1,10 +1,12 @@
 """Reference classifier: run a member's chains as subspaces.
 
-The down chain intersects U with its Frobenius image until the span is
-stable; the up chain adds the image until the span is stable or, in a
-formed space, stops being isotropic.  The component sign intersects the
-top with the kind's reference Lagrangian.  Every step is a separate
-``intersect`` or ``sum_spaces``, so this is independent of the block
+Membership is the one-sum test dim(U + Phi U) <= dim U + 1 on an
+isotropic U of the member dimension.  The down chain intersects U with its
+Frobenius image until the span is stable; the up chain adds the image
+until the span is stable or, in a formed space, stops being isotropic.
+The component sign intersects the top with the kind's reference
+Lagrangian.  Every step is a separate ``intersect`` or ``sum_spaces``, so
+this is independent of ``strata.classify``'s down walk and of the block
 kernel ``strata.classify_block``.
 """
 
@@ -14,6 +16,20 @@ from stratakit.strata import ChainError, StratumLabel, _label_is_signed
 
 def _stable(U):
     return spc.apply_phi(U).rows == U.rows
+
+
+def sum_spaces(U, W):
+    """U + W, the reduced echelon form of their stacked rows."""
+    return spc.Subspace.from_rows(U.space, U.rows + W.rows)
+
+
+def member(cfg, U):
+    """U has the member dimension d, is isotropic unless the case is
+    formless, and dim(U + Phi(U)) <= d + 1, that is, it meets Phi(U) in
+    dimension >= d - 1."""
+    d = cfg.member_dim
+    return (U.dim == d and (cfg.case == "ZY" or spc.is_isotropic(U))
+            and sum_spaces(U, spc.apply_phi(U)).dim <= d + 1)
 
 
 def chain_down(U):
@@ -34,7 +50,7 @@ def chain_up(U):
     chain = [U]
     cur = U
     while not _stable(cur):
-        nxt = spc.sum_spaces(cur, spc.apply_phi(cur))
+        nxt = sum_spaces(cur, spc.apply_phi(cur))
         if formed and not spc.is_isotropic(nxt):
             return chain, "anisotropic"
         if nxt.dim != cur.dim + 1:

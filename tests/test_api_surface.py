@@ -1,8 +1,9 @@
 """No test-only API in src/: every public module-level function and every
 public method of a class in stratakit has a caller in src/ or perfbench/,
-or a reason to wait here.  A method is called only through attribute
-access (``obj.name``); a bare name such as the builtin ``pow`` or a local
-variable ``f`` does not call it."""
+or a reason to wait here, and every private one (``_name``, dunders
+aside) has a caller, so a folded helper cannot linger.  A method is called
+only through attribute access (``obj.name``); a bare name such as the
+builtin ``pow`` or a local variable ``f`` does not call it."""
 
 import ast
 from pathlib import Path
@@ -32,12 +33,20 @@ def _functions(body, prefix):
             yield from _functions(node.body, f"{prefix}.{node.name}")
 
 
-def _public_functions():
-    """(qualified name, own name, whether it is a method)."""
+def _defined_functions(private: bool):
+    """(qualified name, own name, whether it is a method) of the public
+    functions, or of the private ones other than dunders."""
     for path in SRC:
         for name, full, _ in _functions(ast.parse(path.read_text()).body, path.stem):
-            if not name.startswith("_"):
+            dunder = name.startswith("__") and name.endswith("__")
+            if name.startswith("_") == private and not dunder:
                 yield full, name, full.count(".") > 1
+
+
+def _uncalled(private: bool):
+    names, attrs = _referenced_names()
+    return sorted(full for full, name, method in _defined_functions(private)
+                  if name not in attrs and (method or name not in names))
 
 
 def _referenced_names():
@@ -61,10 +70,11 @@ def _referenced_names():
 
 
 def test_every_public_function_has_a_caller_or_a_reason():
-    names, attrs = _referenced_names()
-    uncalled = sorted(full for full, name, method in _public_functions()
-                      if name not in attrs and (method or name not in names))
-    assert uncalled == sorted(ALLOWED)
+    assert _uncalled(private=False) == sorted(ALLOWED)
+
+
+def test_every_private_function_has_a_caller():
+    assert _uncalled(private=True) == []
 
 
 def test_budget_exceeded_is_constructed_only_by_the_gate():

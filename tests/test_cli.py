@@ -221,6 +221,26 @@ def test_classify_roundtrip(tmp_path, capsys):
     assert data["stable"]["checks"][0]["data"]["kr_class"] == "id"
 
 
+def test_classify_reports_a_non_member_as_a_failed_check(tmp_path, capsys):
+    # a line, a non-isotropic plane, and an isotropic plane meeting its
+    # Frobenius image in 0, whose first down step loses two dimensions
+    from subspace_scan import enumerate_subspaces
+
+    cfg = strata.StrataConfig("Z", 3, k=2, t=4, h=0)
+    sp = cfg.build_space()
+    drops_two = next(U for U in enumerate_subspaces(sp, 2, isotropic_only=True)
+                     if spc.intersect(U, spc.apply_phi(U)).dim == 0)
+    path = tmp_path / "subspace.json"
+    for rows in ([sp.e(1)], [sp.e(1), sp.e(3)], drops_two.rows):
+        path.write_text(json.dumps(spc.subspace_to_json(spc.Subspace.from_rows(sp, rows))))
+        code, out = run(capsys, "strata", "classify", "--case", "z", "--q", "3", "--k", "2",
+                        "--t", "4", "--h", "0", "--input", str(path))
+        stable = json.loads(out)["stable"]
+        assert code == 1 and stable["counts"] == [], rows
+        assert stable["checks"] == [{"name": "membership", "status": "fail", "witness":
+                                     "subspace is not a member of the configured stratum space"}]
+
+
 def test_classify_refuses_a_member_over_another_field(tmp_path, capsys):
     # a `w` member of Z t4 h0 over GF(81) is classified at k = 4 and
     # refused at k = 2, over whose field it does not live

@@ -13,7 +13,6 @@ from stratakit.strata import (
     StratumLabel,
     classify,
     enumerate_members,
-    member,
     predicted_index_set,
     reachable_at_k,
     reference_dimension,
@@ -24,8 +23,10 @@ from stratakit.strata import (
 from chain_classifier import (
     chain_up,
     classify_by_chains,
+    member,
     reference_lagrangian,
     sign_by_intersection,
+    sum_spaces,
 )
 from subspace_scan import enumerate_subspaces
 import label_tables
@@ -82,18 +83,21 @@ def test_member_rejects_wrong_dimension_and_deficiency():
     sp = cfg.build_space()
     line = spc.Subspace.from_rows(sp, [sp.e(1)])
     assert not member(cfg, line)  # wrong dimension
+    assert classify(cfg, line) is None
     # a Lagrangian whose Frobenius image meets it only in 0
     U = spc.Subspace.from_rows(sp, [(1, 3, 0, 0), (0, 0, 1, 6)])
     if member(cfg, U):
         assert spc.intersect(U, spc.apply_phi(U)).dim >= 1
-    # member() against the intersection predicate on every d-subspace of
-    # the coordinate scan, members and non-members alike
+    # the one-sum member() and classify's down walk against the
+    # intersection predicate on every d-subspace of the coordinate scan,
+    # members and non-members alike
     for cfg in (cfg_z(4, 0), cfg_y(5, 2, 0, -1), cfg_zy(8, 4, 0)):
         d, verdicts = cfg.member_dim, set()
         for U in enumerate_subspaces(cfg.build_space(), d):
             want = ((cfg.case == "ZY" or spc.is_isotropic(U))
                     and spc.intersect(U, spc.apply_phi(U)).dim >= d - 1)
             assert member(cfg, U) == want, (cfg.describe(), U.rows)
+            assert (classify(cfg, U) is not None) == want, (cfg.describe(), U.rows)
             verdicts.add(want)
         assert verdicts == {True, False}, cfg.describe()
 
@@ -103,10 +107,10 @@ def test_member_refuses_a_subspace_over_another_field():
     # over GF(9), over GF(81) as the square of GF(9), or over GF(625) is
     # another space
     U = next(enumerate_members(cfg_z(4, 0, k=4)))
-    assert member(cfg_z(4, 0, k=4), U)
+    assert classify(cfg_z(4, 0, k=4), U) is not None
     for cfg in (cfg_z(4, 0, k=2), StrataConfig("Z", 3, 2, 2, t=4, h=0), cfg_z(4, 0, k=4, p=5)):
         with pytest.raises(ConfigError):
-            member(cfg, U)
+            classify(cfg, U)
 
 
 def test_classifier_stable_member_is_id():
@@ -318,16 +322,16 @@ def test_kr_class_matches_isotropy_of_first_sum():
             if phiU.rows == U.rows:
                 want = "id"
             else:
-                want = "wprime" if spc.is_isotropic(spc.sum_spaces(U, phiU)) else "w"
+                want = "wprime" if spc.is_isotropic(sum_spaces(U, phiU)) else "w"
             assert kr == want, (cfg.describe(), U.rows)
             kinds.add((cfg.space_kind, want))
     assert {kind for _, kind in kinds} == {"id", "w", "wprime"}
     assert len({space for space, _ in kinds}) == 4
 
 
-def test_krylov_data_applies_phi_once_per_down_step(monkeypatch):
-    # a member without Krylov data runs its down chain: one Phi per down
-    # step, and the stability tests read entries, not images
+def test_classify_applies_phi_once_per_down_step(monkeypatch):
+    # classify runs a member's down chain: one Phi per down step, and the
+    # stability tests read entries, not images
     calls = []
 
     def counted(U):
@@ -339,8 +343,8 @@ def test_krylov_data_applies_phi_once_per_down_step(monkeypatch):
     for cfg in (cfg_y(4, 2, 0, 1), cfg_y(4, 2, 0, -1)):
         for U, _, _, dims, _ in classified(cfg):
             calls.clear()
-            _, _, v = strata._krylov_data(U)
-            assert v == cfg.member_dim - dims[0]
+            v = cfg.member_dim - dims[0]
+            assert classify(cfg, U)[1] == dims
             assert len(calls) == v
             steps += v
     assert steps > 100

@@ -221,25 +221,36 @@ def test_a_mutated_window_typer_fails_the_cross_check(monkeypatch, old, new):
                for _, got, want in window_type_sweep(*config))
 
 
-def test_window_typer_trips_the_guard_at_the_ring_width():
+def test_window_typer_trips_the_guard_at_the_ring_width(monkeypatch):
     # with H = pi^2 I at N = 2, T = L0-sharp = pi^-2 L0, so M's Gram in
-    # T's basis is decided at level K = 4, the ring width: the window
-    # trips wherever the levels below it vanish and otherwise agrees with
-    # the lift.  The lift of S = 0, pi T = pi^-1 L0, has a basis a floor
-    # higher, whose Gram the ring route reads at level 2 (type 0); the
-    # window stays inconclusive there
+    # T's basis is decided at level K = 4, the ring width: the window's
+    # guard trips wherever the levels below it vanish, and the typer hands
+    # those subspaces to the lift.  The lift of S = 0, pi T = pi^-1 L0, has
+    # a basis a floor higher, whose Gram the ring route reads at level 2:
+    # type 0, not inconclusive
     R = TruncRing(FieldCtx(3, 1, 2), 2)
     gram = [[R.pi_pow(2) if i == j else R.zero for j in range(2)] for i in range(2)]
     sp = HermSpace.build(R, gram, tau_generator_set(R, 2, 0, gram)[0])
     window = lc._standard_window(sp)
     type_of = window.vertex_typer(sp)
+    trips, sandwich = [], lc._sandwich_type
+
+    def recording(*args):
+        try:
+            return sandwich(*args)
+        except GuardError:
+            trips.append(args[2])
+            raise
+
+    monkeypatch.setattr(lc, "_sandwich_type", recording)
     seen = Counter()
     for rows, pivots in window.subspaces():
         got = guarded(type_of, rows, pivots)
         want = guarded(lambda: vertex_type(sp, window.lift(rows)))
-        assert got == want or (got == "guard" and not rows), rows
+        assert got == want, rows
         seen[got] += 1
-    assert seen["guard"] and seen[None], seen
+    # every trip is the window's, at K = 4, and the lift decided each
+    assert trips and set(trips) == {4} and seen == {None: 11, 0: 1}, (trips, seen)
 
 
 def test_window_typer_needs_the_standard_shape():
@@ -507,21 +518,21 @@ def test_point_set_budget_counts_the_whole_window(monkeypatch):
         lc._point_set(sp, lam, lam_s, 1, total - 1, "Z")
     # and the gate runs before any residue work: a guard trip there does
     # not hide the overrun
-    monkeypatch.setattr(lc, "_residue", tripping_residue)
+    monkeypatch.setattr(lc._Window, "form", tripping_form)
     with pytest.raises(BudgetExceeded):
         lc._point_set(sp, lam, lam_s, 0, total - 1, "Z")
     with pytest.raises(GuardError):
         lc._point_set(sp, lam, lam_s, 0, total, "Z")
 
 
-def tripping_residue(R, h0, pi_offset):
+def tripping_form(window, space, extra_pi):
     raise GuardError("forced trip")
 
 
 def test_a_guard_trip_in_the_residue_route_is_inconclusive(monkeypatch, capsys):
-    # the residues of the point sets' forms trip the guard (the catalog's
-    # do not): the report is the inconclusive guard check, exit 3
-    point_set, residue = lc._point_set, lc._residue
+    # the levels of the point sets' residue forms trip the guard (the
+    # catalog's do not): the report is the inconclusive guard check, exit 3
+    point_set, level = lc._point_set, lc._level
     inside = []
 
     def tracked(*args):
@@ -531,8 +542,13 @@ def test_a_guard_trip_in_the_residue_route_is_inconclusive(monkeypatch, capsys):
         finally:
             inside.pop()
 
+    def tripping_level(G, l):
+        if inside:
+            raise GuardError("forced trip")
+        return level(G, l)
+
     monkeypatch.setattr(lc, "_point_set", tracked)
-    monkeypatch.setattr(lc, "_residue", lambda *a: (tripping_residue if inside else residue)(*a))
+    monkeypatch.setattr(lc, "_level", tripping_level)
     assert cli.main(["latcalc", "inclusions", "--n", "3", "--h", "2"]) == 3
     rep = json.loads(capsys.readouterr().out)
     assert [(c["name"], c["status"]) for c in rep["stable"]["checks"]] == [
